@@ -1,22 +1,21 @@
 """Photon-number statistics of generalized Heisenberg algebra coherent states
 for power-law potentials, evaluated overflow-safely in the log domain."""
 
-from .core import (LogTermSequence, PotentialParams, characteristic_exponent,
-                   log_g, log_g_increment, log_sum_exp, log_term)
+from .core import PotentialParams, characteristic_exponent, log_g_increment, log_sum_exp
 from .lab import (SweepRow, SweepSpec, ThresholdEstimateError, TruncationReport,
-                  collapse_onset, estimate_threshold, run_sweep)
-from .stats import (Classification, LogSeriesSums, StateStats, TruncationMode,
-                    TruncationPolicy, VarianceConsistencyError, WeightDistribution,
-                    accumulate_sums, classify, state_stats, weight_distribution)
+                  collapse_onset, estimate_threshold, run_sweep, sweep_row)
+from .stats import (Classification, LogSeriesSums, LogTermWalk, StateStats,
+                    TruncationMode, TruncationPolicy, VarianceConsistencyError,
+                    WeightDistribution, accumulate_sums, classify, state_stats,
+                    walk_sums, weight_distribution)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PotentialParams", "LogTermSequence", "characteristic_exponent",
-    "log_g_increment", "log_g", "log_term", "log_sum_exp",
-    "TruncationMode", "TruncationPolicy", "LogSeriesSums", "StateStats",
+    "PotentialParams", "characteristic_exponent", "log_g_increment", "log_sum_exp",
+    "TruncationMode", "TruncationPolicy", "LogSeriesSums", "LogTermWalk", "StateStats",
     "WeightDistribution", "Classification", "VarianceConsistencyError",
-    "accumulate_sums", "state_stats", "weight_distribution", "classify",
+    "accumulate_sums", "walk_sums", "state_stats", "weight_distribution", "classify",
     "SweepSpec", "SweepRow", "TruncationReport", "ThresholdEstimateError",
-    "estimate_threshold", "run_sweep", "collapse_onset",
+    "estimate_threshold", "run_sweep", "sweep_row", "collapse_onset",
 ]

@@ -6,21 +6,27 @@ it, csv as leading ``# key=value`` comment lines and json under an
 ``inputs`` key.  Numeric fields in csv/json carry full double precision;
 identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 2 usage error, 3 adaptive run failed to converge.
+Exit codes: 0 success, 2 usage error (a malformed or rejected input value
+included), 3 adaptive run failed to converge.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
 
 import click
 
+from . import stats as engine
 from .core import PotentialParams
-from .lab import SweepSpec, run_sweep
-from .stats import (StateStats, TruncationMode, TruncationPolicy, state_stats,
+from .lab import SweepSpec, collapse_onset, run_sweep, sweep_row
+from .stats import (LogSeriesSums, StateStats, TruncationMode, TruncationPolicy,
                     weight_distribution)
+# Not called here, but the benchmark's tracer (bench/tracing.py) wraps
+# ghacs.cli.state_stats, so the name stays bound.
+from .stats import state_stats  # noqa: F401
 
 EXIT_UNCONVERGED = 3
 
@@ -58,30 +64,31 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit_csv(inputs, header, rows, out, footer_comments=()):
+def _emit(fmt, out, inputs, header, rows, pretty, footers=None):
+    """Write ``rows`` as csv, json or a pretty table, the inputs echoed first.
+
+    ``pretty()`` returns the table format's rows of strings, header row
+    first; it runs only for that format.  ``footers`` maps a format to what
+    follows the rows: csv comment lines, extra json keys, table lines.
+    """
+    footers = footers or {}
+    if fmt == "json":
+        payload = {"inputs": inputs,
+                   "rows": [dict(zip(header, row)) for row in rows]}
+        payload.update(footers.get("json", {}))
+        _write(json.dumps(payload, indent=2) + "\n", out)
+        return
     lines = [f"# {key}={_repr_num(value)}" for key, value in inputs.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_repr_num(v) for v in row))
-    lines.extend(f"# {c}" for c in footer_comments)
-    _write("\n".join(lines) + "\n", out)
-
-
-def _emit_json(inputs, header, rows, out, extra=None):
-    payload = {"inputs": inputs,
-               "rows": [dict(zip(header, row)) for row in rows]}
-    if extra:
-        payload.update(extra)
-    _write(json.dumps(payload, indent=2) + "\n", out)
-
-
-def _emit_table(inputs, header, rows, out, footers=()):
-    lines = [f"# {key}={_repr_num(value)}" for key, value in inputs.items()]
-    cells = [header] + [[str(v) for v in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-    for r in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
-    lines.extend(footers)
+    if fmt == "csv":
+        lines.append(",".join(header))
+        lines.extend(",".join(_repr_num(v) for v in row) for row in rows)
+        lines.extend(f"# {c}" for c in footers.get("csv", ()))
+    else:
+        cells = pretty()
+        widths = [max(len(r[i]) for r in cells) for i in range(len(cells[0]))]
+        for r in cells:
+            lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
+        lines.extend(footers.get("table", ()))
     _write("\n".join(lines) + "\n", out)
 
 
@@ -97,15 +104,21 @@ def _q_value(stats: StateStats):
     return "undefined" if stats.mandel_q is None else stats.mandel_q
 
 
-def _check_converged(ctx, policy: TruncationPolicy, stats_list) -> None:
-    if policy.mode is not TruncationMode.ADAPTIVE:
-        return
-    for st in stats_list:
-        if not st.sums.converged:
-            click.echo("error: adaptive accumulation hit hard_cap "
-                       f"({policy.hard_cap}) before the tail criterion fired",
-                       err=True)
-            ctx.exit(EXIT_UNCONVERGED)
+def _check_converged(ctx, policy: TruncationPolicy, sums: LogSeriesSums) -> None:
+    if policy.mode is TruncationMode.ADAPTIVE and not sums.converged:
+        click.echo("error: adaptive accumulation hit hard_cap "
+                   f"({policy.hard_cap}) before the tail criterion fired",
+                   err=True)
+        ctx.exit(EXIT_UNCONVERGED)
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    """Report an input value the engine rejects as a usage error (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
 
 
 def _parse_list(text, cast, name):
@@ -163,31 +176,30 @@ def main():
 def stats(ctx, k, gamma, z, adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap,
           fmt, out):
     """Mean, variance, Mandel Q and normalization for a single amplitude."""
-    if z < 0:
-        raise click.UsageError("--z must be >= 0")
-    params = _params(k, gamma)
-    policy = _policy_from_flags(adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap)
-    st = state_stats(z, params, policy)
-    _check_converged(ctx, policy, [st])
+    with _usage_errors():
+        policy = _policy_from_flags(adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap)
+        # Looked up on the module, where the benchmark's tracer wraps them.
+        sums = engine.accumulate_sums(z, PotentialParams(k=k, gamma=gamma), policy)
+    # Convergence is settled before the moments: the raw-moment variance of a
+    # hard-capped run at huge ln S0 can fail the rounding floor, and such a
+    # run's documented outcome is exit 3.
+    _check_converged(ctx, policy, sums)
+    st = engine.stats_from_sums(sums)
 
     inputs = {"k": k, "gamma": gamma, "z": z, **_policy_inputs(policy)}
     header = ["mean", "variance", "mandel_q", "normalization",
               "terms_used", "converged", "threshold"]
     row = [st.mean, st.variance, _q_value(st), st.normalization,
            st.sums.terms_used, st.sums.converged, st.sums.estimated_threshold]
-    if fmt == "csv":
-        _emit_csv(inputs, header, [row], out)
-    elif fmt == "json":
-        _emit_json(inputs, header, [row], out)
-    else:
-        pretty = [["mean", _fmt2(st.mean)],
-                  ["variance", _fmt2(st.variance)],
-                  ["mandel_q", _fmt3(st.mandel_q)],
-                  ["normalization", f"{st.normalization:.6g}"],
-                  ["terms_used", str(st.sums.terms_used)],
-                  ["converged", str(st.sums.converged).lower()],
-                  ["threshold", str(st.sums.estimated_threshold)]]
-        _emit_table(inputs, ["quantity", "value"], pretty, out)
+    _emit(fmt, out, inputs, header, [row], lambda: [
+        ["quantity", "value"],
+        ["mean", _fmt2(st.mean)],
+        ["variance", _fmt2(st.variance)],
+        ["mandel_q", _fmt3(st.mandel_q)],
+        ["normalization", f"{st.normalization:.6g}"],
+        ["terms_used", str(st.sums.terms_used)],
+        ["converged", str(st.sums.converged).lower()],
+        ["threshold", str(st.sums.estimated_threshold)]])
 
 
 @main.command()
@@ -207,35 +219,38 @@ def table(ctx, k, gamma, z_list, fixed_nmax, tail_tol, quiet_run, hard_cap,
     zs = _parse_list(z_list, float, "z-list")
     if not zs:
         raise click.UsageError("--z-list must contain at least one amplitude")
-    params = _params(k, gamma)
-    adaptive_policy = TruncationPolicy.adaptive(
-        tail_tolerance=tail_tol, quiet_run=quiet_run, hard_cap=hard_cap)
-    fixed_policy = TruncationPolicy.fixed(fixed_nmax)
+    with _usage_errors():
+        params = PotentialParams(k=k, gamma=gamma)
+        adaptive_policy = TruncationPolicy.adaptive(
+            tail_tolerance=tail_tol, quiet_run=quiet_run, hard_cap=hard_cap)
+    pairs = []
+    for z in zs:
+        with _usage_errors():
+            row = sweep_row(z, params, adaptive_policy, (fixed_nmax,))
+        _check_converged(ctx, adaptive_policy, row.adaptive_stats.sums)
+        pairs.append((z, row.adaptive_stats, row.fixed_stats[fixed_nmax]))
 
     header = ["z", "mean", "variance", "mandel_q",
               "mean_fixed", "variance_fixed", "mandel_q_fixed",
               "threshold", "n_max"]
-    rows = []
-    pretty = []
-    for z in zs:
-        a = state_stats(z, params, adaptive_policy)
-        _check_converged(ctx, adaptive_policy, [a])
-        f = state_stats(z, params, fixed_policy)
-        rows.append([z, a.mean, a.variance, _q_value(a),
-                     f.mean, f.variance, _q_value(f),
-                     a.sums.estimated_threshold, fixed_nmax])
-        pretty.append([f"{z:g}", _fmt2(a.mean), _fmt2(a.variance), _fmt3(a.mandel_q),
-                       _fmt2(f.mean), _fmt2(f.variance), _fmt3(f.mandel_q),
-                       str(a.sums.estimated_threshold), str(fixed_nmax)])
-
+    rows = [[z, a.mean, a.variance, _q_value(a), f.mean, f.variance, _q_value(f),
+             a.sums.estimated_threshold, fixed_nmax] for z, a, f in pairs]
     inputs = {"k": k, "gamma": gamma, **_policy_inputs(adaptive_policy),
               "fixed_nmax": fixed_nmax}
-    if fmt == "csv":
-        _emit_csv(inputs, header, rows, out)
-    elif fmt == "json":
-        _emit_json(inputs, header, rows, out)
-    else:
-        _emit_table(inputs, header, pretty, out)
+    _emit(fmt, out, inputs, header, rows, lambda: [header] + [
+        [f"{z:g}", _fmt2(a.mean), _fmt2(a.variance), _fmt3(a.mandel_q),
+         _fmt2(f.mean), _fmt2(f.variance), _fmt3(f.mandel_q),
+         str(a.sums.estimated_threshold), str(fixed_nmax)] for z, a, f in pairs])
+
+
+def _z_grid(z_min, z_max, z_step) -> tuple[float, ...]:
+    """z_min, z_min + z_step, ... up to z_max, each rounded to 12 decimals."""
+    if not (all(map(math.isfinite, (z_min, z_max, z_step)))
+            and z_step > 0 and z_max >= z_min >= 0):
+        raise click.UsageError("need finite z_min >= 0, z_max >= z_min and z_step > 0")
+    steps = int(round((z_max - z_min) / z_step))
+    grid = (round(z_min + i * z_step, 12) for i in range(steps + 1))
+    return tuple(z for z in grid if z <= z_max + 1e-12)
 
 
 @main.command()
@@ -251,18 +266,19 @@ def table(ctx, k, gamma, z_list, fixed_nmax, tail_tol, quiet_run, hard_cap,
 @_add(output_options)
 def sweep(k, gamma, z_min, z_max, z_step, cutoffs, tail_tol, quiet_run,
           hard_cap, fmt, out):
-    """Mandel Q versus |z| for the adaptive policy and each fixed cutoff."""
-    if z_step <= 0 or z_max < z_min or z_min < 0:
-        raise click.UsageError("need z_min >= 0, z_max >= z_min and z_step > 0")
-    cut = _parse_list(cutoffs, int, "cutoffs")
-    steps = int(round((z_max - z_min) / z_step))
-    grid = tuple(round(z_min + i * z_step, 12) for i in range(steps + 1))
-    grid = tuple(z for z in grid if z <= z_max + 1e-12)
+    """Mandel Q versus |z| for the adaptive policy and each fixed cutoff.
 
-    spec = SweepSpec(k=k, gamma=gamma, z_grid=grid, cutoffs=cut)
-    policy = TruncationPolicy.adaptive(tail_tolerance=tail_tol,
-                                       quiet_run=quiet_run, hard_cap=hard_cap)
+    After the rows, one footer per cutoff gives its collapse onset: the
+    first |z| where its Q lies 0.5 below the adaptive Q (None if none).
+    """
+    grid = _z_grid(z_min, z_max, z_step)
+    cut = _parse_list(cutoffs, int, "cutoffs")
+    with _usage_errors():
+        spec = SweepSpec(k=k, gamma=gamma, z_grid=grid, cutoffs=cut)
+        policy = TruncationPolicy.adaptive(tail_tolerance=tail_tol,
+                                           quiet_run=quiet_run, hard_cap=hard_cap)
     report = run_sweep(spec, policy)
+    onsets = {c: collapse_onset(report, c) for c in cut}
 
     header = ["z", "cutoff", "mandel_q", "status"]
     rows = []
@@ -281,14 +297,14 @@ def sweep(k, gamma, z_min, z_max, z_step, cutoffs, tail_tol, quiet_run,
     inputs = {"k": k, "gamma": gamma, **_policy_inputs(policy),
               "z_min": z_min, "z_max": z_max, "z_step": z_step,
               "cutoffs": ",".join(str(c) for c in cut)}
-    if fmt == "csv":
-        _emit_csv(inputs, header, rows, out)
-    elif fmt == "json":
-        _emit_json(inputs, header, rows, out)
-    else:
-        pretty = [[f"{r[0]:g}", r[1], _fmt3(r[2]) if r[2] != "undefined" else r[2], r[3]]
-                  for r in rows]
-        _emit_table(inputs, header, pretty, out)
+    footers = {
+        "csv": [f"onset_{c}={_repr_num(z)}" for c, z in onsets.items()],
+        "json": {"onsets": {str(c): z for c, z in onsets.items()}} if cut else {},
+        "table": [f"onset_{c}  {'None' if z is None else f'{z:g}'}" for c, z in onsets.items()],
+    }
+    _emit(fmt, out, inputs, header, rows, lambda: [header] + [
+        [f"{r[0]:g}", r[1], _fmt3(r[2]) if r[2] != "undefined" else r[2], r[3]]
+        for r in rows], footers)
 
 
 @main.command()
@@ -300,34 +316,21 @@ def sweep(k, gamma, z_min, z_max, z_step, cutoffs, tail_tol, quiet_run,
 def dist(ctx, k, gamma, z, adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap,
          fmt, out):
     """The weighting distribution P_n up to the truncation support bound."""
-    if z < 0:
-        raise click.UsageError("--z must be >= 0")
-    params = _params(k, gamma)
-    policy = _policy_from_flags(adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap)
-    wd = weight_distribution(z, params, policy)
-    if policy.mode is TruncationMode.ADAPTIVE:
-        _check_converged(ctx, policy, [state_stats(z, params, policy)])
+    with _usage_errors():
+        policy = _policy_from_flags(adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap)
+        wd = weight_distribution(z, PotentialParams(k=k, gamma=gamma), policy)
+    _check_converged(ctx, policy, wd.sums)
 
     weights = wd.weights()
     total = math.fsum(weights)
     header = ["n", "p_n"]
     rows = [[n, w] for n, w in enumerate(weights)]
     inputs = {"k": k, "gamma": gamma, "z": z, **_policy_inputs(policy)}
-    if fmt == "csv":
-        _emit_csv(inputs, header, rows, out,
-                  footer_comments=[f"sum={_repr_num(total)}"])
-    elif fmt == "json":
-        _emit_json(inputs, header, rows, out, extra={"weight_sum": total})
-    else:
-        pretty = [[str(n), f"{w:.6f}"] for n, w in enumerate(weights)]
-        _emit_table(inputs, header, pretty, out, footers=[f"sum  {total:.10f}"])
-
-
-def _params(k, gamma):
-    try:
-        return PotentialParams(k=k, gamma=gamma)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    _emit(fmt, out, inputs, header, rows, lambda: [header] + [
+        [str(n), f"{w:.6f}"] for n, w in enumerate(weights)], {
+        "csv": [f"sum={_repr_num(total)}"],
+        "json": {"weight_sum": total},
+        "table": [f"sum  {total:.10f}"]})
 
 
 if __name__ == "__main__":

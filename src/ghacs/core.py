@@ -8,23 +8,21 @@ built from the structure function
 
 which replaces n! of the harmonic-oscillator case (k = 2 gives alpha = 1
 and g = n! exactly).  Terms |z|^{2n} / g(n, k) overflow native floats long
-before the series converges for large |z|, so everything here works with
-logarithms: ln g is accumulated incrementally and terms are represented as
+before the series converges for large |z|, so everything works with
+logarithms: this module gives the factor logarithms ln g(j) - ln g(j - 1),
+and the term walk in ``stats`` accumulates them into
 ln term = 2n ln|z| - ln g(n, k).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "PotentialParams",
-    "LogTermSequence",
     "characteristic_exponent",
     "log_g_increment",
-    "log_g",
-    "log_term",
     "log_sum_exp",
 ]
 
@@ -80,61 +78,6 @@ def log_g_increment(j: int, params: PotentialParams) -> float:
     if small >= _DIRECT_RATIO_FLOOR * big:
         return math.log(big - small)
     return a * math.log(j + c) + math.log1p(-small / big)
-
-
-def log_g(n: int, params: PotentialParams) -> float:
-    """ln g(n, k), the sum of the first n factor logarithms; 0 for n = 0."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    total = 0.0
-    for j in range(1, n + 1):
-        total += log_g_increment(j, params)
-    return total
-
-
-def log_term(n: int, log_abs_z: float, params: PotentialParams) -> float:
-    """ln of the series term |z|^{2n} / g(n, k), i.e. 2n ln|z| - ln g(n, k).
-
-    Stays finite for n well beyond 10^6 even where |z|^{2n} itself is far
-    outside native float range.  |z| = 0 is only meaningful for n = 0
-    (the term is 1); for n >= 1 the term is exactly zero and callers must
-    short-circuit instead of asking for its logarithm.
-    """
-    if n == 0:
-        return 0.0
-    if log_abs_z == -math.inf:
-        raise ValueError("term is exactly zero for |z| = 0 and n >= 1; "
-                         "short-circuit instead of taking its logarithm")
-    return 2.0 * n * log_abs_z - log_g(n, params)
-
-
-@dataclass
-class LogTermSequence:
-    """Growable cache of ln g(n, k) supporting O(1) extension per term.
-
-    Single-writer: extending requires exclusive access, but a frozen
-    sequence may be read concurrently.
-    """
-
-    log_z2: float
-    params: PotentialParams
-    cumulative_log_g: list[float] = field(default_factory=lambda: [0.0])
-
-    def extend_to(self, n: int) -> None:
-        while len(self.cumulative_log_g) <= n:
-            j = len(self.cumulative_log_g)
-            self.cumulative_log_g.append(
-                self.cumulative_log_g[-1] + log_g_increment(j, self.params)
-            )
-
-    def log_g(self, n: int) -> float:
-        self.extend_to(n)
-        return self.cumulative_log_g[n]
-
-    def log_term(self, n: int) -> float:
-        if n == 0:
-            return 0.0
-        return n * self.log_z2 - self.log_g(n)
 
 
 def log_sum_exp(values) -> float:

@@ -9,10 +9,15 @@ the cutoff, the variance collapses and Mandel Q plunges spuriously toward
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .core import PotentialParams
-from .stats import StateStats, TruncationPolicy, accumulate_sums, state_stats
+from .stats import (LogTermWalk, StateStats, TruncationPolicy, accumulate_sums,
+                    stats_from_sums, walk_sums)
+# Not called here, but the benchmark's tracer (bench/tracing.py) wraps
+# ghacs.lab.state_stats, so the name stays bound.
+from .stats import state_stats  # noqa: F401
 
 __all__ = [
     "SweepSpec",
@@ -21,6 +26,7 @@ __all__ = [
     "ThresholdEstimateError",
     "estimate_threshold",
     "run_sweep",
+    "sweep_row",
     "collapse_onset",
 ]
 
@@ -43,8 +49,8 @@ class SweepSpec:
         object.__setattr__(self, "cutoffs", tuple(self.cutoffs))
         if any(b <= a for a, b in zip(self.z_grid, self.z_grid[1:])):
             raise ValueError("z_grid must be strictly increasing")
-        if any(z < 0 for z in self.z_grid):
-            raise ValueError("z_grid values must be >= 0")
+        if not all(math.isfinite(z) and z >= 0 for z in self.z_grid):
+            raise ValueError("z_grid values must be finite and >= 0")
         if any(b <= a for a, b in zip(self.cutoffs, self.cutoffs[1:])):
             raise ValueError("cutoffs must be strictly increasing")
         if any(c < 1 for c in self.cutoffs):
@@ -94,6 +100,22 @@ def estimate_threshold(abs_z: float, params: PotentialParams,
     return sums.estimated_threshold
 
 
+def sweep_row(abs_z: float, params: PotentialParams, policy: TruncationPolicy,
+              cutoffs: tuple[int, ...] = ()) -> SweepRow:
+    """The adaptive reference and every fixed cutoff at one amplitude, from one term walk.
+
+    The walk runs to the larger of the adaptive stopping index and the
+    largest cutoff; each cutoff is a reduction of a prefix of it, equal to
+    a standalone fixed-cutoff run.
+    """
+    walk = LogTermWalk(abs_z, params)
+    adaptive = stats_from_sums(walk_sums(walk, policy))
+    fixed = {n_max: stats_from_sums(walk_sums(walk, TruncationPolicy.fixed(n_max)))
+             for n_max in cutoffs}
+    return SweepRow(abs_z=abs_z, adaptive_stats=adaptive, fixed_stats=fixed,
+                    threshold_estimate=adaptive.sums.estimated_threshold)
+
+
 def run_sweep(spec: SweepSpec, policy_defaults: TruncationPolicy) -> TruncationReport:
     """Adaptive reference plus every fixed cutoff, for each grid point.
 
@@ -101,20 +123,10 @@ def run_sweep(spec: SweepSpec, policy_defaults: TruncationPolicy) -> TruncationR
     run fails to converge is flagged in place rather than aborting the
     sweep.  Identical inputs produce an identical report.
     """
-    rows = []
-    for abs_z in spec.z_grid:
-        adaptive = state_stats(abs_z, spec.params, policy_defaults)
-        fixed = {
-            n_max: state_stats(abs_z, spec.params, TruncationPolicy.fixed(n_max))
-            for n_max in spec.cutoffs
-        }
-        rows.append(SweepRow(
-            abs_z=abs_z,
-            adaptive_stats=adaptive,
-            fixed_stats=fixed,
-            threshold_estimate=adaptive.sums.estimated_threshold,
-        ))
-    return TruncationReport(spec=spec, rows=tuple(rows))
+    params = spec.params
+    rows = tuple(sweep_row(abs_z, params, policy_defaults, spec.cutoffs)
+                 for abs_z in spec.z_grid)
+    return TruncationReport(spec=spec, rows=rows)
 
 
 def collapse_onset(report: TruncationReport, n_max: int,

@@ -4,15 +4,17 @@ All quantities derive from three raw sums over the same term stream,
 
     S_m = sum_n n^m |z|^{2n} / g(n, k),   m = 0, 1, 2,
 
-accumulated in the log domain under a truncation policy: either a fixed
-cutoff n_max, or adaptive stopping once the terms of the m = 2 sum (the
-slowest to converge) stay below a relative significance threshold for a
-sustained run.
+accumulated in the log domain.  The terms are walked once per amplitude
+(``LogTermWalk``).  A truncation policy is a stopping rule over that walk,
+either a fixed cutoff n_max, or adaptive stopping once the terms of the
+m = 2 sum (the slowest to converge) stay below a relative significance
+threshold for a sustained run, and the sums reduce the prefix it chose.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,11 +24,13 @@ __all__ = [
     "TruncationMode",
     "TruncationPolicy",
     "LogSeriesSums",
+    "LogTermWalk",
     "StateStats",
     "WeightDistribution",
     "Classification",
     "VarianceConsistencyError",
     "accumulate_sums",
+    "walk_sums",
     "state_stats",
     "weight_distribution",
     "classify",
@@ -119,10 +123,14 @@ class StateStats:
 
 @dataclass(frozen=True)
 class WeightDistribution:
-    """ln P_n for n = 0 .. support_bound, normalized over the truncated support."""
+    """ln P_n for n = 0 .. support_bound, normalized over the truncated support.
+
+    sums are the log sums of the same walk, convergence record included.
+    """
 
     log_weights: list[float]
     support_bound: int
+    sums: LogSeriesSums
 
     def weight(self, n: int) -> float:
         if 0 <= n <= self.support_bound:
@@ -140,68 +148,117 @@ class Classification(enum.Enum):
     UNDEFINED = "undefined"
 
 
-def _accumulate(abs_z: float, params: PotentialParams, policy: TruncationPolicy):
-    """Shared single-pass accumulator; returns (LogSeriesSums, log term list)."""
-    if abs_z < 0:
-        raise ValueError(f"abs_z must be >= 0, got {abs_z}")
+class LogTermWalk:
+    """ln term_n = ln(|z|^{2n} / g(n, k)) for n = 0, 1, ..., each computed once and kept.
 
+    ``terms[n] = (terms[n - 1] + ln|z|^2) - ln[(n + gamma/4)^alpha - (gamma/4)^alpha]``,
+    so a walk extended in steps holds exactly the terms of one extended at
+    once, and every stopping rule and cutoff applied to it reads the same
+    numbers.  At |z| = 0 the series is the single term n = 0 and the walk
+    cannot be extended.  Iterating yields (n, ln term_n) for n >= 1: the
+    stored terms first, then new ones for as long as the caller asks.
+    """
+
+    def __init__(self, abs_z: float, params: PotentialParams):
+        if not (math.isfinite(abs_z) and abs_z >= 0.0):
+            raise ValueError(f"abs_z must be a finite real >= 0, got {abs_z}")
+        self.abs_z = abs_z
+        self.params = params
+        self.terms = [0.0]
+        # The generator holds the list, not the walk, so that no reference
+        # cycle keeps a long walk alive after its last use.
+        self._steps = _grow(self.terms, abs_z, params)
+
+    def __iter__(self):
+        return itertools.chain(enumerate(self.terms[1:], 1), self._steps)
+
+    def extend_to(self, n: int) -> None:
+        for _ in range(n + 1 - len(self.terms)):
+            next(self._steps)
+
+
+def _grow(terms: list[float], abs_z: float, params: PotentialParams):
+    """Append and yield (n, ln term_n) for n = len(terms), len(terms) + 1, ..."""
     if abs_z == 0.0:
-        # Only n = 0 survives: S0 = 1, S1 = S2 = 0.
-        sums = LogSeriesSums(
-            log_s0=0.0, log_s1=-math.inf, log_s2=-math.inf, terms_used=1,
-            converged=policy.mode is TruncationMode.ADAPTIVE,
-            estimated_threshold=0 if policy.mode is TruncationMode.ADAPTIVE else None,
-        )
-        return sums, [0.0]
-
+        raise ValueError("the series at |z| = 0 ends at n = 0")
     log_z2 = 2.0 * math.log(abs_z)
-    log_terms = [0.0]
-    adaptive = policy.mode is TruncationMode.ADAPTIVE
+    increment, append = log_g_increment, terms.append
+    lt = terms[-1]
+    for n in itertools.count(len(terms)):
+        lt = lt + log_z2 - increment(n, params)
+        append(lt)
+        yield n, lt
 
+
+def _stop_fixed(walk: LogTermWalk, n_max: int) -> int:
+    """Fixed truncation: the walk runs to n_max, whatever the terms do."""
+    walk.extend_to(n_max)
+    return n_max
+
+
+def _stop_adaptive(walk: LogTermWalk, policy: TruncationPolicy):
+    """Adaptive truncation: (N, converged, threshold) for the walk.
+
+    Stops once ``quiet_run`` consecutive terms of the m = 2 sum each add
+    less than ``tail_tolerance`` of the running sum; threshold is the first
+    index of that run.  Reaching ``hard_cap`` terms first stops the walk
+    unconverged, without a threshold.
+    """
+    tol = policy.tail_tolerance
     running_log_s2 = -math.inf
     quiet = 0
     threshold = None
-    converged = False
+    for n, lt in walk:
+        lt2 = lt + 2.0 * math.log(n)
+        # The log-domain comparison decides first: exp of the difference
+        # overflows once a term dwarfs the running sum (|z| near 1e300).
+        significant = lt2 >= running_log_s2 or math.exp(lt2 - running_log_s2) >= tol
+        hi, lo = (lt2, running_log_s2) if lt2 > running_log_s2 else (running_log_s2, lt2)
+        running_log_s2 = hi + math.log1p(math.exp(lo - hi))
+        if significant:
+            quiet = 0
+            threshold = None
+        else:
+            if quiet == 0:
+                threshold = n
+            quiet += 1
+            if quiet >= policy.quiet_run:
+                return n, True, threshold
+        if n + 1 >= policy.hard_cap:
+            return n, False, None
 
-    n = 0
-    while True:
-        n += 1
-        if not adaptive and n > policy.n_max:
-            break
-        lt = log_terms[-1] + log_z2 - log_g_increment(n, params)
-        log_terms.append(lt)
 
-        if adaptive:
-            lt2 = lt + 2.0 * math.log(n)
-            if running_log_s2 == -math.inf:
-                significant = True
-            else:
-                significant = math.exp(lt2 - running_log_s2) >= policy.tail_tolerance
-            hi, lo = (lt2, running_log_s2) if lt2 > running_log_s2 else (running_log_s2, lt2)
-            running_log_s2 = hi + math.log1p(math.exp(lo - hi))
-            if significant:
-                quiet = 0
-                threshold = None
-            else:
-                if quiet == 0:
-                    threshold = n
-                quiet += 1
-                if quiet >= policy.quiet_run:
-                    converged = True
-                    break
-            if len(log_terms) >= policy.hard_cap:
-                threshold = None
-                break
+def _reduce(terms: list[float], n: int, converged: bool,
+            threshold: int | None) -> LogSeriesSums:
+    """The three log sums over the prefix terms[0..n] that a stopping rule chose."""
+    log_s0 = log_sum_exp(itertools.islice(terms, n + 1))
+    if n == 0:
+        log_s1 = log_s2 = -math.inf
+    else:
+        log_s1 = log_sum_exp(lt + math.log(i) for i, lt
+                             in enumerate(itertools.islice(terms, 1, n + 1), 1))
+        log_s2 = log_sum_exp(lt + 2.0 * math.log(i) for i, lt
+                             in enumerate(itertools.islice(terms, 1, n + 1), 1))
+    return LogSeriesSums(log_s0=log_s0, log_s1=log_s1, log_s2=log_s2,
+                         terms_used=n + 1, converged=converged,
+                         estimated_threshold=threshold)
 
-    log_s0 = log_sum_exp(log_terms)
-    log_s1 = log_sum_exp(lt + math.log(i) for i, lt in enumerate(log_terms) if i > 0)
-    log_s2 = log_sum_exp(lt + 2.0 * math.log(i) for i, lt in enumerate(log_terms) if i > 0)
-    sums = LogSeriesSums(
-        log_s0=log_s0, log_s1=log_s1, log_s2=log_s2,
-        terms_used=len(log_terms), converged=converged,
-        estimated_threshold=threshold if converged else None,
-    )
-    return sums, log_terms
+
+def walk_sums(walk: LogTermWalk, policy: TruncationPolicy) -> LogSeriesSums:
+    """The sums of one truncation policy over ``walk``, extending it only as far as the policy needs.
+
+    Policies applied one after another to the same walk share its terms, so
+    a fixed cutoff read after the adaptive rule costs only its reduction.
+    """
+    adaptive = policy.mode is TruncationMode.ADAPTIVE
+    if walk.abs_z == 0.0:
+        # Only n = 0 survives: S0 = 1, S1 = S2 = 0.
+        n, converged, threshold = 0, adaptive, 0 if adaptive else None
+    elif adaptive:
+        n, converged, threshold = _stop_adaptive(walk, policy)
+    else:
+        n, converged, threshold = _stop_fixed(walk, policy.n_max), False, None
+    return _reduce(walk.terms, n, converged, threshold)
 
 
 def accumulate_sums(abs_z: float, params: PotentialParams,
@@ -211,8 +268,7 @@ def accumulate_sums(abs_z: float, params: PotentialParams,
     An adaptive run that reaches hard_cap returns converged = False
     explicitly rather than a silently questionable number.
     """
-    sums, _ = _accumulate(abs_z, params, policy)
-    return sums
+    return walk_sums(LogTermWalk(abs_z, params), policy)
 
 
 def state_stats(abs_z: float, params: PotentialParams,
@@ -240,10 +296,11 @@ def stats_from_sums(sums: LogSeriesSums) -> StateStats:
 def weight_distribution(abs_z: float, params: PotentialParams,
                         policy: TruncationPolicy) -> WeightDistribution:
     """Normalized P_n over the truncated support: ln P_n = ln term_n - ln S0."""
-    sums, log_terms = _accumulate(abs_z, params, policy)
-    log_weights = [lt - sums.log_s0 for lt in log_terms]
+    walk = LogTermWalk(abs_z, params)
+    sums = walk_sums(walk, policy)
+    log_weights = [lt - sums.log_s0 for lt in walk.terms]
     return WeightDistribution(log_weights=log_weights,
-                              support_bound=len(log_weights) - 1)
+                              support_bound=len(log_weights) - 1, sums=sums)
 
 
 def classify(stats: StateStats, tol: float) -> Classification:

@@ -4,7 +4,10 @@ import math
 import pytest
 from click.testing import CliRunner
 
+import ghacs.stats
 from ghacs.cli import main
+from ghacs.lab import SweepSpec, collapse_onset, run_sweep
+from ghacs.stats import TruncationPolicy
 
 
 @pytest.fixture
@@ -29,6 +32,43 @@ def parse_csv(output):
         else:
             rows.append(line.split(","))
     return inputs, header, rows, footer
+
+
+@pytest.mark.parametrize("args", [
+    ["stats", "--k", "1.5", "--z", "1", "--fixed-nmax", "0"],
+    ["stats", "--k", "1.5", "--z", "1", "--hard-cap", "3"],
+    ["stats", "--k", "1.5", "--z", "1", "--tail-tol", "2"],
+    ["stats", "--k", "1.5", "--z", "-1"],
+    ["dist", "--k", "1.5", "--z", "1", "--quiet-run", "0"],
+    ["table", "--k", "1.5", "--z-list", "2", "--fixed-nmax", "0"],
+    ["table", "--k", "1.5", "--z-list", "2", "--hard-cap", "3"],
+    ["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "1", "--z-step", "0.5", "--cutoffs", "0"],
+    ["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "1", "--z-step", "0.5", "--cutoffs", "5,3"],
+    ["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "1", "--z-step", "0.5", "--hard-cap", "3"],
+    ["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "inf", "--z-step", "0.5"],
+    ["sweep", "--k", "1.5", "--z-min", "nan", "--z-max", "1", "--z-step", "0.5"],
+    ["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "1", "--z-step", "nan"],
+])
+def test_rejected_input_value_is_usage_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["stats", "--k", "1.5", "--z", "nan", "--format", "json"],
+    ["stats", "--k", "1.5", "--z", "inf", "--format", "json"],
+    ["dist", "--k", "1.5", "--z", "nan", "--format", "csv"],
+    ["dist", "--k", "1.5", "--z", "inf", "--fixed-nmax", "5"],
+    ["table", "--k", "1.5", "--z-list", "2,nan"],
+    ["table", "--k", "1.5", "--z-list", "inf"],
+])
+def test_non_finite_amplitude_is_usage_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "NaN" not in result.output and "sum=nan" not in result.output
 
 
 class TestStatsCommand:
@@ -97,6 +137,14 @@ class TestStatsCommand:
         assert result.exit_code == 3
 
 
+    def test_huge_amplitude_exits_unconverged(self, runner):
+        result = runner.invoke(main, ["stats", "--k", "1.5", "--z", "1e300",
+                                      "--hard-cap", "50"])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "hard_cap" in result.output
+
+
 class TestTableCommand:
     def test_reference_shape(self, runner):
         result = runner.invoke(main, ["table", "--k", "1.5",
@@ -163,6 +211,29 @@ class TestSweepCommand:
         _, _, rows, _ = parse_csv(result.output)
         assert all(r[3] == "unconverged" for r in rows)
 
+    def test_onset_footers(self, runner):
+        args = ["sweep", "--k", "1.5", "--z-min", "6", "--z-max", "12",
+                "--z-step", "1", "--cutoffs", "100,150,700"]
+        spec = SweepSpec(k=1.5, gamma=2.0, z_grid=(6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0),
+                         cutoffs=(100, 150, 700))
+        report = run_sweep(spec, TruncationPolicy.adaptive())
+        onsets = {c: collapse_onset(report, c) for c in spec.cutoffs}
+        assert onsets == {100: 7.0, 150: 9.0, 700: None}
+
+        csv_out = runner.invoke(main, args + ["--format", "csv"])
+        _, _, rows, footer = parse_csv(csv_out.output)
+        assert len(rows) == 7 * 4
+        assert footer == [f"onset_{c}={z!r}" for c, z in onsets.items()]
+        payload = json.loads(runner.invoke(main, args + ["--format", "json"]).output)
+        assert payload["onsets"] == {str(c): z for c, z in onsets.items()}
+        table_out = runner.invoke(main, args).output
+        assert table_out.splitlines()[-3:] == ["onset_100  7", "onset_150  9", "onset_700  None"]
+
+    def test_adaptive_only_has_no_onset_footer(self, runner):
+        args = ["sweep", "--k", "1.5", "--z-min", "1", "--z-max", "2", "--z-step", "0.5"]
+        assert "onset" not in runner.invoke(main, args + ["--format", "csv"]).output
+        assert "onsets" not in json.loads(runner.invoke(main, args + ["--format", "json"]).output)
+
     def test_bad_range_usage_error(self, runner):
         result = runner.invoke(main, ["sweep", "--k", "1.5", "--z-min", "5",
                                       "--z-max", "1", "--z-step", "0.5"])
@@ -213,6 +284,20 @@ class TestDistCommand:
         raw = target.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+    def test_one_walk(self, runner, monkeypatch):
+        calls = []
+        increment = ghacs.stats.log_g_increment
+
+        def counted(j, params):
+            calls.append(j)
+            return increment(j, params)
+
+        monkeypatch.setattr(ghacs.stats, "log_g_increment", counted)
+        result = runner.invoke(main, ["dist", "--k", "1.5", "--z", "3", "--format", "csv"])
+        assert result.exit_code == 0
+        _, _, rows, _ = parse_csv(result.output)
+        assert calls == list(range(1, len(rows)))
 
     def test_json_weight_sum(self, runner):
         result = runner.invoke(main, ["dist", "--k", "2", "--z", "1",

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghacs.core import (LogTermSequence, PotentialParams, characteristic_exponent,
-                        log_g, log_g_increment, log_sum_exp, log_term)
+from ghacs.core import PotentialParams, characteristic_exponent, log_g_increment, log_sum_exp
+from ghacs.stats import LogTermWalk
 
 from oracle import structure_function
 
@@ -16,6 +16,22 @@ K15 = PotentialParams(k=1.5, gamma=2.0)
 INC_J3_K15 = 0.8647552963623345
 LOG_G_10_K15 = 12.299655564638958
 LOG_TERM_400_Z15 = 454.51278412000094
+
+
+def walk_to(n, abs_z, params):
+    walk = LogTermWalk(abs_z, params)
+    walk.extend_to(n)
+    return walk
+
+
+def log_g(n, params):
+    """ln g(n, k) read off the term walk: at |z| = 1, ln term_n = -ln g(n, k) exactly."""
+    return -walk_to(n, 1.0, params).terms[n]
+
+
+def log_term(n, abs_z, params):
+    return walk_to(n, abs_z, params).terms[n]
+
 
 params_st = st.builds(
     PotentialParams,
@@ -97,12 +113,18 @@ class TestLogG:
         expected = float(mpmath.log(structure_function(10, 1.5, 2.0)))
         assert log_g(10, K15) == pytest.approx(expected, rel=1e-12)
 
-    @given(params_st, st.integers(min_value=0, max_value=200))
+    @given(params_st, st.integers(min_value=0, max_value=200),
+           st.lists(st.integers(min_value=0, max_value=200), max_size=5))
     @settings(max_examples=50)
-    def test_incremental_matches_scratch_bitwise(self, params, n):
-        seq = LogTermSequence(log_z2=0.0, params=params)
-        seq.extend_to(n)
-        assert seq.cumulative_log_g[n] == log_g(n, params)
+    def test_incremental_matches_scratch_bitwise(self, params, n, stops):
+        walk = LogTermWalk(1.0, params)
+        for stop in sorted(stops) + [n]:
+            walk.extend_to(stop)
+        scratch = 0.0
+        for j in range(1, n + 1):
+            scratch += log_g_increment(j, params)
+        assert walk.terms[:n + 1] == walk_to(n, 1.0, params).terms
+        assert -walk.terms[n] == scratch
 
     def test_monotone_once_increments_positive(self):
         # increments exceed 1 from small j on, so the cumulative sum grows
@@ -112,28 +134,46 @@ class TestLogG:
 
 class TestLogTerm:
     def test_zeroth_term_is_unity(self):
-        assert log_term(0, math.log(3.7), K15) == 0.0
+        assert LogTermWalk(3.7, K15).terms == [0.0]
 
     def test_harmonic_unit_amplitude(self):
-        assert log_term(5, 0.0, PotentialParams(k=2.0)) == pytest.approx(-math.log(120), abs=1e-12)
+        assert log_term(5, 1.0, PotentialParams(k=2.0)) == pytest.approx(-math.log(120), abs=1e-12)
 
     def test_huge_power_no_overflow(self):
         # |z|^800 ~ 1e940 overflows a double; the log form does not care.
-        value = log_term(400, math.log(15.0), K15)
+        value = log_term(400, 15.0, K15)
         assert math.isfinite(value)
         assert value == pytest.approx(LOG_TERM_400_Z15, rel=1e-13)
 
     def test_finite_at_n_one_million(self):
-        assert math.isfinite(log_term(10 ** 6, math.log(15.0), K15))
+        assert math.isfinite(log_term(10 ** 6, 15.0, K15))
 
     def test_zero_amplitude_rejected_for_positive_n(self):
+        walk = LogTermWalk(0.0, K15)
+        walk.extend_to(0)
         with pytest.raises(ValueError):
-            log_term(1, -math.inf, K15)
+            walk.extend_to(1)
 
     def test_sequence_recurrence_matches_closed_form(self):
-        seq = LogTermSequence(log_z2=2 * math.log(2.5), params=K15)
+        walk = walk_to(60, 2.5, K15)
         for n in (0, 1, 7, 60):
-            assert seq.log_term(n) == pytest.approx(log_term(n, math.log(2.5), K15), rel=1e-12)
+            closed_form = 2 * n * math.log(2.5) - log_g(n, K15)
+            assert walk.terms[n] == pytest.approx(closed_form, rel=1e-12)
+
+    def test_iteration_replays_stored_terms_then_extends(self):
+        walk = walk_to(5, 2.5, K15)
+        seen = []
+        for n, lt in walk:
+            seen.append((n, lt))
+            if n == 9:
+                break
+        assert seen == list(enumerate(walk_to(9, 2.5, K15).terms))[1:]
+        assert len(walk.terms) == 10
+
+    @pytest.mark.parametrize("abs_z", [-1.0, math.nan, math.inf])
+    def test_rejects_amplitude_not_finite_and_nonnegative(self, abs_z):
+        with pytest.raises(ValueError):
+            LogTermWalk(abs_z, K15)
 
 
 class TestLogSumExp:

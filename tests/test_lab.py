@@ -1,9 +1,14 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ghacs.stats
 from ghacs.core import PotentialParams
 from ghacs.lab import (SweepSpec, ThresholdEstimateError, collapse_onset,
                        estimate_threshold, run_sweep)
-from ghacs.stats import TruncationPolicy
+from ghacs.stats import TruncationPolicy, state_stats
 
 K15 = PotentialParams(k=1.5, gamma=2.0)
 TABLE_GRID = (2.5, 5.0, 7.5, 10.0, 12.5, 15.0)
@@ -15,6 +20,11 @@ class TestSweepSpec:
             SweepSpec(k=1.5, gamma=2.0, z_grid=(1.0, 1.0), cutoffs=(50,))
         with pytest.raises(ValueError):
             SweepSpec(k=1.5, gamma=2.0, z_grid=(2.0, 1.0), cutoffs=(50,))
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -1.0])
+    def test_rejects_amplitude_not_finite_and_nonnegative(self, z):
+        with pytest.raises(ValueError):
+            SweepSpec(k=1.5, gamma=2.0, z_grid=(z,), cutoffs=(50,))
 
     def test_rejects_unordered_cutoffs(self):
         with pytest.raises(ValueError):
@@ -96,6 +106,39 @@ class TestRunSweep:
         spec = SweepSpec(k=1.5, gamma=2.0, z_grid=TABLE_GRID, cutoffs=(150,))
         again = run_sweep(spec, TruncationPolicy.adaptive())
         assert again == table_report
+
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=6.0), min_size=1, max_size=4, unique=True),
+           st.lists(st.integers(min_value=1, max_value=250), max_size=3, unique=True),
+           st.floats(min_value=0.8, max_value=10.0))
+    @example(z_grid=[0.0, 0.5, 3.0], cutoffs=[1, 40, 300], k=1.5)
+    @settings(max_examples=30, deadline=None)
+    def test_shared_walk_equals_standalone_runs(self, z_grid, cutoffs, k):
+        # |z| = 0 keeps one term under every policy; cutoffs above the
+        # adaptive stopping index extend the shared walk past it.
+        spec = SweepSpec(k=k, gamma=2.0, z_grid=sorted(z_grid), cutoffs=sorted(cutoffs))
+        policy = TruncationPolicy.adaptive()
+        for row in run_sweep(spec, policy).rows:
+            assert row.adaptive_stats == state_stats(row.abs_z, spec.params, policy)
+            for c in spec.cutoffs:
+                assert row.fixed_stats[c] == state_stats(row.abs_z, spec.params,
+                                                         TruncationPolicy.fixed(c))
+
+    def test_one_walk_per_amplitude(self, monkeypatch):
+        calls = []
+        increment = ghacs.stats.log_g_increment
+
+        def counted(j, params):
+            calls.append(j)
+            return increment(j, params)
+
+        monkeypatch.setattr(ghacs.stats, "log_g_increment", counted)
+        spec = SweepSpec(k=1.5, gamma=2.0, z_grid=(0.0, 2.5, 15.0), cutoffs=(50, 150, 400))
+        report = run_sweep(spec, TruncationPolicy.adaptive())
+        longest = [max(st_.sums.terms_used for st_ in (r.adaptive_stats, *r.fixed_stats.values()))
+                   for r in report.rows]
+        assert longest[0] == 1 and longest[1] == 401 and longest[2] > 401
+        assert len(calls) == sum(n - 1 for n in longest)
 
 
 class TestCollapseOnset:

@@ -50,6 +50,18 @@ class TestAccumulateSums:
         with pytest.raises(ValueError):
             accumulate_sums(-1.0, K15, ADAPTIVE)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_non_finite_amplitude_rejected(self, z):
+        with pytest.raises(ValueError):
+            accumulate_sums(z, K15, ADAPTIVE)
+
+    def test_huge_amplitude_reaches_hard_cap_without_overflow(self):
+        # Every term dwarfs the running sum, so the significance test must
+        # decide in the log domain instead of overflowing exp().
+        sums = accumulate_sums(1e300, K15, TruncationPolicy.adaptive(hard_cap=50))
+        assert not sums.converged
+        assert sums.terms_used == 50
+
     def test_fixed_mode_includes_nmax(self):
         sums = accumulate_sums(1.0, K15, TruncationPolicy.fixed(5))
         assert sums.terms_used == 6
@@ -167,6 +179,13 @@ class TestWeightDistribution:
         for z in (0.5, 2.5, 7.5):
             wd = weight_distribution(z, K15, ADAPTIVE)
             assert math.fsum(wd.weights()) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("policy", [ADAPTIVE, TruncationPolicy.fixed(40),
+                                        TruncationPolicy.adaptive(hard_cap=20)])
+    def test_carries_the_sums_of_its_walk(self, policy):
+        wd = weight_distribution(7.5, K15, policy)
+        assert wd.sums == accumulate_sums(7.5, K15, policy)
+        assert wd.support_bound == wd.sums.terms_used - 1
 
     def test_every_weight_in_unit_interval(self):
         wd = weight_distribution(5.0, K15, ADAPTIVE)
