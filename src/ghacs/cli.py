@@ -7,7 +7,8 @@ it, csv as leading ``# key=value`` comment lines and json under an
 identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage error (a malformed or rejected input value
-included), 3 adaptive run failed to converge.
+included), 3 adaptive run failed to converge (or, for dist, listed more rows
+than its hard cap).
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ policy_options = [
     click.option("--quiet-run", type=int, default=10, show_default=True,
                  help="Consecutive insignificant terms required to stop."),
     click.option("--hard-cap", type=int, default=10 ** 6, show_default=True,
-                 help="Adaptive safety bound on the number of terms."),
+                 help="Adaptive safety bound on the number of terms evaluated."),
 ]
 output_options = [
     click.option("--format", "fmt", type=click.Choice(["csv", "json", "table"]),
@@ -180,9 +181,8 @@ def stats(ctx, k, gamma, z, adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap,
         policy = _policy_from_flags(adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap)
         # Looked up on the module, where the benchmark's tracer wraps them.
         sums = engine.accumulate_sums(z, PotentialParams(k=k, gamma=gamma), policy)
-    # Convergence is settled before the moments: the raw-moment variance of a
-    # hard-capped run at huge ln S0 can fail the rounding floor, and such a
-    # run's documented outcome is exit 3.
+    # Convergence is settled before the moments: an unconverged run's
+    # documented outcome is exit 3 with nothing printed.
     _check_converged(ctx, policy, sums)
     st = engine.stats_from_sums(sums)
 
@@ -320,6 +320,12 @@ def dist(ctx, k, gamma, z, adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap,
         policy = _policy_from_flags(adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap)
         wd = weight_distribution(z, PotentialParams(k=k, gamma=gamma), policy)
     _check_converged(ctx, policy, wd.sums)
+    # Every row printed is a term evaluated, and at large |z| the rows below
+    # the summed window far outnumber it: the hard cap bounds them too.
+    if policy.mode is TruncationMode.ADAPTIVE and wd.support_bound >= policy.hard_cap:
+        click.echo(f"error: the distribution has {wd.support_bound + 1} rows, "
+                   f"more than hard_cap ({policy.hard_cap})", err=True)
+        ctx.exit(EXIT_UNCONVERGED)
 
     weights = wd.weights()
     total = math.fsum(weights)

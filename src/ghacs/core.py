@@ -9,9 +9,11 @@ built from the structure function
 which replaces n! of the harmonic-oscillator case (k = 2 gives alpha = 1
 and g = n! exactly).  Terms |z|^{2n} / g(n, k) overflow native floats long
 before the series converges for large |z|, so everything works with
-logarithms: this module gives the factor logarithms ln g(j) - ln g(j - 1),
-and the term walk in ``stats`` accumulates them into
-ln term = 2n ln|z| - ln g(n, k).
+logarithms.  This module gives the factor logarithms ln g(j) - ln g(j - 1)
+and ln g(n, k) itself in closed form, at a cost independent of n, so that
+the term walk in ``stats`` can start at any index (the largest term) and
+step outward from it one factor at a time.  It uses the standard library
+only.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 __all__ = [
     "PotentialParams",
     "characteristic_exponent",
+    "log_g",
     "log_g_increment",
     "log_sum_exp",
 ]
@@ -29,6 +32,16 @@ __all__ = [
 # Below this ratio of (gamma/4)^alpha to (j + gamma/4)^alpha the subtraction
 # inside ln is replaced by an explicit log1p correction.
 _DIRECT_RATIO_FLOOR = 1e-17
+
+# log_g sums at least this many factors directly, and more where needed to
+# bring the ratio of its correction series, (c / (m + 1 + c))^alpha, down to
+# _SERIES_RATIO; that takes more only for k < 0.1 or gamma > 10.
+_DIRECT_FACTORS = 64
+_SERIES_RATIO = 0.75
+# B_{2i} / (2i)! for i = 1..4, the Euler-Maclaurin coefficients.  From
+# x = 65 on, the first term left out is below 1e-18 of the sum.
+_EULER_MACLAURIN = tuple(b / math.factorial(2 * i) for i, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30), 1))
 
 
 @dataclass(frozen=True)
@@ -78,6 +91,65 @@ def log_g_increment(j: int, params: PotentialParams) -> float:
     if small >= _DIRECT_RATIO_FLOOR * big:
         return math.log(big - small)
     return a * math.log(j + c) + math.log1p(-small / big)
+
+
+def log_g(n: int, params: PotentialParams) -> float:
+    """ln g(n, k) in closed form, without walking the product.
+
+    ln g(n) = sum_{j<=M} ln factor_j + alpha [lnGamma(n + c + 1) - lnGamma(M + c + 1)]
+              + sum_{j=M+1}^{n} log1p(-(c / (j + c))^alpha),    c = gamma/4,
+
+    with M = min(n, 64) factors summed directly (more for k < 0.1 or
+    gamma > 10, see _SERIES_RATIO).  The last sum is expanded
+    in powers of (c / (j + c))^alpha, and each power is summed over j by
+    Euler-Maclaurin, so the cost does not grow with n.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    a = characteristic_exponent(params)
+    c = params.offset
+    # Enough direct factors that (c / (m + 1 + c))^alpha <= _SERIES_RATIO;
+    # e^60 exceeds every index a walk can start at.
+    log_x = math.log(c) - math.log(_SERIES_RATIO) / a
+    m = min(n, max(_DIRECT_FACTORS, math.ceil(math.exp(min(log_x, 60.0)) - c)))
+    direct = math.fsum(log_g_increment(j, params) for j in range(1, m + 1))
+    if n == m:
+        return direct
+    gamma_part = a * (math.lgamma(n + c + 1.0) - math.lgamma(m + c + 1.0))
+    return math.fsum((direct, gamma_part, _log1p_tail(m + 1 + c, n + c, a, c)))
+
+
+def _log1p_tail(xa: float, xb: float, a: float, c: float) -> float:
+    """sum over x = xa, xa + 1, ..., xb of log1p(-(c/x)^a), for xa > c.
+
+    log1p(-u) = -sum_p u^p / p, and for s = a p each sum over x of
+    f(x) = (c/x)^s is its integral, the end-point half weights and the
+    Euler-Maclaurin corrections, whose derivatives are
+    f^(2i-1)(x) = -(s)_(2i-1) f(x) / x^(2i-1).  The integral is written
+    through expm1 so that it stays exact as s passes 1.
+    """
+    span = math.log(xb / xa)
+    ua, ub = (c / xa) ** a, (c / xb) ** a
+    fa = fb = 1.0
+    terms = []
+    p = 0
+    while True:
+        p += 1
+        fa *= ua
+        fb *= ub
+        s = a * p
+        t = (1.0 - s) * span
+        h = xa * fa * span * (math.expm1(t) / t if t else 1.0) + 0.5 * (fa + fb)
+        rising, da, db = s, fa / xa, fb / xb
+        for i, coefficient in enumerate(_EULER_MACLAURIN, 1):
+            h += coefficient * rising * (da - db)
+            rising *= (s + 2 * i - 1) * (s + 2 * i)
+            da /= xa * xa
+            db /= xb * xb
+        terms.append(h / p)
+        # The powers fall geometrically, by (c/xa)^a <= 0.75 per step.
+        if terms[-1] <= 2.0 ** -60 * terms[0]:
+            return -math.fsum(terms)
 
 
 def log_sum_exp(values) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .core import PotentialParams
 from .stats import (LogTermWalk, StateStats, TruncationPolicy, accumulate_sums,
-                    stats_from_sums, walk_sums)
+                    start_index, stats_from_sums, walk_sums)
 # Not called here, but the benchmark's tracer (bench/tracing.py) wraps
 # ghacs.lab.state_stats, so the name stays bound.
 from .stats import state_stats  # noqa: F401
@@ -102,16 +102,22 @@ def estimate_threshold(abs_z: float, params: PotentialParams,
 
 def sweep_row(abs_z: float, params: PotentialParams, policy: TruncationPolicy,
               cutoffs: tuple[int, ...] = ()) -> SweepRow:
-    """The adaptive reference and every fixed cutoff at one amplitude, from one term walk.
+    """The adaptive reference and every fixed cutoff at one amplitude.
 
-    The walk runs to the larger of the adaptive stopping index and the
-    largest cutoff; each cutoff is a reduction of a prefix of it, equal to
-    a standalone fixed-cutoff run.
+    Policies whose walks start at the same index (the peak, for the adaptive
+    rule and every cutoff above it) share one walk; a cutoff below the peak
+    starts its own at the cutoff.  Each result equals a standalone run.
     """
-    walk = LogTermWalk(abs_z, params)
-    adaptive = stats_from_sums(walk_sums(walk, policy))
-    fixed = {n_max: stats_from_sums(walk_sums(walk, TruncationPolicy.fixed(n_max)))
-             for n_max in cutoffs}
+    walks = {}
+
+    def stats_of(p: TruncationPolicy) -> StateStats:
+        start = start_index(abs_z, params, p)
+        if start not in walks:
+            walks[start] = LogTermWalk(abs_z, params, start)
+        return stats_from_sums(walk_sums(walks[start], p))
+
+    adaptive = stats_of(policy)
+    fixed = {n_max: stats_of(TruncationPolicy.fixed(n_max)) for n_max in cutoffs}
     return SweepRow(abs_z=abs_z, adaptive_stats=adaptive, fixed_stats=fixed,
                     threshold_estimate=adaptive.sums.estimated_threshold)
 

@@ -212,3 +212,18 @@ def test_criterion_8_gamma_calibration_gate():
                 "over eigenvalues n + gamma/4 rather than n -- see the decisions ledger",
             ]
     report(8, "gamma calibration gate", failures)
+
+
+def test_criterion_9_large_amplitude_limit():
+    # Q tends to 1/alpha - 1 = (2 - k)/(2k) as |z| grows; at k = 0.5 the
+    # |z| = 30 point sums about 138k terms around a peak near n = 2.4e7.
+    failures = []
+    for k in (0.5, 1.0, 1.5, 5.0, 100.0):
+        limit = (2.0 - k) / (2.0 * k)
+        q15, q30 = (state_stats(z, PotentialParams(k=k), ADAPTIVE).mandel_q
+                    for z in (15.0, 30.0))
+        if not abs(q30 - limit) < abs(q15 - limit):
+            failures.append(f"k={k}: Q(30)={q30} no nearer {limit} than Q(15)={q15}")
+        if not (q15 > 0 and q30 > 0 if k < 2 else q15 < 0 and q30 < 0):
+            failures.append(f"k={k}: Q(15)={q15}, Q(30)={q30} off the regime's side of 0")
+    report(9, "large-|z| limit", failures)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -144,6 +145,17 @@ class TestStatsCommand:
         assert isinstance(result.exception, SystemExit)
         assert "hard_cap" in result.output
 
+    def test_deep_tail_converges(self, runner):
+        # The peak sits near n = 3.2e6, beyond the 10^6 cap on terms
+        # evaluated; the walk starts there and sums about 50k of them.
+        # Reference: bench/checks.peak_window_stats(20, 0.5, 2.0, None), a
+        # 30-digit mpmath sum outward from the peak.
+        result = runner.invoke(main, ["stats", "--k", "0.5", "--z", "20", "--format", "json"])
+        assert result.exit_code == 0
+        (row,) = json.loads(result.output)["rows"]
+        assert row["converged"] is True
+        assert row["mean"] == pytest.approx(3215178.9591405974, rel=1e-12)
+
 
 class TestTableCommand:
     def test_reference_shape(self, runner):
@@ -172,6 +184,13 @@ class TestTableCommand:
         result = runner.invoke(main, ["table", "--k", "2", "--z-list", "1,2,3"])
         assert result.exit_code == 0
         assert result.output.count("0.000") >= 3
+
+    def test_huge_amplitude_exits_unconverged(self, runner):
+        result = runner.invoke(main, ["table", "--k", "1.5", "--z-list", "1e300",
+                                      "--hard-cap", "50"])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "hard_cap" in result.output and "Traceback" not in result.output
 
 
 class TestSweepCommand:
@@ -210,6 +229,14 @@ class TestSweepCommand:
         assert result.exit_code == 0
         _, _, rows, _ = parse_csv(result.output)
         assert all(r[3] == "unconverged" for r in rows)
+
+    def test_huge_amplitude_row_unconverged(self, runner):
+        result = runner.invoke(main, ["sweep", "--k", "1.5", "--z-min", "1e300",
+                                      "--z-max", "1e300", "--z-step", "1",
+                                      "--hard-cap", "50", "--format", "csv"])
+        assert result.exit_code == 0
+        _, _, rows, _ = parse_csv(result.output)
+        assert [r[1:2] + r[3:] for r in rows] == [["adaptive", "unconverged"]]
 
     def test_onset_footers(self, runner):
         args = ["sweep", "--k", "1.5", "--z-min", "6", "--z-max", "12",
@@ -297,7 +324,21 @@ class TestDistCommand:
         result = runner.invoke(main, ["dist", "--k", "1.5", "--z", "3", "--format", "csv"])
         assert result.exit_code == 0
         _, _, rows, _ = parse_csv(result.output)
-        assert calls == list(range(1, len(rows)))
+        # Walked out from the peak, down to n = 0: each factor index once.
+        assert sorted(calls) == list(range(1, len(rows)))
+
+    @pytest.mark.parametrize("z,cap", [("100", "50"), ("20", "1000000")])
+    def test_rows_beyond_hard_cap_exit_unconverged(self, runner, z, cap):
+        # |z| = 100 hits its cap 50 terms into the window; |z| = 20 converges
+        # on 50k terms but would list 3.2 million rows from n = 0.  Neither
+        # may walk down to n = 0.
+        start = time.perf_counter()
+        result = runner.invoke(main, ["dist", "--k", "0.5", "--z", z,
+                                      "--hard-cap", cap, "--format", "csv"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "hard_cap" in result.output
+        assert time.perf_counter() - start < 5.0
 
     def test_json_weight_sum(self, runner):
         result = runner.invoke(main, ["dist", "--k", "2", "--z", "1",

@@ -5,32 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghacs.core import PotentialParams, characteristic_exponent, log_g_increment, log_sum_exp
+from ghacs.core import (PotentialParams, characteristic_exponent, log_g, log_g_increment,
+                        log_sum_exp)
 from ghacs.stats import LogTermWalk
 
 from oracle import structure_function
 
 K15 = PotentialParams(k=1.5, gamma=2.0)
+K05 = PotentialParams(k=0.5, gamma=2.0)
 
 # Extended-precision reference values (60-digit direct evaluation, see oracle.py).
 INC_J3_K15 = 0.8647552963623345
 LOG_G_10_K15 = 12.299655564638958
 LOG_TERM_400_Z15 = 454.51278412000094
+# ln g(n) at k = 0.5, gamma = 2: 45-digit mpmath sums of the n factor logarithms.
+LOG_G_K05 = {
+    10 ** 5: 419246.4281504807429534374486691809081652,
+    776287: 3896439.475133226492135594926355959371335,
+}
 
 
-def walk_to(n, abs_z, params):
-    walk = LogTermWalk(abs_z, params)
+def walk_to(n, abs_z, params, anchor=0):
+    walk = LogTermWalk(abs_z, params, anchor)
     walk.extend_to(n)
     return walk
 
 
-def log_g(n, params):
-    """ln g(n, k) read off the term walk: at |z| = 1, ln term_n = -ln g(n, k) exactly."""
-    return -walk_to(n, 1.0, params).terms[n]
-
-
 def log_term(n, abs_z, params):
-    return walk_to(n, abs_z, params).terms[n]
+    return 2 * n * math.log(abs_z) - log_g(n, params)
 
 
 params_st = st.builds(
@@ -113,18 +115,40 @@ class TestLogG:
         expected = float(mpmath.log(structure_function(10, 1.5, 2.0)))
         assert log_g(10, K15) == pytest.approx(expected, rel=1e-12)
 
+    @given(params_st, st.integers(min_value=0, max_value=300))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_oracle(self, params, n):
+        # Past the 64 direct factors the lnGamma and correction-series parts
+        # take over; ln g crosses 0 for small k, hence the absolute floor.
+        expected = float(mpmath.log(structure_function(n, params.k, params.gamma)))
+        assert log_g(n, params) == pytest.approx(expected, rel=1e-13, abs=1e-12)
+
+    @pytest.mark.parametrize("n", sorted(LOG_G_K05))
+    def test_frozen_deep_tail_values(self, n):
+        expected = LOG_G_K05[n]
+        assert abs(log_g(n, K05) - expected) <= 2 * math.ulp(expected)
+
     @given(params_st, st.integers(min_value=0, max_value=200),
-           st.lists(st.integers(min_value=0, max_value=200), max_size=5))
+           st.lists(st.integers(min_value=0, max_value=400), max_size=5))
     @settings(max_examples=50)
-    def test_incremental_matches_scratch_bitwise(self, params, n, stops):
-        walk = LogTermWalk(1.0, params)
-        for stop in sorted(stops) + [n]:
+    def test_incremental_matches_scratch_bitwise(self, params, anchor, stops):
+        # Random steps up and down from the anchor hold exactly the values of
+        # one extension to the same span, each one factor from its neighbour.
+        walk = LogTermWalk(1.0, params, anchor)
+        for stop in stops:
             walk.extend_to(stop)
+        lo, hi = walk.lo, walk.hi
+        once = walk_to(lo, 1.0, params, anchor)
+        once.extend_to(hi)
+        assert walk.window(lo, hi) == once.window(lo, hi)
         scratch = 0.0
-        for j in range(1, n + 1):
+        for j in range(anchor + 1, hi + 1):
             scratch += log_g_increment(j, params)
-        assert walk.terms[:n + 1] == walk_to(n, 1.0, params).terms
-        assert -walk.terms[n] == scratch
+            assert walk.r(j) == -scratch
+        scratch = 0.0
+        for j in range(anchor, lo, -1):
+            scratch += log_g_increment(j, params)
+            assert walk.r(j - 1) == scratch
 
     def test_monotone_once_increments_positive(self):
         # increments exceed 1 from small j on, so the cumulative sum grows
@@ -134,7 +158,9 @@ class TestLogG:
 
 class TestLogTerm:
     def test_zeroth_term_is_unity(self):
-        assert LogTermWalk(3.7, K15).terms == [0.0]
+        walk = LogTermWalk(3.7, K15)
+        assert walk.window(0, walk.hi) == [0.0]
+        assert walk.log_anchor == 0.0
 
     def test_harmonic_unit_amplitude(self):
         assert log_term(5, 1.0, PotentialParams(k=2.0)) == pytest.approx(-math.log(120), abs=1e-12)
@@ -155,20 +181,27 @@ class TestLogTerm:
             walk.extend_to(1)
 
     def test_sequence_recurrence_matches_closed_form(self):
-        walk = walk_to(60, 2.5, K15)
-        for n in (0, 1, 7, 60):
-            closed_form = 2 * n * math.log(2.5) - log_g(n, K15)
-            assert walk.terms[n] == pytest.approx(closed_form, rel=1e-12)
+        for anchor in (0, 30):
+            walk = walk_to(60, 2.5, K15, anchor)
+            walk.extend_to(0)
+            for n in (0, 1, 7, 30, 60):
+                closed_form = 2 * n * math.log(2.5) - log_g(n, K15)
+                assert walk.log_anchor + walk.r(n) == pytest.approx(closed_form, rel=1e-12)
 
     def test_iteration_replays_stored_terms_then_extends(self):
-        walk = walk_to(5, 2.5, K15)
-        seen = []
-        for n, lt in walk:
-            seen.append((n, lt))
+        walk = walk_to(7, 2.5, K15, anchor=5)
+        walk.extend_to(3)
+        up = []
+        for n, r in walk.upward(5):
+            up.append((n, r))
             if n == 9:
                 break
-        assert seen == list(enumerate(walk_to(9, 2.5, K15).terms))[1:]
-        assert len(walk.terms) == 10
+        down = list(walk.downward(5))
+        once = walk_to(9, 2.5, K15, anchor=5)
+        once.extend_to(0)
+        assert up == list(zip(range(6, 10), once.window(6, 9)))
+        assert down == list(zip(range(4, -1, -1), once.window(0, 4)[::-1]))
+        assert (walk.lo, walk.hi) == (0, 9)
 
     @pytest.mark.parametrize("abs_z", [-1.0, math.nan, math.inf])
     def test_rejects_amplitude_not_finite_and_nonnegative(self, abs_z):

@@ -8,7 +8,7 @@ import ghacs.stats
 from ghacs.core import PotentialParams
 from ghacs.lab import (SweepSpec, ThresholdEstimateError, collapse_onset,
                        estimate_threshold, run_sweep)
-from ghacs.stats import TruncationPolicy, state_stats
+from ghacs.stats import TruncationPolicy, start_index, state_stats
 
 K15 = PotentialParams(k=1.5, gamma=2.0)
 TABLE_GRID = (2.5, 5.0, 7.5, 10.0, 12.5, 15.0)
@@ -134,11 +134,25 @@ class TestRunSweep:
 
         monkeypatch.setattr(ghacs.stats, "log_g_increment", counted)
         spec = SweepSpec(k=1.5, gamma=2.0, z_grid=(0.0, 2.5, 15.0), cutoffs=(50, 150, 400))
-        report = run_sweep(spec, TruncationPolicy.adaptive())
+        policy = TruncationPolicy.adaptive()
+        report = run_sweep(spec, policy)
         longest = [max(st_.sums.terms_used for st_ in (r.adaptive_stats, *r.fixed_stats.values()))
                    for r in report.rows]
         assert longest[0] == 1 and longest[1] == 401 and longest[2] > 401
-        assert len(calls) == sum(n - 1 for n in longest)
+        # One walk per start index (the peak, or a cutoff below it); each
+        # spans the union of its windows, and each of its factor indices is
+        # evaluated once: index j steps between terms j - 1 and j.
+        spans = {}
+        for row in report.rows:
+            policies = [(policy, row.adaptive_stats)] + [
+                (TruncationPolicy.fixed(c), row.fixed_stats[c]) for c in spec.cutoffs]
+            for p, st_ in policies:
+                key = (row.abs_z, start_index(row.abs_z, spec.params, p))
+                lo, hi = spans.get(key, (st_.sums.first_index, st_.sums.terms_used - 1))
+                spans[key] = (min(lo, st_.sums.first_index), max(hi, st_.sums.terms_used - 1))
+        assert len(spans) == 1 + 1 + 4
+        expected = [j for lo, hi in spans.values() for j in range(max(lo, 1), hi + 1)]
+        assert sorted(calls) == sorted(expected)
 
 
 class TestCollapseOnset:

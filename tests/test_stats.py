@@ -17,6 +17,10 @@ ADAPTIVE = TruncationPolicy.adaptive()
 
 # 60-digit direct summation at z=5, k=1.5, gamma=2, n_max=200 (oracle.py).
 ORACLE_LOG_SUMS_Z5 = (38.377429848722890, 42.148685839618742, 45.946129665911731)
+# 40-digit mpmath moments over terms 0..776287 at k=0.5, gamma=2, |z|=15:
+# oracle.direct_stats(15, 0.5, 2.0, 776287, dps=40), about 40 s.
+DEEP_TAIL_MEAN_Z15 = 765785.83938257258882
+DEEP_TAIL_Q_Z15 = 1.49160681816661
 
 
 class TestTruncationPolicy:
@@ -69,11 +73,28 @@ class TestAccumulateSums:
         assert sums.estimated_threshold is None
 
     def test_hard_cap_yields_explicit_nonconvergence(self):
+        # The cap bounds the terms evaluated around the peak, not the index.
         policy = TruncationPolicy.adaptive(quiet_run=10, hard_cap=20)
         sums = accumulate_sums(10.0, K15, policy)
         assert not sums.converged
         assert sums.estimated_threshold is None
-        assert sums.terms_used <= policy.hard_cap
+        assert sums.terms_used - sums.first_index <= policy.hard_cap
+
+    def test_hard_cap_counts_terms_evaluated_in_the_deep_tail(self):
+        # The peak sits near n = 1150; the cap stops the walk 100 terms into it.
+        policy = TruncationPolicy.adaptive(hard_cap=100)
+        sums = accumulate_sums(4.0, PotentialParams(k=0.5), policy)
+        assert not sums.converged
+        assert sums.terms_used - sums.first_index <= 100
+        assert sums.terms_used > 1000
+
+    def test_deep_tail_matches_frozen_oracle(self):
+        sums = accumulate_sums(15.0, PotentialParams(k=0.5), ADAPTIVE)
+        st_ = stats_from_sums(sums)
+        assert sums.converged
+        assert (sums.terms_used, sums.estimated_threshold) == (776288, 776278)
+        assert st_.mean == pytest.approx(DEEP_TAIL_MEAN_Z15, rel=1e-13)
+        assert st_.mandel_q == pytest.approx(DEEP_TAIL_Q_Z15, abs=1e-12)
 
     def test_matches_oracle_frozen(self):
         sums = accumulate_sums(5.0, K15, TruncationPolicy.fixed(200))
@@ -149,16 +170,19 @@ class TestStateStats:
             assert abs(fixed.mandel_q - adaptive.mandel_q) < 1e-9
 
     def test_variance_clamped_within_floor(self):
-        # second moment a hair below mean^2: rounding-scale deficit clamps to 0
-        sums = LogSeriesSums(log_s0=0.0, log_s1=0.0, log_s2=-1e-13,
-                             terms_used=3, converged=False)
-        assert stats_from_sums(sums).variance == 0.0
+        # second moment a hair below m1^2: a rounding-scale deficit clamps to
+        # 0, at any scale of the moments
+        for m1 in (1.0, 1e6):
+            sums = LogSeriesSums(log_s0=0.0, origin=0, m1=m1, m2=m1 * m1 * (1 - 1e-13),
+                                 terms_used=3, converged=False)
+            assert stats_from_sums(sums).variance == 0.0
 
     def test_variance_error_below_floor(self):
-        sums = LogSeriesSums(log_s0=0.0, log_s1=0.0, log_s2=math.log(0.9),
-                             terms_used=3, converged=False)
-        with pytest.raises(VarianceConsistencyError):
-            stats_from_sums(sums)
+        for m1 in (1.0, 1e6):
+            sums = LogSeriesSums(log_s0=0.0, origin=0, m1=m1, m2=0.9 * m1 * m1,
+                                 terms_used=3, converged=False)
+            with pytest.raises(VarianceConsistencyError):
+                stats_from_sums(sums)
 
 
 class TestWeightDistribution:
@@ -210,7 +234,8 @@ class TestWeightDistribution:
 
 class TestClassify:
     def _stats_with_q(self, q):
-        sums = LogSeriesSums(0.0, 0.0, 0.0, 1, True)
+        sums = LogSeriesSums(log_s0=0.0, origin=0, m1=0.0, m2=0.0, terms_used=1,
+                             converged=True)
         from ghacs.stats import StateStats
         return StateStats(mean=1.0, variance=1.0 + (q if q is not None else 0.0),
                           mandel_q=q, normalization=1.0, sums=sums)
