@@ -14,6 +14,7 @@ than its hard cap).
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -30,12 +31,6 @@ from .stats import (LogSeriesSums, StateStats, TruncationMode, TruncationPolicy,
 from .stats import state_stats  # noqa: F401
 
 EXIT_UNCONVERGED = 3
-
-
-def _repr_num(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def _policy_from_flags(adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap):
@@ -57,40 +52,46 @@ def _policy_inputs(policy: TruncationPolicy) -> dict:
     return d
 
 
-def _write(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _sink(out: str | None):
+    """stdout, or the file ``out`` opened for writing with LF line endings."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+            yield fh
 
 
 def _emit(fmt, out, inputs, header, rows, pretty, footers=None):
     """Write ``rows`` as csv, json or a pretty table, the inputs echoed first.
 
-    ``pretty()`` returns the table format's rows of strings, header row
-    first; it runs only for that format.  ``footers`` maps a format to what
-    follows the rows: csv comment lines, extra json keys, table lines.
+    csv and table lines are written as they are formatted, a chunk at a
+    time, so that no copy of the whole output is held; json is encoded
+    whole.  ``pretty()`` returns the table format's rows of strings, header
+    row first; it runs only for that format.  ``footers`` maps a format to
+    what follows the rows: csv comment lines, extra json keys, table lines.
     """
     footers = footers or {}
+    comments = (f"# {key}={value}" for key, value in inputs.items())
     if fmt == "json":
         payload = {"inputs": inputs,
                    "rows": [dict(zip(header, row)) for row in rows]}
         payload.update(footers.get("json", {}))
-        _write(json.dumps(payload, indent=2) + "\n", out)
-        return
-    lines = [f"# {key}={_repr_num(value)}" for key, value in inputs.items()]
-    if fmt == "csv":
-        lines.append(",".join(header))
-        lines.extend(",".join(_repr_num(v) for v in row) for row in rows)
-        lines.extend(f"# {c}" for c in footers.get("csv", ()))
+        lines = iter([json.dumps(payload, indent=2, allow_nan=False)])
+    elif fmt == "csv":
+        lines = itertools.chain(comments, [",".join(header)],
+                                (",".join(map(str, row)) for row in rows),
+                                (f"# {c}" for c in footers.get("csv", ())))
     else:
         cells = pretty()
         widths = [max(len(r[i]) for r in cells) for i in range(len(cells[0]))]
-        for r in cells:
-            lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
-        lines.extend(footers.get("table", ()))
-    _write("\n".join(lines) + "\n", out)
+        lines = itertools.chain(comments, ("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip()
+                                           for r in cells), footers.get("table", ()))
+    with _sink(out) as fh:
+        # A few thousand lines per write: a write call per line costs more
+        # than formatting the line.
+        while chunk := list(itertools.islice(lines, 4096)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def _fmt2(x) -> str:
@@ -298,7 +299,7 @@ def sweep(k, gamma, z_min, z_max, z_step, cutoffs, tail_tol, quiet_run,
               "z_min": z_min, "z_max": z_max, "z_step": z_step,
               "cutoffs": ",".join(str(c) for c in cut)}
     footers = {
-        "csv": [f"onset_{c}={_repr_num(z)}" for c, z in onsets.items()],
+        "csv": [f"onset_{c}={z}" for c, z in onsets.items()],
         "json": {"onsets": {str(c): z for c, z in onsets.items()}} if cut else {},
         "table": [f"onset_{c}  {'None' if z is None else f'{z:g}'}" for c, z in onsets.items()],
     }
@@ -330,11 +331,10 @@ def dist(ctx, k, gamma, z, adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap,
     weights = wd.weights()
     total = math.fsum(weights)
     header = ["n", "p_n"]
-    rows = [[n, w] for n, w in enumerate(weights)]
     inputs = {"k": k, "gamma": gamma, "z": z, **_policy_inputs(policy)}
-    _emit(fmt, out, inputs, header, rows, lambda: [header] + [
+    _emit(fmt, out, inputs, header, enumerate(weights), lambda: [header] + [
         [str(n), f"{w:.6f}"] for n, w in enumerate(weights)], {
-        "csv": [f"sum={_repr_num(total)}"],
+        "csv": [f"sum={total}"],
         "json": {"weight_sum": total},
         "table": [f"sum  {total:.10f}"]})
 

@@ -55,6 +55,7 @@ class SweepSpec:
             raise ValueError("cutoffs must be strictly increasing")
         if any(c < 1 for c in self.cutoffs):
             raise ValueError("cutoffs must be >= 1")
+        self.params  # rejects k and gamma out of range
 
     @property
     def params(self) -> PotentialParams:

@@ -24,9 +24,13 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
-from .core import PotentialParams, log_g, log_g_increment, log_sum_exp
+from .core import MAX_BLOCK, PotentialParams, log_factors, log_g, log_sum_exp
+# Not called here, but the benchmark's tracer (bench/tracing.py) wraps
+# ghacs.stats.log_g_increment, so the name stays bound.
+from .core import log_g_increment  # noqa: F401
 
 __all__ = [
     "TruncationMode",
@@ -52,6 +56,9 @@ _VARIANCE_FLOOR = -1e-9
 # A walk starts at n = 0 when the peak lies beyond this index, where n + c
 # stops being exact in a double.
 _MAX_START = 2 ** 52
+
+# The smallest block of factors a walk evaluates at a time.
+_MIN_BLOCK = 32
 
 # A fixed-cutoff walk drops the head below the peak once it weighs less than
 # this share of the largest term: the adaptive default, held constant so that
@@ -216,8 +223,9 @@ class LogTermWalk:
     neighbour nearer the anchor, r(n) = r(n - 1) + (ln|z|^2 - ln factor_n),
     so a walk extended in steps, up or down, holds exactly the values of one
     extended at once, and every stopping rule and cutoff applied to it reads
-    the same numbers.  At |z| = 0 the series is the single term n = 0 and the
-    walk cannot be extended.
+    the same numbers.  The span grows by blocks of factors (``log_factors``).
+    At |z| = 0 the series is the single term n = 0 and the walk cannot be
+    extended.
     """
 
     def __init__(self, abs_z: float, params: PotentialParams, anchor: int = 0):
@@ -231,10 +239,6 @@ class LogTermWalk:
                            if anchor else 0.0)
         self._up = [0.0]  # r(anchor), r(anchor + 1), ...
         self._down = []   # r(anchor - 1), r(anchor - 2), ...
-        # The generators hold the lists, not the walk, so that no reference
-        # cycle keeps a long walk alive after its last use.
-        self._grow_up = _grow(self._up, anchor + 1, 1, abs_z, params)
-        self._grow_down = _grow(self._down, anchor - 1, -1, abs_z, params)
 
     @property
     def lo(self) -> int:
@@ -259,50 +263,65 @@ class LogTermWalk:
         return self._down[:a - lo][::-1] + self._up[:hi - a + 1]
 
     def extend_to(self, n: int) -> None:
-        """Extend the span to include n, one factor per new index."""
+        """Extend the span to include n, in blocks of at most MAX_BLOCK factors."""
         if n < 0:
             raise ValueError(f"no term below n = 0, asked for {n}")
-        for _ in range(n - self.hi):
-            next(self._grow_up)
-        for _ in range(self.lo - n):
-            next(self._grow_down)
+        if self.abs_z == 0.0:
+            if n > 0:
+                raise ValueError("the series at |z| = 0 ends at n = 0")
+            return
+        log_z2 = 2.0 * math.log(self.abs_z)
+        while self.hi < n:
+            # r(j) = r(j - 1) + (ln|z|^2 - ln factor_j), for j = hi + 1, ...
+            factors = log_factors(self.hi + 1, min(n, self.hi + MAX_BLOCK) + 1, self.params)
+            self._up.extend(itertools.islice(itertools.accumulate(
+                map(operator.sub, itertools.repeat(log_z2), factors),
+                initial=self._up[-1]), 1, None))
+        while self.lo > n:
+            # r(j - 1) = r(j) - (ln|z|^2 - ln factor_j), for j = lo, lo - 1, ...
+            factors = log_factors(max(n, self.lo - MAX_BLOCK) + 1, self.lo + 1, self.params)
+            last = self._down[-1] if self._down else self._up[0]
+            self._down.extend(itertools.islice(itertools.accumulate(
+                map(operator.sub, itertools.repeat(log_z2), reversed(factors)),
+                operator.sub, initial=last), 1, None))
 
-    def upward(self, start: int):
-        """(n, r(n)) for n = start + 1, start + 2, ...: stored values, then new ones as asked.
+    def upward(self, start: int, last: float = math.inf):
+        """(n, r(n)) for n = start + 1, ..., last, for start >= anchor inside the span.
 
-        ``start`` lies inside the span, as it does for ``downward``.
+        Stored values come first; past them the span grows by blocks as the
+        values are asked for, never beyond ``last``.
         """
-        stored = self.window(start + 1, self.hi)
-        return itertools.chain(zip(itertools.count(start + 1), stored), self._grow_up)
+        up, a = self._up, self.anchor
+        n = start  # the last index yielded
+        while n < last:
+            if n >= self.hi:
+                self.extend_to(min(last, n + _block(len(up))))
+            stop = min(last, self.hi)
+            for m in range(n + 1, stop + 1):
+                yield m, up[m - a]
+            n = stop
 
-    def downward(self, start: int):
-        """(n, r(n)) for n = start - 1, ..., 0: stored values, then new ones as asked."""
-        stored = self.window(self.lo, start - 1)[::-1]
-        return itertools.chain(zip(itertools.count(start - 1, -1), stored), self._grow_down)
+    def downward(self, start: int, last: int = 0):
+        """(n, r(n)) for n = start - 1, ..., last, for start <= anchor inside the span.
+
+        As ``upward``, downward to ``last`` (n = 0 by default).
+        """
+        down, a = self._down, self.anchor
+        n = start
+        while n > last:
+            if n <= self.lo:
+                self.extend_to(max(last, n - _block(len(down))))
+            stop = max(last, self.lo)
+            for m in range(n - 1, stop - 1, -1):
+                yield m, down[a - 1 - m]
+            n = stop
 
 
-def _grow(values: list[float], first: int, step: int, abs_z: float,
-          params: PotentialParams):
-    """Append and yield (n, r(n)) for n = first, first + step, ..., from the anchor
-    (r = 0) outward; downward the walk ends at n = 0."""
-    if abs_z == 0.0:
-        if step > 0:
-            raise ValueError("the series at |z| = 0 ends at n = 0")
-        return
-    log_z2 = 2.0 * math.log(abs_z)
-    # Bound when the walk first grows: tests and the benchmark's tracer wrap it.
-    increment, append = log_g_increment, values.append
-    r = 0.0
-    if step > 0:
-        for n in itertools.count(first):
-            r += log_z2 - increment(n, params)
-            append(r)
-            yield n, r
-    else:
-        for n in range(first, -1, -1):
-            r -= log_z2 - increment(n + 1, params)
-            append(r)
-            yield n, r
+def _block(span: int) -> int:
+    """How many factors a walk that already holds ``span`` values on one side
+    evaluates next: the span again, from 32 up to MAX_BLOCK, so a short walk
+    overshoots where it stops by at most about as many values as it needed."""
+    return min(MAX_BLOCK, max(_MIN_BLOCK, span))
 
 
 def _check_amplitude(abs_z: float) -> None:
@@ -347,7 +366,7 @@ def _stop_head(walk: LogTermWalk, start: int, log_tol: float, cap: int):
     walk.extend_to(start)
     r_max = walk.r(start)
     lo = start
-    for n, r in walk.downward(start):
+    for n, r in walk.downward(start, max(0, start + 1 - cap)):
         if math.log(n + 1) + r < log_tol + r_max:
             break
         if start - n + 1 >= cap:
@@ -372,7 +391,7 @@ def _stop_adaptive(walk: LogTermWalk, start: int, lo: int, policy: TruncationPol
                                  for n, r in enumerate(walk.window(lo, start), lo))
     quiet = 0
     threshold = None
-    for n, r in walk.upward(start):
+    for n, r in walk.upward(start, lo + policy.hard_cap - 1):
         lt2 = r + 2.0 * math.log(n)
         # The log-domain comparison decides first: exp of the difference
         # overflows once a term dwarfs the running sum (|z| near 1e300).

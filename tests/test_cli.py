@@ -1,11 +1,15 @@
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import ghacs.stats
+from ghacs import cli
 from ghacs.cli import main
 from ghacs.lab import SweepSpec, collapse_onset, run_sweep
 from ghacs.stats import TruncationPolicy
@@ -49,6 +53,8 @@ def parse_csv(output):
     ["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "inf", "--z-step", "0.5"],
     ["sweep", "--k", "1.5", "--z-min", "nan", "--z-max", "1", "--z-step", "0.5"],
     ["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "1", "--z-step", "nan"],
+    ["sweep", "--k", "0", "--z-min", "0", "--z-max", "1", "--z-step", "0.5"],
+    ["sweep", "--k", "1.5", "--gamma", "0", "--z-min", "0", "--z-max", "1", "--z-step", "0.5"],
 ])
 def test_rejected_input_value_is_usage_error(runner, args):
     result = runner.invoke(main, args)
@@ -313,19 +319,21 @@ class TestDistCommand:
         assert raw.endswith(b"\n")
 
     def test_one_walk(self, runner, monkeypatch):
-        calls = []
-        increment = ghacs.stats.log_g_increment
+        covered = []
+        factors = ghacs.stats.log_factors
 
-        def counted(j, params):
-            calls.append(j)
-            return increment(j, params)
+        def recorded(lo, hi, params):
+            covered.extend(range(lo, hi))
+            return factors(lo, hi, params)
 
-        monkeypatch.setattr(ghacs.stats, "log_g_increment", counted)
+        monkeypatch.setattr(ghacs.stats, "log_factors", recorded)
         result = runner.invoke(main, ["dist", "--k", "1.5", "--z", "3", "--format", "csv"])
         assert result.exit_code == 0
         _, _, rows, _ = parse_csv(result.output)
-        # Walked out from the peak, down to n = 0: each factor index once.
-        assert sorted(calls) == list(range(1, len(rows)))
+        # Walked out from the peak, down to n = 0: each factor index once,
+        # every row's among them (the last block may reach past the rows).
+        assert len(covered) == len(set(covered))
+        assert set(range(1, len(rows))) <= set(covered)
 
     @pytest.mark.parametrize("z,cap", [("100", "50"), ("20", "1000000")])
     def test_rows_beyond_hard_cap_exit_unconverged(self, runner, z, cap):
@@ -345,3 +353,156 @@ class TestDistCommand:
                                       "--format", "json"])
         payload = json.loads(result.output)
         assert payload["weight_sum"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_rows_beyond_hard_cap_write_no_file(self, runner, tmp_path):
+        # The row bound is checked before the first byte is written.
+        target = tmp_path / "dist.csv"
+        result = runner.invoke(main, ["dist", "--k", "0.5", "--z", "20",
+                                      "--format", "csv", "--out", str(target)])
+        assert result.exit_code == 3
+        assert not target.exists()
+
+    def test_streamed_csv_peak_memory(self, runner, tmp_path):
+        # Writing the rows as they are formatted, the 105,821-row csv never
+        # exists as a list of rows, a list of lines or one string; the
+        # writer that built all three peaked at 28.8 MB in this test.
+        args = ["dist", "--k", "0.5", "--z", "10", "--format", "csv",
+                "--out", str(tmp_path / "dist.csv")]
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert result.exit_code == 0
+        assert peak <= 0.6 * 28.8e6
+
+
+def joined_emit(fmt, inputs, header, rows, pretty, footers=None):
+    """The text the writer built whole, in one joined string, before it streamed."""
+    def repr_num(x):
+        return repr(x) if isinstance(x, float) else str(x)
+
+    footers = footers or {}
+    if fmt == "json":
+        payload = {"inputs": inputs, "rows": [dict(zip(header, row)) for row in rows]}
+        payload.update(footers.get("json", {}))
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [f"# {key}={repr_num(value)}" for key, value in inputs.items()]
+    if fmt == "csv":
+        lines.append(",".join(header))
+        lines.extend(",".join(repr_num(v) for v in row) for row in rows)
+        lines.extend(f"# {c}" for c in footers.get("csv", ()))
+    else:
+        cells = pretty()
+        widths = [max(len(r[i]) for r in cells) for i in range(len(cells[0]))]
+        for r in cells:
+            lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
+        lines.extend(footers.get("table", ()))
+    return "\n".join(lines) + "\n"
+
+
+cell_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(), st.booleans(),
+    st.none(), st.sampled_from(["undefined", "unconverged"]))
+
+
+class TestWriter:
+    @given(fmt=st.sampled_from(["csv", "json", "table"]),
+           inputs=st.dictionaries(st.sampled_from(["k", "gamma", "z", "policy", "hard_cap"]),
+                                  cell_values, min_size=1),
+           width=st.integers(min_value=1, max_value=4),
+           cells=st.lists(cell_values, max_size=40),
+           csv_footer=st.lists(st.text(alphabet="abc_=0123456789.", max_size=12), max_size=3),
+           total=st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_streamed_output_equals_joined_text(self, tmp_path, capsys, fmt, inputs, width,
+                                                cells, csv_footer, total):
+        header = [f"c{i}" for i in range(width)]
+        rows = [cells[i:i + width] for i in range(0, len(cells) - width + 1, width)]
+        footers = {"csv": csv_footer, "json": {"weight_sum": total},
+                   "table": [f"sum  {total:.10f}"]}
+
+        def pretty():
+            return [header] + [[str(v) for v in row] for row in rows]
+
+        expected = joined_emit(fmt, inputs, header, rows, pretty, footers)
+        capsys.readouterr()
+        cli._emit(fmt, None, inputs, header, iter(rows), pretty, footers)
+        assert capsys.readouterr().out == expected
+        target = tmp_path / "out.txt"
+        cli._emit(fmt, str(target), inputs, header, iter(rows), pretty, footers)
+        assert target.read_bytes() == expected.encode()
+
+    def test_json_rejects_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            cli._emit("json", None, {"z": 1.0}, ["q"], [[math.nan]], None)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def mostly(valid, rejected):
+    """Mostly valid values, sometimes one of the rejected ones."""
+    return st.tuples(valid, st.sampled_from(rejected), st.integers(min_value=0, max_value=7)).map(
+        lambda t: t[1] if t[2] == 3 else t[0])
+
+
+amplitudes = mostly(st.floats(min_value=0.0, max_value=30.0), [-1.0, math.nan, math.inf, -math.inf])
+# k >= 0.1 and gamma <= 10 keep ln g's directly summed head short (see core.log_g).
+physics = st.tuples(mostly(st.floats(min_value=0.1, max_value=100.0), [0.0, -1.0, math.nan, math.inf]),
+                    mostly(st.floats(min_value=0.1, max_value=10.0), [0.0, -2.0, math.nan, math.inf]))
+hard_caps = st.integers(min_value=1, max_value=20000)
+formats = st.sampled_from(["csv", "json", "table"])
+
+
+class TestFuzz:
+    """Every command ends in exit 0, 2 or 3, never a traceback, and json output is strict."""
+
+    @staticmethod
+    def check(args, fmt):
+        result = CliRunner().invoke(main, [str(a) for a in args] + ["--format", fmt])
+        event(f"exit {result.exit_code}")
+        assert result.exit_code in (0, 2, 3), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit), \
+            repr(result.exception)
+        if fmt == "json" and result.exit_code == 0:
+            json.loads(result.stdout, parse_constant=_reject_constant)
+
+    @given(physics, amplitudes, st.one_of(st.none(), st.integers(min_value=-1, max_value=2000)),
+           hard_caps, formats)
+    @settings(max_examples=100, deadline=None)
+    def test_stats(self, kg, z, n_max, cap, fmt):
+        policy = ["--hard-cap", cap] if n_max is None else ["--fixed-nmax", n_max]
+        self.check(["stats", "--k", kg[0], "--gamma", kg[1], "--z", z, *policy], fmt)
+
+    @given(physics, mostly(st.floats(min_value=0.0, max_value=6.0), [-1.0, math.nan, math.inf]),
+           st.one_of(st.none(), st.integers(min_value=-1, max_value=2000)), hard_caps, formats)
+    @settings(max_examples=100, deadline=None)
+    def test_dist(self, kg, z, n_max, cap, fmt):
+        policy = ["--hard-cap", cap] if n_max is None else ["--fixed-nmax", n_max]
+        self.check(["dist", "--k", kg[0], "--gamma", kg[1], "--z", z, *policy], fmt)
+
+    @given(physics, st.lists(amplitudes, min_size=1, max_size=3),
+           st.integers(min_value=-1, max_value=2000), hard_caps, formats)
+    @settings(max_examples=100, deadline=None)
+    def test_table(self, kg, zs, n_max, cap, fmt):
+        self.check(["table", "--k", kg[0], "--gamma", kg[1], "--z-list", ",".join(map(str, zs)),
+                    "--fixed-nmax", n_max, "--hard-cap", cap], fmt)
+
+    @given(physics, amplitudes, st.floats(min_value=0.0, max_value=30.0),
+           st.integers(min_value=0, max_value=3), st.lists(st.integers(min_value=-1, max_value=2000),
+                                                           max_size=3), hard_caps, formats)
+    @settings(max_examples=100, deadline=None)
+    def test_sweep(self, kg, z_min, span, steps, cutoffs, cap, fmt):
+        # At most four grid points, or a rejected grid.
+        z_step = span / steps if steps else 1.0
+        self.check(["sweep", "--k", kg[0], "--gamma", kg[1], "--z-min", z_min,
+                    "--z-max", z_min + span, "--z-step", z_step,
+                    "--cutoffs", ",".join(map(str, cutoffs)), "--hard-cap", cap], fmt)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghacs.core import (PotentialParams, characteristic_exponent, log_g, log_g_increment,
-                        log_sum_exp)
+from ghacs import core
+from ghacs.core import (PotentialParams, characteristic_exponent, log_factors, log_g,
+                        log_g_increment, log_sum_exp)
 from ghacs.stats import LogTermWalk
 
 from oracle import structure_function
@@ -92,6 +93,54 @@ class TestLogGIncrement:
     @given(params_st, st.integers(min_value=1, max_value=10 ** 6))
     def test_always_finite(self, params, j):
         assert math.isfinite(log_g_increment(j, params))
+
+
+def first_log1p_index(params):
+    """The smallest j whose factor takes the log1p form: c^a < floor (j + c)^a."""
+    a, c = params.alpha, params.offset
+    lo, hi = 1, 2
+    while c ** a >= core._DIRECT_RATIO_FLOOR * (hi + c) ** a:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if c ** a >= core._DIRECT_RATIO_FLOOR * (mid + c) ** a:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class TestLogFactors:
+    @given(params_st, st.integers(min_value=1, max_value=10 ** 9),
+           st.integers(min_value=0, max_value=200))
+    @settings(max_examples=60)
+    def test_block_equals_one_index_calls_bitwise(self, params, lo, length):
+        hi = lo + length
+        assert log_factors(lo, hi, params) == [log_factors(j, j + 1, params)[0]
+                                               for j in range(lo, hi)]
+
+    def test_block_across_log1p_crossover(self):
+        # At k = 100 the log1p form takes over near j = 2.3e8; a block whose
+        # last index is past it evaluates every index the per-index way.
+        params = PotentialParams(k=100.0, gamma=2.0)
+        x = first_log1p_index(params)
+        assert 2e8 < x < 3e8
+        block = log_factors(x - 10, x + 10, params)
+        assert block == [log_factors(j, j + 1, params)[0] for j in range(x - 10, x + 10)]
+        assert block == [log_g_increment(j, params) for j in range(x - 10, x + 10)]
+        with mpmath.workdps(40):
+            a = mpmath.mpf(2 * 100.0) / (100.0 + 2)
+            c = mpmath.mpf(0.5)
+            for j, value in zip(range(x - 10, x + 10), block):
+                expected = float(mpmath.log((j + c) ** a - c ** a))
+                assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_empty_span(self):
+        assert log_factors(7, 7, K15) == []
+
+    def test_rejects_index_below_one(self):
+        with pytest.raises(ValueError):
+            log_factors(0, 5, K15)
 
 
 class TestLogG:
@@ -201,7 +250,8 @@ class TestLogTerm:
         once.extend_to(0)
         assert up == list(zip(range(6, 10), once.window(6, 9)))
         assert down == list(zip(range(4, -1, -1), once.window(0, 4)[::-1]))
-        assert (walk.lo, walk.hi) == (0, 9)
+        # The span grows by blocks, so it may reach past the last index read.
+        assert walk.lo == 0 and walk.hi >= 9
 
     @pytest.mark.parametrize("abs_z", [-1.0, math.nan, math.inf])
     def test_rejects_amplitude_not_finite_and_nonnegative(self, abs_z):

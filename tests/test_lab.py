@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ghacs.lab
 import ghacs.stats
 from ghacs.core import PotentialParams
 from ghacs.lab import (SweepSpec, ThresholdEstimateError, collapse_onset,
@@ -25,6 +26,11 @@ class TestSweepSpec:
     def test_rejects_amplitude_not_finite_and_nonnegative(self, z):
         with pytest.raises(ValueError):
             SweepSpec(k=1.5, gamma=2.0, z_grid=(z,), cutoffs=(50,))
+
+    @pytest.mark.parametrize("k,gamma", [(0.0, 2.0), (1.5, -1.0), (math.nan, 2.0)])
+    def test_rejects_physics_out_of_range(self, k, gamma):
+        with pytest.raises(ValueError):
+            SweepSpec(k=k, gamma=gamma, z_grid=(1.0,), cutoffs=(50,))
 
     def test_rejects_unordered_cutoffs(self):
         with pytest.raises(ValueError):
@@ -125,34 +131,39 @@ class TestRunSweep:
                                                          TruncationPolicy.fixed(c))
 
     def test_one_walk_per_amplitude(self, monkeypatch):
-        calls = []
-        increment = ghacs.stats.log_g_increment
+        covered, walks = [], []
+        factors, walk_class = ghacs.stats.log_factors, ghacs.lab.LogTermWalk
 
-        def counted(j, params):
-            calls.append(j)
-            return increment(j, params)
+        def recorded(lo, hi, params):
+            covered.extend(range(lo, hi))
+            return factors(lo, hi, params)
 
-        monkeypatch.setattr(ghacs.stats, "log_g_increment", counted)
+        def recorded_walk(*args):
+            walks.append(walk_class(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(ghacs.stats, "log_factors", recorded)
+        monkeypatch.setattr(ghacs.lab, "LogTermWalk", recorded_walk)
         spec = SweepSpec(k=1.5, gamma=2.0, z_grid=(0.0, 2.5, 15.0), cutoffs=(50, 150, 400))
         policy = TruncationPolicy.adaptive()
         report = run_sweep(spec, policy)
         longest = [max(st_.sums.terms_used for st_ in (r.adaptive_stats, *r.fixed_stats.values()))
                    for r in report.rows]
         assert longest[0] == 1 and longest[1] == 401 and longest[2] > 401
-        # One walk per start index (the peak, or a cutoff below it); each
-        # spans the union of its windows, and each of its factor indices is
-        # evaluated once: index j steps between terms j - 1 and j.
-        spans = {}
+        # One walk per start index (the peak, or a cutoff below it), and each
+        # spans every window read from it.
+        spans = {(w.abs_z, w.anchor): (w.lo, w.hi) for w in walks}
+        assert len(spans) == len(walks) == 1 + 1 + 4
         for row in report.rows:
             policies = [(policy, row.adaptive_stats)] + [
                 (TruncationPolicy.fixed(c), row.fixed_stats[c]) for c in spec.cutoffs]
             for p, st_ in policies:
-                key = (row.abs_z, start_index(row.abs_z, spec.params, p))
-                lo, hi = spans.get(key, (st_.sums.first_index, st_.sums.terms_used - 1))
-                spans[key] = (min(lo, st_.sums.first_index), max(hi, st_.sums.terms_used - 1))
-        assert len(spans) == 1 + 1 + 4
-        expected = [j for lo, hi in spans.values() for j in range(max(lo, 1), hi + 1)]
-        assert sorted(calls) == sorted(expected)
+                lo, hi = spans[row.abs_z, start_index(row.abs_z, spec.params, p)]
+                assert lo <= st_.sums.first_index and st_.sums.terms_used - 1 <= hi
+        # Each walk evaluates each factor index of its span once: index j
+        # steps between terms j - 1 and j.
+        expected = [j for lo, hi in spans.values() for j in range(lo + 1, hi + 1)]
+        assert sorted(covered) == sorted(expected)
 
 
 class TestCollapseOnset:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghacs.stats
 from ghacs.core import PotentialParams
 from ghacs.stats import (Classification, LogSeriesSums, TruncationMode,
                          TruncationPolicy, VarianceConsistencyError,
@@ -87,6 +88,22 @@ class TestAccumulateSums:
         assert not sums.converged
         assert sums.terms_used - sums.first_index <= 100
         assert sums.terms_used > 1000
+
+    def test_hard_cap_bounds_the_factors_evaluated(self, monkeypatch):
+        # The walk evaluates factors by blocks, clamped where the cap fires:
+        # from the peak at n = 1149 down to n = 1050, where the window would
+        # reach 100 terms, i.e. factors 1051..1149 and not one more.
+        covered = []
+        factors = ghacs.stats.log_factors
+
+        def recorded(lo, hi, params):
+            covered.extend(range(lo, hi))
+            return factors(lo, hi, params)
+
+        monkeypatch.setattr(ghacs.stats, "log_factors", recorded)
+        sums = accumulate_sums(4.0, PotentialParams(k=0.5), TruncationPolicy.adaptive(hard_cap=100))
+        assert (sums.origin, sums.first_index, sums.converged) == (1149, 1051, False)
+        assert sorted(covered) == list(range(1051, 1150))
 
     def test_deep_tail_matches_frozen_oracle(self):
         sums = accumulate_sums(15.0, PotentialParams(k=0.5), ADAPTIVE)
