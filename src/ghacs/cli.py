@@ -33,7 +33,7 @@ from .stats import state_stats  # noqa: F401
 EXIT_UNCONVERGED = 3
 
 
-def _policy_from_flags(adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap):
+def _policy_from_flags(tail_tol, quiet_run, hard_cap, adaptive=False, fixed_nmax=None):
     if adaptive and fixed_nmax is not None:
         raise click.UsageError("--adaptive and --fixed-nmax are mutually exclusive")
     if fixed_nmax is not None:
@@ -65,19 +65,16 @@ def _sink(out: str | None):
 def _emit(fmt, out, inputs, header, rows, pretty, footers=None):
     """Write ``rows`` as csv, json or a pretty table, the inputs echoed first.
 
-    csv and table lines are written as they are formatted, a chunk at a
-    time, so that no copy of the whole output is held; json is encoded
-    whole.  ``pretty()`` returns the table format's rows of strings, header
+    Lines are written as they are formatted, a chunk at a time, so that no
+    copy of the whole output is held; json rows are encoded a chunk at a time.
+    ``pretty()`` returns the table format's rows of strings, header
     row first; it runs only for that format.  ``footers`` maps a format to
     what follows the rows: csv comment lines, extra json keys, table lines.
     """
     footers = footers or {}
     comments = (f"# {key}={value}" for key, value in inputs.items())
     if fmt == "json":
-        payload = {"inputs": inputs,
-                   "rows": [dict(zip(header, row)) for row in rows]}
-        payload.update(footers.get("json", {}))
-        lines = iter([json.dumps(payload, indent=2, allow_nan=False)])
+        lines = _json_lines(inputs, header, rows, footers.get("json", {}))
     elif fmt == "csv":
         lines = itertools.chain(comments, [",".join(header)],
                                 (",".join(map(str, row)) for row in rows),
@@ -92,6 +89,29 @@ def _emit(fmt, out, inputs, header, rows, pretty, footers=None):
         # than formatting the line.
         while chunk := list(itertools.islice(lines, 4096)):
             fh.write("\n".join(chunk) + "\n")
+
+
+def _json_lines(inputs, header, rows, extra):
+    """json.dumps({"inputs": inputs, "rows": rows, **extra}, indent=2), in lines.
+
+    The text around the rows is that of the payload with no rows, cut where
+    its empty list stands: the only top-level key "rows", two spaces in.
+    The rows are encoded 1024 at a time, as a list whose brackets are cut
+    off and whose lines are indented two more spaces.
+    """
+    text = json.dumps({"inputs": inputs, "rows": [], **extra}, indent=2, allow_nan=False)
+    rows = iter(rows)
+    chunks = iter(lambda: [dict(zip(header, row)) for row in itertools.islice(rows, 1024)], [])
+    chunk = next(chunks, None)
+    if chunk is None:
+        yield text
+        return
+    head, tail = text.split('\n  "rows": []', 1)
+    yield head + '\n  "rows": ['
+    while chunk:
+        items = json.dumps(chunk, indent=2, allow_nan=False)[2:-2].replace("\n", "\n  ")
+        chunk = next(chunks, None)
+        yield from ("  " + items + ("," if chunk else "\n  ]" + tail)).split("\n")
 
 
 def _fmt2(x) -> str:
@@ -137,16 +157,19 @@ physics_options = [
     click.option("--gamma", type=float, default=2.0, show_default=True,
                  help="Spectral offset gamma (> 0); enters as gamma/4."),
 ]
+adaptive_options = [
+    click.option("--tail-tol", type=float, default=TruncationPolicy.tail_tolerance,
+                 show_default=True, help="Adaptive relative tail-term significance threshold."),
+    click.option("--quiet-run", type=int, default=TruncationPolicy.quiet_run, show_default=True,
+                 help="Consecutive insignificant terms required to stop."),
+    click.option("--hard-cap", type=int, default=TruncationPolicy.hard_cap, show_default=True,
+                 help="Adaptive safety bound on the number of terms evaluated."),
+]
 policy_options = [
     click.option("--adaptive", is_flag=True, help="Tolerance-driven truncation (default)."),
     click.option("--fixed-nmax", type=int, default=None,
                  help="Truncate at a fixed n_max instead of adaptively."),
-    click.option("--tail-tol", type=float, default=1e-16, show_default=True,
-                 help="Adaptive relative tail-term significance threshold."),
-    click.option("--quiet-run", type=int, default=10, show_default=True,
-                 help="Consecutive insignificant terms required to stop."),
-    click.option("--hard-cap", type=int, default=10 ** 6, show_default=True,
-                 help="Adaptive safety bound on the number of terms evaluated."),
+    *adaptive_options,
 ]
 output_options = [
     click.option("--format", "fmt", type=click.Choice(["csv", "json", "table"]),
@@ -179,7 +202,7 @@ def stats(ctx, k, gamma, z, adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap,
           fmt, out):
     """Mean, variance, Mandel Q and normalization for a single amplitude."""
     with _usage_errors():
-        policy = _policy_from_flags(adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap)
+        policy = _policy_from_flags(tail_tol, quiet_run, hard_cap, adaptive, fixed_nmax)
         # Looked up on the module, where the benchmark's tracer wraps them.
         sums = engine.accumulate_sums(z, PotentialParams(k=k, gamma=gamma), policy)
     # Convergence is settled before the moments: an unconverged run's
@@ -209,9 +232,7 @@ def stats(ctx, k, gamma, z, adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap,
               help="Comma-separated amplitudes, e.g. 2.5,5,7.5,10,12.5,15.")
 @click.option("--fixed-nmax", type=int, default=150, show_default=True,
               help="Cutoff for the fixed-truncation comparison columns.")
-@click.option("--tail-tol", type=float, default=1e-16, show_default=True)
-@click.option("--quiet-run", type=int, default=10, show_default=True)
-@click.option("--hard-cap", type=int, default=10 ** 6, show_default=True)
+@_add(adaptive_options)
 @_add(output_options)
 @click.pass_context
 def table(ctx, k, gamma, z_list, fixed_nmax, tail_tol, quiet_run, hard_cap,
@@ -222,8 +243,7 @@ def table(ctx, k, gamma, z_list, fixed_nmax, tail_tol, quiet_run, hard_cap,
         raise click.UsageError("--z-list must contain at least one amplitude")
     with _usage_errors():
         params = PotentialParams(k=k, gamma=gamma)
-        adaptive_policy = TruncationPolicy.adaptive(
-            tail_tolerance=tail_tol, quiet_run=quiet_run, hard_cap=hard_cap)
+        adaptive_policy = _policy_from_flags(tail_tol, quiet_run, hard_cap)
     pairs = []
     for z in zs:
         with _usage_errors():
@@ -261,9 +281,7 @@ def _z_grid(z_min, z_max, z_step) -> tuple[float, ...]:
 @click.option("--z-step", type=float, required=True)
 @click.option("--cutoffs", type=str, default="",
               help="Comma-separated fixed n_max values; empty for adaptive only.")
-@click.option("--tail-tol", type=float, default=1e-16, show_default=True)
-@click.option("--quiet-run", type=int, default=10, show_default=True)
-@click.option("--hard-cap", type=int, default=10 ** 6, show_default=True)
+@_add(adaptive_options)
 @_add(output_options)
 def sweep(k, gamma, z_min, z_max, z_step, cutoffs, tail_tol, quiet_run,
           hard_cap, fmt, out):
@@ -276,9 +294,8 @@ def sweep(k, gamma, z_min, z_max, z_step, cutoffs, tail_tol, quiet_run,
     cut = _parse_list(cutoffs, int, "cutoffs")
     with _usage_errors():
         spec = SweepSpec(k=k, gamma=gamma, z_grid=grid, cutoffs=cut)
-        policy = TruncationPolicy.adaptive(tail_tolerance=tail_tol,
-                                           quiet_run=quiet_run, hard_cap=hard_cap)
-    report = run_sweep(spec, policy)
+        policy = _policy_from_flags(tail_tol, quiet_run, hard_cap)
+        report = run_sweep(spec, policy)
     onsets = {c: collapse_onset(report, c) for c in cut}
 
     header = ["z", "cutoff", "mandel_q", "status"]
@@ -318,7 +335,7 @@ def dist(ctx, k, gamma, z, adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap,
          fmt, out):
     """The weighting distribution P_n up to the truncation support bound."""
     with _usage_errors():
-        policy = _policy_from_flags(adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap)
+        policy = _policy_from_flags(tail_tol, quiet_run, hard_cap, adaptive, fixed_nmax)
         wd = weight_distribution(z, PotentialParams(k=k, gamma=gamma), policy)
     _check_converged(ctx, policy, wd.sums)
     # Every row printed is a term evaluated, and at large |z| the rows below

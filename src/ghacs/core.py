@@ -46,6 +46,14 @@ MAX_BLOCK = 64
 # _SERIES_RATIO; that takes more only for k < 0.1 or gamma > 10.
 _DIRECT_FACTORS = 64
 _SERIES_RATIO = 0.75
+# log_g refuses to sum more factors directly than this, about 0.4 s of work:
+# that many are needed only for k below about 0.02, where a term near the
+# peak would otherwise take hours.
+_MAX_DIRECT_FACTORS = 2 ** 20
+# Above this gamma the direct factors (j + c)^alpha - c^alpha cancel digits:
+# at gamma = 1e8 the mean is off by a relative 1e-9 (k = 10), and c^alpha
+# overflows by gamma = 1e300.
+_MAX_GAMMA = 1e6
 # B_{2i} / (2i)! for i = 1..4, the Euler-Maclaurin coefficients.  From
 # x = 65 on, the first term left out is below 1e-18 of the sum.
 _EULER_MACLAURIN = tuple(b / math.factorial(2 * i) for i, b in enumerate(
@@ -57,7 +65,8 @@ class PotentialParams:
     """Physics inputs: power-law exponent k and spectral offset gamma.
 
     gamma enters only through gamma/4; the default gamma = 2 puts the
-    offset at 1/2 (the standard two-turning-point value).
+    offset at 1/2 (the standard two-turning-point value).  gamma is capped
+    at 1e6, beyond which the factors lose digits to cancellation.
     """
 
     k: float
@@ -68,6 +77,9 @@ class PotentialParams:
             raise ValueError(f"k must be a positive finite real, got {self.k}")
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise ValueError(f"gamma must be a positive finite real, got {self.gamma}")
+        if self.gamma > _MAX_GAMMA:
+            raise ValueError(f"gamma must be at most {_MAX_GAMMA:g}, where the structure "
+                             f"function's factors still keep their digits; got {self.gamma}")
 
     @property
     def alpha(self) -> float:
@@ -126,7 +138,8 @@ def log_g(n: int, params: PotentialParams) -> float:
     with M = min(n, 64) factors summed directly (more for k < 0.1 or
     gamma > 10, see _SERIES_RATIO).  The last sum is expanded
     in powers of (c / (j + c))^alpha, and each power is summed over j by
-    Euler-Maclaurin, so the cost does not grow with n.
+    Euler-Maclaurin, so the cost does not grow with n.  Raises ValueError
+    when M exceeds 2^20, which only k below about 0.02 needs.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -136,6 +149,9 @@ def log_g(n: int, params: PotentialParams) -> float:
     # e^60 exceeds every index a walk can start at.
     log_x = math.log(c) - math.log(_SERIES_RATIO) / a
     m = min(n, max(_DIRECT_FACTORS, math.ceil(math.exp(min(log_x, 60.0)) - c)))
+    if m > _MAX_DIRECT_FACTORS:
+        raise ValueError(f"ln g({n}) at k = {params.k} needs {m} directly summed factors, "
+                         f"more than {_MAX_DIRECT_FACTORS}: k is too small for this amplitude")
     direct = math.fsum(itertools.chain.from_iterable(
         log_factors(j, min(j + MAX_BLOCK, m + 1), params) for j in range(1, m + 1, MAX_BLOCK)))
     if n == m:

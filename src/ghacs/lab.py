@@ -82,8 +82,9 @@ class TruncationReport:
 
 
 def estimate_threshold(abs_z: float, params: PotentialParams,
-                       tail_tolerance: float, quiet_run: int = 10,
-                       hard_cap: int = 10 ** 6) -> int:
+                       tail_tolerance: float = TruncationPolicy.tail_tolerance,
+                       quiet_run: int = TruncationPolicy.quiet_run,
+                       hard_cap: int = TruncationPolicy.hard_cap) -> int:
     """First index of the sustained run of insignificant terms.
 
     Nondecreasing in abs_z for fixed parameters: larger amplitudes push

@@ -60,11 +60,6 @@ _MAX_START = 2 ** 52
 # The smallest block of factors a walk evaluates at a time.
 _MIN_BLOCK = 32
 
-# A fixed-cutoff walk drops the head below the peak once it weighs less than
-# this share of the largest term: the adaptive default, held constant so that
-# fixed-mode numbers depend on n_max alone.
-_FIXED_HEAD_TOLERANCE = 1e-16
-
 
 class VarianceConsistencyError(RuntimeError):
     """Variance came out more negative than rounding can explain."""
@@ -79,12 +74,14 @@ class TruncationMode(enum.Enum):
 class TruncationPolicy:
     """Fixed cutoff vs tolerance-driven adaptive truncation.
 
-    Adaptive mode stops after ``quiet_run`` consecutive terms whose
-    relative contribution falls below ``tail_tolerance``, with
-    ``hard_cap`` as a safety bound on the number of terms summed around the
-    peak, terms_used - first_index.  Below the peak it drops the head once
-    that weighs less than ``tail_tolerance`` of the largest term; a fixed
-    cutoff drops it at 1e-16 of the largest term.
+    Both modes drop the head below the peak once it weighs less than
+    ``tail_tolerance`` of the largest term; ``fixed`` keeps the default, so
+    that fixed-mode numbers depend on n_max alone.  Above the peak adaptive
+    mode stops after ``quiet_run`` consecutive terms whose relative
+    contribution falls below ``tail_tolerance``, with ``hard_cap`` as a
+    safety bound on the number of terms summed around the peak,
+    terms_used - first_index.  The field defaults are the adaptive defaults
+    everywhere, the CLI's included.
     """
 
     mode: TruncationMode
@@ -94,24 +91,23 @@ class TruncationPolicy:
     hard_cap: int = 10 ** 6
 
     def __post_init__(self):
-        if self.mode is TruncationMode.FIXED:
-            if self.n_max is None or self.n_max < 1:
-                raise ValueError("fixed mode requires n_max >= 1")
-        else:
-            if not (0.0 < self.tail_tolerance < 1.0):
-                raise ValueError("tail_tolerance must lie in (0, 1)")
-            if self.quiet_run < 1:
-                raise ValueError("quiet_run must be >= 1")
-            if self.hard_cap < self.quiet_run:
-                raise ValueError("hard_cap must be >= quiet_run")
+        if self.mode is TruncationMode.FIXED and (self.n_max is None or self.n_max < 1):
+            raise ValueError("fixed mode requires n_max >= 1")
+        if not (0.0 < self.tail_tolerance < 1.0):
+            raise ValueError("tail_tolerance must lie in (0, 1)")
+        if self.quiet_run < 1:
+            raise ValueError("quiet_run must be >= 1")
+        if self.hard_cap < self.quiet_run:
+            raise ValueError("hard_cap must be >= quiet_run")
 
     @classmethod
     def fixed(cls, n_max: int) -> "TruncationPolicy":
         return cls(mode=TruncationMode.FIXED, n_max=n_max)
 
+    # The defaults below are the field defaults, bound in the class body.
     @classmethod
-    def adaptive(cls, tail_tolerance: float = 1e-16, quiet_run: int = 10,
-                 hard_cap: int = 10 ** 6) -> "TruncationPolicy":
+    def adaptive(cls, tail_tolerance: float = tail_tolerance, quiet_run: int = quiet_run,
+                 hard_cap: int = hard_cap) -> "TruncationPolicy":
         return cls(mode=TruncationMode.ADAPTIVE, tail_tolerance=tail_tolerance,
                    quiet_run=quiet_run, hard_cap=hard_cap)
 
@@ -170,15 +166,15 @@ class StateStats:
 
 
 class WeightDistribution:
-    """ln P_n for n = 0 .. support_bound, normalized over the summed window.
+    """P_n for n = 0 .. support_bound, normalized over the summed window.
 
-    sums are the sums of the walk, convergence record included.  The rows
-    are read off the walk when first asked for, so that the sums and the
-    support bound can be checked before paying for them.  The rows below
-    the window (n < sums.first_index), which together weigh less than the
-    tail tolerance, cost one factor each, and at large |z| they far
-    outnumber the window: 3.2 million rows around a 50k-term window at
-    k = 0.5, |z| = 20.
+    sums are the sums of the walk, convergence record included.  The rows,
+    exp(ln t_n - ln S0), are read off the walk in one pass when first asked
+    for, so that the sums and the support bound can be checked before
+    paying for them.  The rows below the window (n < sums.first_index),
+    which together weigh less than the tail tolerance, cost one factor
+    each, and at large |z| they far outnumber the window: 3.2 million rows
+    around a 50k-term window at k = 0.5, |z| = 20.
     """
 
     def __init__(self, walk: LogTermWalk, sums: LogSeriesSums):
@@ -188,24 +184,23 @@ class WeightDistribution:
         # as log_s0 - log_anchor, which would cancel digits at large ln S0.
         self._log_mass = log_sum_exp(walk.window(sums.first_index, self.support_bound))
         self._walk = walk
-        self._log_weights = None
-
-    @property
-    def log_weights(self) -> list[float]:
-        if self._log_weights is None:
-            self._walk.extend_to(0)
-            self._log_weights = [r - self._log_mass
-                                 for r in self._walk.window(0, self.support_bound)]
-            self._walk = None  # the rows replace the walk's values
-        return self._log_weights
-
-    def weight(self, n: int) -> float:
-        if 0 <= n <= self.support_bound:
-            return math.exp(self.log_weights[n])
-        return 0.0
+        self._rows = None
 
     def weights(self) -> list[float]:
-        return [math.exp(w) for w in self.log_weights]
+        """P_0 .. P_N; the same list on every call."""
+        if self._rows is None:
+            self._walk.extend_to(0)
+            rows = self._walk.window(0, self.support_bound)
+            # Once the walk is dropped the rows hold its only values, and
+            # each ln t_n is freed as its P_n takes its place.
+            self._walk = None
+            for n, r in enumerate(rows):
+                rows[n] = math.exp(r - self._log_mass)
+            self._rows = rows
+        return self._rows
+
+    def weight(self, n: int) -> float:
+        return self.weights()[n] if 0 <= n <= self.support_bound else 0.0
 
 
 class Classification(enum.Enum):
@@ -254,7 +249,7 @@ class LogTermWalk:
         return self._down[self.anchor - 1 - n]
 
     def window(self, lo: int, hi: int) -> list[float]:
-        """r(lo), ..., r(hi), for lo..hi inside the span (empty when hi < lo)."""
+        """A new list of r(lo), ..., r(hi), for lo..hi inside the span (empty when hi < lo)."""
         a = self.anchor
         if hi < a:
             return self._down[a - 1 - hi:a - lo][::-1]
@@ -356,16 +351,15 @@ def start_index(abs_z: float, params: PotentialParams, policy: TruncationPolicy)
     return 0 if peak is None else peak
 
 
-def _stop_head(walk: LogTermWalk, start: int, log_tol: float, cap: int):
-    """Walk down from ``start``: (first index of the window, whether the head closed).
+def _stop_head(walk: LogTermWalk, log_tol: float, cap: int):
+    """Walk down from the anchor: (first index of the window, whether the head closed).
 
     Stops at the first n with (n + 1) t_n < tol * (largest term so far):
     the terms rise up to the peak, so t_0 + ... + t_n is at most that.
     Reaching ``cap`` window terms first leaves the head open.
     """
-    walk.extend_to(start)
-    r_max = walk.r(start)
-    lo = start
+    start = lo = walk.anchor
+    r_max = 0.0  # r(anchor)
     for n, r in walk.downward(start, max(0, start + 1 - cap)):
         if math.log(n + 1) + r < log_tol + r_max:
             break
@@ -377,21 +371,21 @@ def _stop_head(walk: LogTermWalk, start: int, log_tol: float, cap: int):
     return lo, True
 
 
-def _stop_adaptive(walk: LogTermWalk, start: int, lo: int, policy: TruncationPolicy):
-    """Adaptive truncation above ``start``: (last index, converged, threshold).
+def _stop_adaptive(walk: LogTermWalk, lo: int, policy: TruncationPolicy):
+    """Adaptive truncation above the anchor: (last index, converged, threshold).
 
     Stops once ``quiet_run`` consecutive terms of the m = 2 sum each add
     less than ``tail_tolerance`` of its running value, which starts as the
-    sum over the window lo..start; threshold is the first index of that run.
+    sum over the window lo..anchor; threshold is the first index of that run.
     Reaching ``hard_cap`` window terms first stops the walk unconverged,
     without a threshold.
     """
     tol = policy.tail_tolerance
     running_log_s2 = log_sum_exp(r + 2.0 * math.log(n) if n else -math.inf
-                                 for n, r in enumerate(walk.window(lo, start), lo))
+                                 for n, r in enumerate(walk.window(lo, walk.anchor), lo))
     quiet = 0
     threshold = None
-    for n, r in walk.upward(start, lo + policy.hard_cap - 1):
+    for n, r in walk.upward(walk.anchor, lo + policy.hard_cap - 1):
         lt2 = r + 2.0 * math.log(n)
         # The log-domain comparison decides first: exp of the difference
         # overflows once a term dwarfs the running sum (|z| near 1e300).
@@ -435,26 +429,27 @@ def _reduce(walk: LogTermWalk, lo: int, hi: int, converged: bool,
 def walk_sums(walk: LogTermWalk, policy: TruncationPolicy) -> LogSeriesSums:
     """The sums of one truncation policy over ``walk``, extending it only as far as the policy needs.
 
-    The window starts at the walk's anchor, or at n_max when a fixed cutoff
-    lies below it.  Policies applied one after another to the same walk
-    share its values, so a fixed cutoff read after the adaptive rule costs
-    only its reduction.
+    The window grows out of the walk's anchor, which must not lie above a
+    fixed cutoff (``start_index`` gives an anchor every policy accepts).
+    Policies applied one after another to the same walk share its values,
+    so a fixed cutoff read after the adaptive rule costs only its reduction.
     """
     adaptive = policy.mode is TruncationMode.ADAPTIVE
     if walk.abs_z == 0.0:
         # Only n = 0 survives: S0 = 1, S1 = S2 = 0.
         return _reduce(walk, 0, 0, adaptive, 0 if adaptive else None)
-    if adaptive:
-        start = walk.anchor
-        lo, closed = _stop_head(walk, start, math.log(policy.tail_tolerance), policy.hard_cap)
-        if not closed:
-            return _reduce(walk, lo, start, False, None)
-        hi, converged, threshold = _stop_adaptive(walk, start, lo, policy)
-        return _reduce(walk, lo, hi, converged, threshold)
-    start = min(walk.anchor, policy.n_max)
-    lo, _ = _stop_head(walk, start, math.log(_FIXED_HEAD_TOLERANCE), math.inf)
-    walk.extend_to(policy.n_max)
-    return _reduce(walk, lo, policy.n_max, False, None)
+    if not adaptive and policy.n_max < walk.anchor:
+        raise ValueError(f"fixed cutoff n_max = {policy.n_max} lies below the "
+                         f"walk's anchor {walk.anchor}")
+    lo, closed = _stop_head(walk, math.log(policy.tail_tolerance),
+                            policy.hard_cap if adaptive else math.inf)
+    if not adaptive:
+        walk.extend_to(policy.n_max)
+        return _reduce(walk, lo, policy.n_max, False, None)
+    if not closed:
+        return _reduce(walk, lo, walk.anchor, False, None)
+    hi, converged, threshold = _stop_adaptive(walk, lo, policy)
+    return _reduce(walk, lo, hi, converged, threshold)
 
 
 def accumulate_sums(abs_z: float, params: PotentialParams,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -76,6 +77,53 @@ def test_non_finite_amplitude_is_usage_error(runner, args):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "NaN" not in result.output and "sum=nan" not in result.output
+
+
+# Every command at a given k, gamma and |z|, adaptive by default.
+def each_command(k, gamma, z):
+    physics = ["--k", k, "--gamma", gamma]
+    return [["stats", *physics, "--z", z], ["dist", *physics, "--z", z],
+            ["table", *physics, "--z-list", z],
+            ["sweep", *physics, "--z-min", z, "--z-max", z, "--z-step", "1"]]
+
+
+@pytest.mark.parametrize("args", each_command("0.01", "2", "0.5"), ids=lambda a: a[0])
+def test_small_k_past_the_factor_budget_is_usage_error(runner, args):
+    # ln g at the peak (n near 3e9) would sum about 3e9 factors directly.
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "k is too small" in result.output
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("args", each_command("100", "1e50", "1") + each_command("100", "1e300", "1"),
+                         ids=lambda a: f"{a[0]}-{a[4]}")
+def test_gamma_above_1e6_is_usage_error(runner, args):
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "gamma must be at most" in result.output
+    assert time.perf_counter() - start < 5.0
+
+
+def option_help(command, option):
+    """The help entry of ``option`` in ``command --help``, whitespace collapsed."""
+    lines = CliRunner().invoke(main, [command, "--help"]).output.splitlines()
+    first = next(i for i, line in enumerate(lines) if line.lstrip().startswith(option + " "))
+    entry = [lines[first]] + list(itertools.takewhile(
+        lambda line: not line.lstrip().startswith("-"), lines[first + 1:]))
+    return " ".join(" ".join(entry).split())
+
+
+@pytest.mark.parametrize("option", ["--tail-tol", "--quiet-run", "--hard-cap"])
+def test_adaptive_options_shared_by_every_command(option):
+    entries = {command: option_help(command, option)
+               for command in ("stats", "dist", "table", "sweep")}
+    assert "[default: " in entries["stats"]
+    assert set(entries.values()) == {entries["stats"]}
 
 
 class TestStatsCommand:
@@ -379,6 +427,27 @@ class TestDistCommand:
             if not tracing:
                 tracemalloc.stop()
         assert result.exit_code == 0
+        assert peak <= 0.6 * 28.8e6
+
+    def test_streamed_json_peak_memory(self, runner, tmp_path):
+        # The json rows are encoded one at a time, like the csv lines, and
+        # held to the csv writer's bound; encoded whole, the payload dict,
+        # its rows and the text of the same distribution took several times
+        # that.
+        target = tmp_path / "dist.json"
+        args = ["dist", "--k", "0.5", "--z", "10", "--format", "json", "--out", str(target)]
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert result.exit_code == 0
+        assert len(json.loads(target.read_text())["rows"]) == 105820
         assert peak <= 0.6 * 28.8e6
 
 

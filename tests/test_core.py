@@ -54,6 +54,12 @@ class TestPotentialParams:
         with pytest.raises(ValueError):
             PotentialParams(k=1.5, gamma=0.0)
 
+    @pytest.mark.parametrize("gamma", [1.000001e6, 1e50, 1e300])
+    def test_rejects_gamma_above_1e6(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be at most"):
+            PotentialParams(k=1.5, gamma=gamma)
+        assert PotentialParams(k=1.5, gamma=1e6).gamma == 1e6
+
     @given(params_st)
     def test_alpha_in_open_interval(self, params):
         assert 0.0 < params.alpha < 2.0
@@ -198,6 +204,14 @@ class TestLogG:
         for j in range(anchor, lo, -1):
             scratch += log_g_increment(j, params)
             assert walk.r(j - 1) == scratch
+
+    def test_direct_factor_budget(self):
+        # At k = 0.01 the correction series needs about 1.8e12 direct factors
+        # before its ratio falls to 0.75: refused at once, not summed for an hour.
+        params = PotentialParams(k=0.01)
+        assert math.isfinite(log_g(core._MAX_DIRECT_FACTORS, params))
+        with pytest.raises(ValueError, match="k is too small"):
+            log_g(core._MAX_DIRECT_FACTORS + 1, params)
 
     def test_monotone_once_increments_positive(self):
         # increments exceed 1 from small j on, so the cumulative sum grows

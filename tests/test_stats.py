@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 import ghacs.stats
 from ghacs.core import PotentialParams
-from ghacs.stats import (Classification, LogSeriesSums, TruncationMode,
+from ghacs.stats import (Classification, LogSeriesSums, LogTermWalk, TruncationMode,
                          TruncationPolicy, VarianceConsistencyError,
                          accumulate_sums, classify, state_stats,
-                         stats_from_sums, weight_distribution)
+                         stats_from_sums, walk_sums, weight_distribution)
 
 from oracle import direct_log_sums, direct_stats, direct_weights
 
@@ -40,6 +40,12 @@ class TestTruncationPolicy:
             TruncationPolicy.adaptive(quiet_run=0)
         with pytest.raises(ValueError):
             TruncationPolicy.adaptive(quiet_run=50, hard_cap=10)
+
+    def test_fixed_mode_validates_the_head_tolerance(self):
+        # A fixed cutoff drops its head at tail_tolerance too.
+        with pytest.raises(ValueError):
+            TruncationPolicy(mode=TruncationMode.FIXED, n_max=5, tail_tolerance=2.0)
+        assert TruncationPolicy.fixed(5).tail_tolerance == TruncationPolicy.tail_tolerance
 
 
 class TestAccumulateSums:
@@ -140,6 +146,25 @@ class TestAccumulateSums:
         a = accumulate_sums(7.5, K15, ADAPTIVE)
         b = accumulate_sums(7.5, K15, ADAPTIVE)
         assert a == b
+
+    def test_fixed_cutoff_below_the_anchor_rejected(self):
+        # The window grows out of the anchor; a cutoff below it has no head to measure.
+        with pytest.raises(ValueError, match="anchor"):
+            walk_sums(LogTermWalk(7.5, K15, 40), TruncationPolicy.fixed(5))
+
+    def test_fixed_cutoff_at_the_anchor(self):
+        walk = LogTermWalk(7.5, K15, 40)
+        assert walk_sums(walk, TruncationPolicy.fixed(40)) == accumulate_sums(
+            7.5, K15, TruncationPolicy.fixed(40))
+
+    @pytest.mark.parametrize("k", [0.5, 1.5, 10.0])
+    def test_largest_gamma_matches_oracle(self, k):
+        # gamma = 1e6 is the largest accepted; the oracle sums 200 terms past the window.
+        st_ = state_stats(1.0, PotentialParams(k=k, gamma=1e6), ADAPTIVE)
+        mean, _, q = direct_stats(1.0, k, 1e6, st_.sums.terms_used + 200, dps=40)
+        assert st_.sums.converged
+        assert st_.mean == pytest.approx(mean, rel=1e-10)
+        assert st_.mandel_q == pytest.approx(q, abs=1e-10)
 
 
 class TestStateStats:
