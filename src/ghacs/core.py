@@ -47,8 +47,8 @@ MAX_BLOCK = 64
 _DIRECT_FACTORS = 64
 _SERIES_RATIO = 0.75
 # log_g refuses to sum more factors directly than this, about 0.4 s of work:
-# that many are needed only for k below about 0.02, where a term near the
-# peak would otherwise take hours.
+# that many are needed only for k below about 0.02 at gamma <= 10 (0.19 at
+# gamma = 1e6), where a term near the peak would otherwise take hours.
 _MAX_DIRECT_FACTORS = 2 ** 20
 # Above this gamma the direct factors (j + c)^alpha - c^alpha cancel digits:
 # at gamma = 1e8 the mean is off by a relative 1e-9 (k = 10), and c^alpha
@@ -139,7 +139,7 @@ def log_g(n: int, params: PotentialParams) -> float:
     gamma > 10, see _SERIES_RATIO).  The last sum is expanded
     in powers of (c / (j + c))^alpha, and each power is summed over j by
     Euler-Maclaurin, so the cost does not grow with n.  Raises ValueError
-    when M exceeds 2^20, which only k below about 0.02 needs.
+    when M exceeds 2^20, which only k below about 0.02 needs at gamma <= 10.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -150,8 +150,9 @@ def log_g(n: int, params: PotentialParams) -> float:
     log_x = math.log(c) - math.log(_SERIES_RATIO) / a
     m = min(n, max(_DIRECT_FACTORS, math.ceil(math.exp(min(log_x, 60.0)) - c)))
     if m > _MAX_DIRECT_FACTORS:
-        raise ValueError(f"ln g({n}) at k = {params.k} needs {m} directly summed factors, "
-                         f"more than {_MAX_DIRECT_FACTORS}: k is too small for this amplitude")
+        raise ValueError(f"ln g({n}) at k = {params.k}, gamma = {params.gamma} needs {m} directly "
+                         f"summed factors, more than {_MAX_DIRECT_FACTORS}: k is too small "
+                         f"(or gamma too large) for this amplitude")
     direct = math.fsum(itertools.chain.from_iterable(
         log_factors(j, min(j + MAX_BLOCK, m + 1), params) for j in range(1, m + 1, MAX_BLOCK)))
     if n == m:
