@@ -24,13 +24,14 @@ import click
 from . import stats as engine
 from .core import PotentialParams
 from .lab import SweepSpec, collapse_onset, run_sweep, sweep_row
-from .stats import (LogSeriesSums, StateStats, TruncationMode, TruncationPolicy,
-                    weight_distribution)
+from .stats import LogSeriesSums, StateStats, TruncationPolicy, weight_distribution
 # Not called here, but the benchmark's tracer (bench/tracing.py) wraps
 # ghacs.cli.state_stats, so the name stays bound.
 from .stats import state_stats  # noqa: F401
 
 EXIT_UNCONVERGED = 3
+# The most |z| points a sweep grid may hold.
+_MAX_GRID_POINTS = 10 ** 6
 
 
 def _policy_from_flags(tail_tol, quiet_run, hard_cap, adaptive=False, fixed_nmax=None):
@@ -43,13 +44,10 @@ def _policy_from_flags(tail_tol, quiet_run, hard_cap, adaptive=False, fixed_nmax
 
 
 def _policy_inputs(policy: TruncationPolicy) -> dict:
-    d = {"policy": policy.mode.value}
-    if policy.mode is TruncationMode.FIXED:
-        d["n_max"] = policy.n_max
-    else:
-        d.update(tail_tolerance=policy.tail_tolerance,
-                 quiet_run=policy.quiet_run, hard_cap=policy.hard_cap)
-    return d
+    if policy.n_max is not None:
+        return {"policy": "fixed", "n_max": policy.n_max}
+    return {"policy": "adaptive", "tail_tolerance": policy.tail_tolerance,
+            "quiet_run": policy.quiet_run, "hard_cap": policy.hard_cap}
 
 
 @contextlib.contextmanager
@@ -57,9 +55,13 @@ def _sink(out: str | None):
     """stdout, or the file ``out`` opened for writing with LF line endings."""
     if out is None:
         yield sys.stdout
-    else:
-        with open(out, "w", newline="\n") as fh:
-            yield fh
+        return
+    try:
+        fh = open(out, "w", newline="\n")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --out {out!r}: {exc.strerror}") from None
+    with fh:
+        yield fh
 
 
 def _emit(fmt, out, inputs, header, rows, pretty, footers=None):
@@ -127,7 +129,7 @@ def _q_value(stats: StateStats):
 
 
 def _check_converged(ctx, policy: TruncationPolicy, sums: LogSeriesSums) -> None:
-    if policy.mode is TruncationMode.ADAPTIVE and not sums.converged:
+    if policy.n_max is None and not sums.converged:
         click.echo("error: adaptive accumulation hit hard_cap "
                    f"({policy.hard_cap}) before the tail criterion fired",
                    err=True)
@@ -269,7 +271,10 @@ def _z_grid(z_min, z_max, z_step) -> tuple[float, ...]:
     if not (all(map(math.isfinite, (z_min, z_max, z_step)))
             and z_step > 0 and z_max >= z_min >= 0):
         raise click.UsageError("need finite z_min >= 0, z_max >= z_min and z_step > 0")
-    steps = int(round((z_max - z_min) / z_step))
+    steps = (z_max - z_min) / z_step
+    if not math.isfinite(steps) or round(steps) + 1 > _MAX_GRID_POINTS:
+        raise click.UsageError(f"z_step = {z_step} gives more than {_MAX_GRID_POINTS} grid points")
+    steps = round(steps)
     grid = (round(z_min + i * z_step, 12) for i in range(steps + 1))
     return tuple(z for z in grid if z <= z_max + 1e-12)
 
@@ -340,7 +345,7 @@ def dist(ctx, k, gamma, z, adaptive, fixed_nmax, tail_tol, quiet_run, hard_cap,
     _check_converged(ctx, policy, wd.sums)
     # Every row printed is a term evaluated, and at large |z| the rows below
     # the summed window far outnumber it: the hard cap bounds them too.
-    if policy.mode is TruncationMode.ADAPTIVE and wd.support_bound >= policy.hard_cap:
+    if wd.support_bound >= policy.hard_cap:
         click.echo(f"error: the distribution has {wd.support_bound + 1} rows, "
                    f"more than hard_cap ({policy.hard_cap})", err=True)
         ctx.exit(EXIT_UNCONVERGED)

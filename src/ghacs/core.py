@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "PotentialParams",
-    "characteristic_exponent",
     "log_g",
     "log_factors",
     "log_g_increment",
@@ -83,16 +82,12 @@ class PotentialParams:
 
     @property
     def alpha(self) -> float:
-        return characteristic_exponent(self)
+        """alpha = 2k / (k + 2), strictly increasing in k with range (0, 2)."""
+        return 2.0 * self.k / (self.k + 2.0)
 
     @property
     def offset(self) -> float:
         return 0.25 * self.gamma
-
-
-def characteristic_exponent(params: PotentialParams) -> float:
-    """alpha = 2k / (k + 2), strictly increasing in k with range (0, 2)."""
-    return 2.0 * params.k / (params.k + 2.0)
 
 
 def log_g_increment(j: int, params: PotentialParams) -> float:
@@ -113,7 +108,7 @@ def log_factors(lo: int, hi: int, params: PotentialParams) -> list[float]:
     """
     if lo < 1:
         raise ValueError(f"factor index must be >= 1, got {lo}")
-    a = characteristic_exponent(params)
+    a = params.alpha
     c = params.offset
     small = c ** a
     log = math.log
@@ -143,7 +138,7 @@ def log_g(n: int, params: PotentialParams) -> float:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    a = characteristic_exponent(params)
+    a = params.alpha
     c = params.offset
     # Enough direct factors that (c / (m + 1 + c))^alpha <= _SERIES_RATIO;
     # e^60 exceeds every index a walk can start at.

@@ -67,7 +67,11 @@ class SweepRow:
     abs_z: float
     adaptive_stats: StateStats
     fixed_stats: dict[int, StateStats] = field(default_factory=dict)
-    threshold_estimate: int | None = None
+
+    @property
+    def threshold_estimate(self) -> int | None:
+        """The adaptive reference's threshold n_th; None when it did not converge."""
+        return self.adaptive_stats.sums.estimated_threshold
 
     @property
     def flagged(self) -> bool:
@@ -120,8 +124,7 @@ def sweep_row(abs_z: float, params: PotentialParams, policy: TruncationPolicy,
 
     adaptive = stats_of(policy)
     fixed = {n_max: stats_of(TruncationPolicy.fixed(n_max)) for n_max in cutoffs}
-    return SweepRow(abs_z=abs_z, adaptive_stats=adaptive, fixed_stats=fixed,
-                    threshold_estimate=adaptive.sums.estimated_threshold)
+    return SweepRow(abs_z=abs_z, adaptive_stats=adaptive, fixed_stats=fixed)
 
 
 def run_sweep(spec: SweepSpec, policy_defaults: TruncationPolicy) -> TruncationReport:

@@ -14,14 +14,14 @@ term.  A truncation policy is a stopping rule over the walk.  Downward it
 stops once the skipped head is provably below ``tail_tolerance`` of the
 largest term.  Upward it stops at a fixed cutoff n_max, or adaptively once
 the terms of the m = 2 sum (the slowest to converge) stay below the
-tolerance of its running value for a sustained run.  One compensated pass
-reduces the window to ln S0 and the first two moments about its largest
-term, so the variance is formed without cancellation.
+tolerance of its running value for a sustained run.  The policy's hard cap
+bounds every window.  One compensated pass reduces the window to ln S0 and
+the first two moments about its largest term, so the variance is formed
+without cancellation.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 import operator
@@ -33,20 +33,17 @@ from .core import MAX_BLOCK, PotentialParams, log_factors, log_g, log_sum_exp
 from .core import log_g_increment  # noqa: F401
 
 __all__ = [
-    "TruncationMode",
     "TruncationPolicy",
     "LogSeriesSums",
     "LogTermWalk",
     "StateStats",
     "WeightDistribution",
-    "Classification",
     "VarianceConsistencyError",
     "accumulate_sums",
     "start_index",
     "walk_sums",
     "state_stats",
     "weight_distribution",
-    "classify",
 ]
 
 # Rounding leaves the variance m2 - m1^2 within a few ulps of m2 of its true,
@@ -65,33 +62,28 @@ class VarianceConsistencyError(RuntimeError):
     """Variance came out more negative than rounding can explain."""
 
 
-class TruncationMode(enum.Enum):
-    FIXED = "fixed"
-    ADAPTIVE = "adaptive"
-
-
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Fixed cutoff vs tolerance-driven adaptive truncation.
+    """A fixed cutoff n_max, or tolerance-driven adaptive truncation when n_max is None.
 
-    Both modes drop the head below the peak once it weighs less than
+    Both drop the head below the peak once it weighs less than
     ``tail_tolerance`` of the largest term; ``fixed`` keeps the default, so
-    that fixed-mode numbers depend on n_max alone.  Above the peak adaptive
-    mode stops after ``quiet_run`` consecutive terms whose relative
-    contribution falls below ``tail_tolerance``, with ``hard_cap`` as a
-    safety bound on the number of terms summed around the peak,
-    terms_used - first_index.  The field defaults are the adaptive defaults
+    that fixed-cutoff numbers depend on n_max alone.  Above the peak the
+    adaptive rule stops after ``quiet_run`` consecutive terms whose relative
+    contribution falls below ``tail_tolerance``.  ``hard_cap`` bounds the
+    number of terms summed around the peak, terms_used - first_index, in
+    both: an adaptive run stops there unconverged, and a fixed window wider
+    than the cap is refused.  The field defaults are the adaptive defaults
     everywhere, the CLI's included.
     """
 
-    mode: TruncationMode
     n_max: int | None = None
     tail_tolerance: float = 1e-16
     quiet_run: int = 10
     hard_cap: int = 10 ** 6
 
     def __post_init__(self):
-        if self.mode is TruncationMode.FIXED and (self.n_max is None or self.n_max < 1):
+        if self.n_max is not None and self.n_max < 1:
             raise ValueError("fixed mode requires n_max >= 1")
         if not (0.0 < self.tail_tolerance < 1.0):
             raise ValueError("tail_tolerance must lie in (0, 1)")
@@ -102,14 +94,13 @@ class TruncationPolicy:
 
     @classmethod
     def fixed(cls, n_max: int) -> "TruncationPolicy":
-        return cls(mode=TruncationMode.FIXED, n_max=n_max)
+        return cls(n_max=n_max)
 
     # The defaults below are the field defaults, bound in the class body.
     @classmethod
     def adaptive(cls, tail_tolerance: float = tail_tolerance, quiet_run: int = quiet_run,
                  hard_cap: int = hard_cap) -> "TruncationPolicy":
-        return cls(mode=TruncationMode.ADAPTIVE, tail_tolerance=tail_tolerance,
-                   quiet_run=quiet_run, hard_cap=hard_cap)
+        return cls(tail_tolerance=tail_tolerance, quiet_run=quiet_run, hard_cap=hard_cap)
 
 
 @dataclass(frozen=True)
@@ -203,13 +194,6 @@ class WeightDistribution:
         return self.weights()[n] if 0 <= n <= self.support_bound else 0.0
 
 
-class Classification(enum.Enum):
-    POISSONIAN = "poissonian"
-    SUPER_POISSONIAN = "super-poissonian"
-    SUB_POISSONIAN = "sub-poissonian"
-    UNDEFINED = "undefined"
-
-
 class LogTermWalk:
     """r(n) = ln t_n - ln t_anchor over a contiguous span of n around an anchor index.
 
@@ -243,11 +227,6 @@ class LogTermWalk:
     def hi(self) -> int:
         return self.anchor + len(self._up) - 1
 
-    def r(self, n: int) -> float:
-        if n >= self.anchor:
-            return self._up[n - self.anchor]
-        return self._down[self.anchor - 1 - n]
-
     def window(self, lo: int, hi: int) -> list[float]:
         """A new list of r(lo), ..., r(hi), for lo..hi inside the span (empty when hi < lo)."""
         a = self.anchor
@@ -280,14 +259,14 @@ class LogTermWalk:
                 map(operator.sub, itertools.repeat(log_z2), reversed(factors)),
                 operator.sub, initial=last), 1, None))
 
-    def upward(self, start: int, last: float = math.inf):
-        """(n, r(n)) for n = start + 1, ..., last, for start >= anchor inside the span.
+    def upward(self, last: float = math.inf):
+        """(n, r(n)) for n = anchor + 1, ..., last.
 
         Stored values come first; past them the span grows by blocks as the
         values are asked for, never beyond ``last``.
         """
         up, a = self._up, self.anchor
-        n = start  # the last index yielded
+        n = a  # the last index yielded
         while n < last:
             if n >= self.hi:
                 self.extend_to(min(last, n + _block(len(up))))
@@ -296,13 +275,13 @@ class LogTermWalk:
                 yield m, up[m - a]
             n = stop
 
-    def downward(self, start: int, last: int = 0):
-        """(n, r(n)) for n = start - 1, ..., last, for start <= anchor inside the span.
+    def downward(self, last: int = 0):
+        """(n, r(n)) for n = anchor - 1, ..., last.
 
         As ``upward``, downward to ``last`` (n = 0 by default).
         """
         down, a = self._down, self.anchor
-        n = start
+        n = a
         while n > last:
             if n <= self.lo:
                 self.extend_to(max(last, n - _block(len(down))))
@@ -346,7 +325,7 @@ def start_index(abs_z: float, params: PotentialParams, policy: TruncationPolicy)
     """
     _check_amplitude(abs_z)
     peak = _peak_index(abs_z, params) if abs_z > 0.0 else 0
-    if policy.mode is TruncationMode.FIXED:
+    if policy.n_max is not None:
         return policy.n_max if peak is None else min(peak, policy.n_max)
     return 0 if peak is None else peak
 
@@ -360,7 +339,7 @@ def _stop_head(walk: LogTermWalk, log_tol: float, cap: int):
     """
     start = lo = walk.anchor
     r_max = 0.0  # r(anchor)
-    for n, r in walk.downward(start, max(0, start + 1 - cap)):
+    for n, r in walk.downward(max(0, start + 1 - cap)):
         if math.log(n + 1) + r < log_tol + r_max:
             break
         if start - n + 1 >= cap:
@@ -385,7 +364,7 @@ def _stop_adaptive(walk: LogTermWalk, lo: int, policy: TruncationPolicy):
                                  for n, r in enumerate(walk.window(lo, walk.anchor), lo))
     quiet = 0
     threshold = None
-    for n, r in walk.upward(walk.anchor, lo + policy.hard_cap - 1):
+    for n, r in walk.upward(lo + policy.hard_cap - 1):
         lt2 = r + 2.0 * math.log(n)
         # The log-domain comparison decides first: exp of the difference
         # overflows once a term dwarfs the running sum (|z| near 1e300).
@@ -431,19 +410,23 @@ def walk_sums(walk: LogTermWalk, policy: TruncationPolicy) -> LogSeriesSums:
 
     The window grows out of the walk's anchor, which must not lie above a
     fixed cutoff (``start_index`` gives an anchor every policy accepts).
-    Policies applied one after another to the same walk share its values,
-    so a fixed cutoff read after the adaptive rule costs only its reduction.
+    A fixed window wider than ``hard_cap`` raises ValueError before the walk
+    is extended to the cutoff.  Policies applied one after another to the
+    same walk share its values, so a fixed cutoff read after the adaptive
+    rule costs only its reduction.
     """
-    adaptive = policy.mode is TruncationMode.ADAPTIVE
+    adaptive = policy.n_max is None
     if walk.abs_z == 0.0:
         # Only n = 0 survives: S0 = 1, S1 = S2 = 0.
         return _reduce(walk, 0, 0, adaptive, 0 if adaptive else None)
     if not adaptive and policy.n_max < walk.anchor:
         raise ValueError(f"fixed cutoff n_max = {policy.n_max} lies below the "
                          f"walk's anchor {walk.anchor}")
-    lo, closed = _stop_head(walk, math.log(policy.tail_tolerance),
-                            policy.hard_cap if adaptive else math.inf)
+    lo, closed = _stop_head(walk, math.log(policy.tail_tolerance), policy.hard_cap)
     if not adaptive:
+        if not closed or policy.n_max + 1 - lo > policy.hard_cap:
+            raise ValueError(f"fixed cutoff n_max = {policy.n_max} would sum more than "
+                             f"hard_cap ({policy.hard_cap}) terms")
         walk.extend_to(policy.n_max)
         return _reduce(walk, lo, policy.n_max, False, None)
     if not closed:
@@ -494,14 +477,3 @@ def weight_distribution(abs_z: float, params: PotentialParams,
     walk = LogTermWalk(abs_z, params, start_index(abs_z, params, policy))
     return WeightDistribution(walk, walk_sums(walk, policy))
 
-
-def classify(stats: StateStats, tol: float) -> Classification:
-    """Poissonian within tol of Q = 0, otherwise super/sub by sign; undefined Q maps through."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    q = stats.mandel_q
-    if q is None:
-        return Classification.UNDEFINED
-    if abs(q) <= tol:
-        return Classification.POISSONIAN
-    return Classification.SUPER_POISSONIAN if q > 0 else Classification.SUB_POISSONIAN

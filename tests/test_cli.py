@@ -56,6 +56,11 @@ def parse_csv(output):
     ["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "1", "--z-step", "nan"],
     ["sweep", "--k", "0", "--z-min", "0", "--z-max", "1", "--z-step", "0.5"],
     ["sweep", "--k", "1.5", "--gamma", "0", "--z-min", "0", "--z-max", "1", "--z-step", "0.5"],
+    # Step counts that are not finite, or grids past the 10^6-point budget.
+    ["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "1", "--z-step", "5e-324"],
+    ["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "1e308", "--z-step", "1e-10"],
+    ["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "1", "--z-step", "1e-9"],
+    ["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "1000000", "--z-step", "1"],
 ])
 def test_rejected_input_value_is_usage_error(runner, args):
     result = runner.invoke(main, args)
@@ -85,6 +90,37 @@ def each_command(k, gamma, z):
     return [["stats", *physics, "--z", z], ["dist", *physics, "--z", z],
             ["table", *physics, "--z-list", z],
             ["sweep", *physics, "--z-min", z, "--z-max", z, "--z-step", "1"]]
+
+
+def test_grid_of_exactly_the_budget():
+    assert len(cli._z_grid(0.0, 999999.0, 1.0)) == 10 ** 6
+
+
+@pytest.mark.parametrize("args", each_command("1.5", "2", "1"), ids=lambda a: a[0])
+def test_out_into_a_missing_directory_is_usage_error(runner, tmp_path, args):
+    target = tmp_path / "missing" / "x.csv"
+    result = runner.invoke(main, args + ["--format", "csv", "--out", str(target)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert str(target) in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["stats", "--k", "1.5", "--z", "5", "--fixed-nmax", "1000000000"],
+    ["dist", "--k", "1.5", "--z", "5", "--fixed-nmax", "1000000000"],
+    ["table", "--k", "1.5", "--z-list", "5", "--fixed-nmax", "1000000000"],
+    ["sweep", "--k", "1.5", "--z-min", "5", "--z-max", "5", "--z-step", "1",
+     "--cutoffs", "1000000000"],
+], ids=lambda a: a[0])
+def test_fixed_window_beyond_the_hard_cap_is_usage_error(runner, args):
+    # 10^9 + 1 terms from n = 0, against the default cap of 10^6: refused
+    # once the head below the peak is measured, without walking to the cutoff.
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "hard_cap" in result.output
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("args", each_command("0.01", "2", "0.5"), ids=lambda a: a[0])
@@ -394,6 +430,17 @@ class TestDistCommand:
         assert result.exit_code == 3
         assert result.stdout == ""
         assert "hard_cap" in result.output
+        assert time.perf_counter() - start < 5.0
+
+    def test_fixed_rows_beyond_hard_cap_exit_unconverged(self, runner):
+        # The window from the head near n = 3.21e6 to the cutoff is short,
+        # but the rows from n = 0 number 3.2 million.
+        start = time.perf_counter()
+        result = runner.invoke(main, ["dist", "--k", "0.5", "--z", "20",
+                                      "--fixed-nmax", "3236402", "--format", "csv"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "3236403 rows, more than hard_cap" in result.output
         assert time.perf_counter() - start < 5.0
 
     def test_json_weight_sum(self, runner):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghacs import core
-from ghacs.core import (PotentialParams, characteristic_exponent, log_factors, log_g,
-                        log_g_increment, log_sum_exp)
+import ghacs
+from ghacs import core, lab, stats
+from ghacs.core import PotentialParams, log_factors, log_g, log_g_increment, log_sum_exp
 from ghacs.stats import LogTermWalk
 
 from oracle import structure_function
@@ -67,17 +67,17 @@ class TestPotentialParams:
 
 class TestCharacteristicExponent:
     def test_harmonic_case(self):
-        assert characteristic_exponent(PotentialParams(k=2.0)) == 1.0
+        assert PotentialParams(k=2.0).alpha == 1.0
 
     def test_large_k_limit(self):
-        assert abs(characteristic_exponent(PotentialParams(k=1e9)) - 2.0) < 1e-8
+        assert abs(PotentialParams(k=1e9).alpha - 2.0) < 1e-8
 
     def test_k_three_halves(self):
-        assert characteristic_exponent(K15) == pytest.approx(6.0 / 7.0, abs=1e-15)
+        assert K15.alpha == pytest.approx(6.0 / 7.0, abs=1e-15)
 
     def test_increasing_in_k(self):
         ks = [0.5, 1.0, 2.0, 5.0, 50.0]
-        alphas = [characteristic_exponent(PotentialParams(k=k)) for k in ks]
+        alphas = [PotentialParams(k=k).alpha for k in ks]
         assert alphas == sorted(alphas)
 
 
@@ -199,11 +199,11 @@ class TestLogG:
         scratch = 0.0
         for j in range(anchor + 1, hi + 1):
             scratch += log_g_increment(j, params)
-            assert walk.r(j) == -scratch
+            assert walk.window(j, j)[0] == -scratch
         scratch = 0.0
         for j in range(anchor, lo, -1):
             scratch += log_g_increment(j, params)
-            assert walk.r(j - 1) == scratch
+            assert walk.window(j - 1, j - 1)[0] == scratch
 
     def test_direct_factor_budget(self):
         # At k = 0.01 the correction series needs about 1.8e12 direct factors
@@ -249,17 +249,18 @@ class TestLogTerm:
             walk.extend_to(0)
             for n in (0, 1, 7, 30, 60):
                 closed_form = 2 * n * math.log(2.5) - log_g(n, K15)
-                assert walk.log_anchor + walk.r(n) == pytest.approx(closed_form, rel=1e-12)
+                assert walk.log_anchor + walk.window(n, n)[0] == pytest.approx(closed_form,
+                                                                              rel=1e-12)
 
     def test_iteration_replays_stored_terms_then_extends(self):
         walk = walk_to(7, 2.5, K15, anchor=5)
         walk.extend_to(3)
         up = []
-        for n, r in walk.upward(5):
+        for n, r in walk.upward():
             up.append((n, r))
             if n == 9:
                 break
-        down = list(walk.downward(5))
+        down = list(walk.downward())
         once = walk_to(9, 2.5, K15, anchor=5)
         once.extend_to(0)
         assert up == list(zip(range(6, 10), once.window(6, 9)))
@@ -302,3 +303,9 @@ class TestLogSumExp:
            st.floats(min_value=-500, max_value=500))
     def test_shift_invariant(self, xs, s):
         assert log_sum_exp([x + s for x in xs]) == pytest.approx(log_sum_exp(xs) + s, abs=1e-10)
+
+
+@pytest.mark.parametrize("module", [ghacs, core, stats, lab], ids=lambda m: m.__name__)
+def test_every_public_name_resolves(module):
+    for name in module.__all__:
+        assert hasattr(module, name), name

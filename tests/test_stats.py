@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 import ghacs.stats
 from ghacs.core import PotentialParams
-from ghacs.stats import (Classification, LogSeriesSums, LogTermWalk, TruncationMode,
-                         TruncationPolicy, VarianceConsistencyError,
-                         accumulate_sums, classify, state_stats,
-                         stats_from_sums, walk_sums, weight_distribution)
+from ghacs.stats import (LogSeriesSums, LogTermWalk, TruncationPolicy,
+                         VarianceConsistencyError, accumulate_sums, start_index,
+                         state_stats, stats_from_sums, walk_sums, weight_distribution)
 
 from oracle import direct_log_sums, direct_stats, direct_weights
 
@@ -27,9 +26,13 @@ DEEP_TAIL_Q_Z15 = 1.49160681816661
 class TestTruncationPolicy:
     def test_fixed_requires_nmax(self):
         with pytest.raises(ValueError):
-            TruncationPolicy(mode=TruncationMode.FIXED)
+            TruncationPolicy(n_max=0)
         with pytest.raises(ValueError):
             TruncationPolicy.fixed(0)
+
+    def test_a_policy_without_a_cutoff_is_adaptive(self):
+        assert TruncationPolicy() == TruncationPolicy.adaptive()
+        assert TruncationPolicy.adaptive().n_max is None
 
     def test_adaptive_validation(self):
         with pytest.raises(ValueError):
@@ -44,7 +47,7 @@ class TestTruncationPolicy:
     def test_fixed_mode_validates_the_head_tolerance(self):
         # A fixed cutoff drops its head at tail_tolerance too.
         with pytest.raises(ValueError):
-            TruncationPolicy(mode=TruncationMode.FIXED, n_max=5, tail_tolerance=2.0)
+            TruncationPolicy(n_max=5, tail_tolerance=2.0)
         assert TruncationPolicy.fixed(5).tail_tolerance == TruncationPolicy.tail_tolerance
 
 
@@ -151,6 +154,28 @@ class TestAccumulateSums:
         # The window grows out of the anchor; a cutoff below it has no head to measure.
         with pytest.raises(ValueError, match="anchor"):
             walk_sums(LogTermWalk(7.5, K15, 40), TruncationPolicy.fixed(5))
+
+    def test_fixed_window_of_exactly_hard_cap_terms(self):
+        # At k = 1.5, |z| = 5 the head closes at n = 0, so n_max = 99 sums
+        # 100 terms and n_max = 100 one more.
+        policy = TruncationPolicy(n_max=99, hard_cap=100)
+        sums = accumulate_sums(5.0, K15, policy)
+        assert (sums.first_index, sums.terms_used) == (0, 100)
+        walk = LogTermWalk(5.0, K15, start_index(5.0, K15, TruncationPolicy.fixed(100)))
+        with pytest.raises(ValueError, match="hard_cap"):
+            walk_sums(walk, TruncationPolicy(n_max=100, hard_cap=100))
+        # Refused before the walk is extended to the cutoff.
+        assert walk.hi < 100
+
+    def test_fixed_window_whose_head_stays_open_rejected(self):
+        # At k = 0.5, |z| = 4 the peak sits near n = 1150, and the head
+        # below it does not close within 100 terms.
+        params = PotentialParams(k=0.5)
+        policy = TruncationPolicy(n_max=1200, hard_cap=100)
+        walk = LogTermWalk(4.0, params, start_index(4.0, params, policy))
+        with pytest.raises(ValueError, match="hard_cap"):
+            walk_sums(walk, policy)
+        assert walk.hi < 1200
 
     def test_fixed_cutoff_at_the_anchor(self):
         walk = LogTermWalk(7.5, K15, 40)
@@ -273,27 +298,3 @@ class TestWeightDistribution:
         assert mean == pytest.approx(st_.mean, rel=1e-10)
         assert second - mean ** 2 == pytest.approx(st_.variance, rel=1e-8)
 
-
-class TestClassify:
-    def _stats_with_q(self, q):
-        sums = LogSeriesSums(log_s0=0.0, origin=0, m1=0.0, m2=0.0, terms_used=1,
-                             converged=True)
-        from ghacs.stats import StateStats
-        return StateStats(mean=1.0, variance=1.0 + (q if q is not None else 0.0),
-                          mandel_q=q, normalization=1.0, sums=sums)
-
-    def test_super_poissonian(self):
-        assert classify(self._stats_with_q(0.164), 1e-6) is Classification.SUPER_POISSONIAN
-
-    def test_sub_poissonian(self):
-        assert classify(self._stats_with_q(-0.948), 1e-6) is Classification.SUB_POISSONIAN
-
-    def test_poissonian_within_tol(self):
-        assert classify(self._stats_with_q(5e-7), 1e-6) is Classification.POISSONIAN
-
-    def test_undefined(self):
-        assert classify(self._stats_with_q(None), 1e-6) is Classification.UNDEFINED
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            classify(self._stats_with_q(0.0), 0.0)
