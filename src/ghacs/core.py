@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "PotentialParams",
@@ -59,8 +59,7 @@ _EULER_MACLAURIN = tuple(b / math.factorial(2 * i) for i, b in enumerate(
     (1 / 6, -1 / 30, 1 / 42, -1 / 30), 1))
 
 
-@dataclass(frozen=True)
-class PotentialParams:
+class PotentialParams(namedtuple("PotentialParams", "k gamma")):
     """Physics inputs: power-law exponent k and spectral offset gamma.
 
     gamma enters only through gamma/4; the default gamma = 2 puts the
@@ -68,17 +67,17 @@ class PotentialParams:
     at 1e6, beyond which the factors lose digits to cancellation.
     """
 
-    k: float
-    gamma: float = 2.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.k > 0 and math.isfinite(self.k)):
-            raise ValueError(f"k must be a positive finite real, got {self.k}")
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be a positive finite real, got {self.gamma}")
-        if self.gamma > _MAX_GAMMA:
+    def __new__(cls, k: float, gamma: float = 2.0):
+        if not (k > 0 and math.isfinite(k)):
+            raise ValueError(f"k must be a positive finite real, got {k}")
+        if not (gamma > 0 and math.isfinite(gamma)):
+            raise ValueError(f"gamma must be a positive finite real, got {gamma}")
+        if gamma > _MAX_GAMMA:
             raise ValueError(f"gamma must be at most {_MAX_GAMMA:g}, where the structure "
-                             f"function's factors still keep their digits; got {self.gamma}")
+                             f"function's factors still keep their digits; got {gamma}")
+        return super().__new__(cls, k, gamma)
 
     @property
     def alpha(self) -> float:

@@ -10,11 +10,11 @@ the cutoff, the variance collapses and Mandel Q plunges spuriously toward
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .core import PotentialParams
-from .stats import (LogTermWalk, StateStats, TruncationPolicy, accumulate_sums,
-                    start_index, stats_from_sums, walk_sums)
+from .stats import (DEFAULT_POLICY, LogTermWalk, StateStats, TruncationPolicy,
+                    accumulate_sums, start_index, stats_from_sums, walk_sums)
 # Not called here, but the benchmark's tracer (bench/tracing.py) wraps
 # ghacs.lab.state_stats, so the name stays bound.
 from .stats import state_stats  # noqa: F401
@@ -35,38 +35,34 @@ class ThresholdEstimateError(RuntimeError):
     """Adaptive accumulation hit its hard cap before the tail criterion fired."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(namedtuple("SweepSpec", "k gamma z_grid cutoffs")):
     """Axes of a fixed-vs-adaptive comparison sweep."""
 
-    k: float
-    gamma: float
-    z_grid: tuple[float, ...]
-    cutoffs: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "z_grid", tuple(self.z_grid))
-        object.__setattr__(self, "cutoffs", tuple(self.cutoffs))
-        if any(b <= a for a, b in zip(self.z_grid, self.z_grid[1:])):
+    def __new__(cls, k: float, gamma: float, z_grid: tuple[float, ...],
+                cutoffs: tuple[int, ...] = ()):
+        z_grid, cutoffs = tuple(z_grid), tuple(cutoffs)
+        if any(b <= a for a, b in zip(z_grid, z_grid[1:])):
             raise ValueError("z_grid must be strictly increasing")
-        if not all(math.isfinite(z) and z >= 0 for z in self.z_grid):
+        if not all(math.isfinite(z) and z >= 0 for z in z_grid):
             raise ValueError("z_grid values must be finite and >= 0")
-        if any(b <= a for a, b in zip(self.cutoffs, self.cutoffs[1:])):
+        if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
             raise ValueError("cutoffs must be strictly increasing")
-        if any(c < 1 for c in self.cutoffs):
+        if any(c < 1 for c in cutoffs):
             raise ValueError("cutoffs must be >= 1")
-        self.params  # rejects k and gamma out of range
+        PotentialParams(k=k, gamma=gamma)  # rejects k and gamma out of range
+        return super().__new__(cls, k, gamma, z_grid, cutoffs)
 
     @property
     def params(self) -> PotentialParams:
         return PotentialParams(k=self.k, gamma=self.gamma)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    abs_z: float
-    adaptive_stats: StateStats
-    fixed_stats: dict[int, StateStats] = field(default_factory=dict)
+class SweepRow(namedtuple("SweepRow", "abs_z adaptive_stats fixed_stats")):
+    """One amplitude: the adaptive reference and the stats of each fixed cutoff, by n_max."""
+
+    __slots__ = ()
 
     @property
     def threshold_estimate(self) -> int | None:
@@ -79,16 +75,16 @@ class SweepRow:
         return not self.adaptive_stats.sums.converged
 
 
-@dataclass(frozen=True)
-class TruncationReport:
-    spec: SweepSpec
-    rows: tuple[SweepRow, ...]
+class TruncationReport(namedtuple("TruncationReport", "spec rows")):
+    """A sweep's spec and its rows, one per grid amplitude in grid order."""
+
+    __slots__ = ()
 
 
 def estimate_threshold(abs_z: float, params: PotentialParams,
-                       tail_tolerance: float = TruncationPolicy.tail_tolerance,
-                       quiet_run: int = TruncationPolicy.quiet_run,
-                       hard_cap: int = TruncationPolicy.hard_cap) -> int:
+                       tail_tolerance: float = DEFAULT_POLICY.tail_tolerance,
+                       quiet_run: int = DEFAULT_POLICY.quiet_run,
+                       hard_cap: int = DEFAULT_POLICY.hard_cap) -> int:
     """First index of the sustained run of insignificant terms.
 
     Nondecreasing in abs_z for fixed parameters: larger amplitudes push

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import MAX_BLOCK, PotentialParams, log_factors, log_g, log_sum_exp
 # Not called here, but the benchmark's tracer (bench/tracing.py) wraps
@@ -34,6 +34,7 @@ from .core import log_g_increment  # noqa: F401
 
 __all__ = [
     "TruncationPolicy",
+    "DEFAULT_POLICY",
     "LogSeriesSums",
     "LogTermWalk",
     "StateStats",
@@ -62,8 +63,7 @@ class VarianceConsistencyError(RuntimeError):
     """Variance came out more negative than rounding can explain."""
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(namedtuple("TruncationPolicy", "n_max tail_tolerance quiet_run hard_cap")):
     """A fixed cutoff n_max, or tolerance-driven adaptive truncation when n_max is None.
 
     Both drop the head below the peak once it weighs less than
@@ -74,37 +74,40 @@ class TruncationPolicy:
     number of terms summed around the peak, terms_used - first_index, in
     both: an adaptive run stops there unconverged, and a fixed window wider
     than the cap is refused.  The field defaults are the adaptive defaults
-    everywhere, the CLI's included.
+    everywhere, the CLI's included; ``DEFAULT_POLICY`` holds them.
     """
 
-    n_max: int | None = None
-    tail_tolerance: float = 1e-16
-    quiet_run: int = 10
-    hard_cap: int = 10 ** 6
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_max is not None and self.n_max < 1:
+    def __new__(cls, n_max: int | None = None, tail_tolerance: float = 1e-16,
+                quiet_run: int = 10, hard_cap: int = 10 ** 6):
+        if n_max is not None and n_max < 1:
             raise ValueError("fixed mode requires n_max >= 1")
-        if not (0.0 < self.tail_tolerance < 1.0):
+        if not (0.0 < tail_tolerance < 1.0):
             raise ValueError("tail_tolerance must lie in (0, 1)")
-        if self.quiet_run < 1:
+        if quiet_run < 1:
             raise ValueError("quiet_run must be >= 1")
-        if self.hard_cap < self.quiet_run:
+        if hard_cap < quiet_run:
             raise ValueError("hard_cap must be >= quiet_run")
+        return super().__new__(cls, n_max, tail_tolerance, quiet_run, hard_cap)
 
     @classmethod
-    def fixed(cls, n_max: int) -> "TruncationPolicy":
+    def fixed(cls, n_max: int) -> TruncationPolicy:
         return cls(n_max=n_max)
 
-    # The defaults below are the field defaults, bound in the class body.
     @classmethod
-    def adaptive(cls, tail_tolerance: float = tail_tolerance, quiet_run: int = quiet_run,
-                 hard_cap: int = hard_cap) -> "TruncationPolicy":
-        return cls(tail_tolerance=tail_tolerance, quiet_run=quiet_run, hard_cap=hard_cap)
+    def adaptive(cls, **tolerances) -> TruncationPolicy:
+        """The adaptive policy; keyword ``tail_tolerance``, ``quiet_run`` and
+        ``hard_cap`` replace the field defaults."""
+        return cls(None, **tolerances)
 
 
-@dataclass(frozen=True)
-class LogSeriesSums:
+DEFAULT_POLICY = TruncationPolicy()
+
+
+class LogSeriesSums(namedtuple("LogSeriesSums", "log_s0 origin m1 m2 terms_used converged "
+                                                "estimated_threshold first_index",
+                               defaults=(None, 0))):
     """ln S0, the first two moments about an origin, and the truncation record.
 
     The moments are taken about ``origin``, the index of the largest summed
@@ -117,14 +120,7 @@ class LogSeriesSums:
     the first index of that quiet run.
     """
 
-    log_s0: float
-    origin: int
-    m1: float
-    m2: float
-    terms_used: int
-    converged: bool
-    estimated_threshold: int | None = None
-    first_index: int = 0
+    __slots__ = ()
 
     @property
     def log_s1(self) -> float:
@@ -141,19 +137,14 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-@dataclass(frozen=True)
-class StateStats:
+class StateStats(namedtuple("StateStats", "mean variance mandel_q normalization sums")):
     """Mean, variance, Mandel Q and normalization of the photon-number distribution.
 
     mandel_q is None (undefined) when the mean vanishes: at |z| = 0 the
     variance-to-mean ratio is 0/0 and no limit is defined.
     """
 
-    mean: float
-    variance: float
-    mandel_q: float | None
-    normalization: float
-    sums: LogSeriesSums
+    __slots__ = ()
 
 
 class WeightDistribution:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import ghacs.stats
 from ghacs.core import PotentialParams
-from ghacs.stats import (LogSeriesSums, LogTermWalk, TruncationPolicy,
+from ghacs.stats import (DEFAULT_POLICY, LogSeriesSums, LogTermWalk, TruncationPolicy,
                          VarianceConsistencyError, accumulate_sums, start_index,
                          state_stats, stats_from_sums, walk_sums, weight_distribution)
 
@@ -48,7 +48,7 @@ class TestTruncationPolicy:
         # A fixed cutoff drops its head at tail_tolerance too.
         with pytest.raises(ValueError):
             TruncationPolicy(n_max=5, tail_tolerance=2.0)
-        assert TruncationPolicy.fixed(5).tail_tolerance == TruncationPolicy.tail_tolerance
+        assert TruncationPolicy.fixed(5).tail_tolerance == DEFAULT_POLICY.tail_tolerance
 
 
 class TestAccumulateSums:
