@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -352,8 +353,23 @@ def dist(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, reading every argument that starts with "-" and a digit (or ".digit") as a value.
+
+    argparse's own matcher (Python 3.10 to 3.13) takes only plain negative
+    integers and decimals, so ``--z -1e-05``, ``--z-list -0,1`` and
+    ``--cutoffs -1,5`` ended in "expected one argument" instead of reaching
+    the engine's checks.  No option name here looks like that.  The
+    subcommand parsers are of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ghacs", allow_abbrev=False,
         description="Photon-number statistics of coherent states for power-law potentials.")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)

@@ -12,12 +12,15 @@ before the series converges for large |z|, so everything works with
 logarithms.  This module gives the factor logarithms ln g(j) - ln g(j - 1),
 a block of consecutive indices per call, and ln g(n, k) itself in closed
 form, at a cost independent of n, so that the term walk in ``stats`` can
-start at any index (the largest term) and step outward from it.  It uses
+start at any index (the largest term) and step outward from it.  Both are
+pure functions of their arguments, kept in small bounded memos, so that the
+walks of a sweep evaluate each factor and each anchor's ln g once.  It uses
 the standard library only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -39,6 +42,11 @@ _DIRECT_RATIO_FLOOR = 1e-17
 # largest request the small-object allocator serves; blocks of 1024 measured
 # no faster and raised the peak RSS of a deep-tail run by fragmenting the heap.
 MAX_BLOCK = 64
+# How many factor blocks, and how many ln g values, are kept for reuse: a
+# sweep's walks at neighbouring amplitudes, and its cutoffs below the peak,
+# read the same ones again.  64 blocks hold about 135 KB however long a walk
+# runs.
+_MEMO_SIZE = 64
 
 # log_g sums at least this many factors directly, and more where needed to
 # bring the ratio of its correction series, (c / (m + 1 + c))^alpha, down to
@@ -99,14 +107,36 @@ def log_g_increment(j: int, params: PotentialParams) -> float:
 
 
 def log_factors(lo: int, hi: int, params: PotentialParams) -> list[float]:
-    """ln factor_j for j = lo, ..., hi - 1, with alpha and c^alpha computed once.
+    """ln factor_j for j = lo, ..., hi - 1.
 
-    When the subtrahend c^alpha is negligible the subtraction is rewritten
-    through log1p to keep full precision.  (j + c)^alpha grows with j, so
-    when the last index still takes the direct form, every index does.
+    Each ln factor_j depends on j and params alone, so the values are read
+    from aligned blocks of MAX_BLOCK indices (1..64, 65..128, ...), each
+    evaluated once while it stays among the last ``_MEMO_SIZE`` used.
     """
     if lo < 1:
         raise ValueError(f"factor index must be >= 1, got {lo}")
+    out = []
+    for b in range((lo - 1) // MAX_BLOCK, (hi - 2) // MAX_BLOCK + 1):
+        first = b * MAX_BLOCK + 1
+        out += _factor_block(b, params)[max(lo - first, 0):hi - first]
+    return out
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _factor_block(b: int, params: PotentialParams) -> tuple[float, ...]:
+    """ln factor_j for the b-th aligned block, j = b MAX_BLOCK + 1, ..., (b + 1) MAX_BLOCK."""
+    return tuple(_log_factors(b * MAX_BLOCK + 1, (b + 1) * MAX_BLOCK + 1, params))
+
+
+def _log_factors(lo: int, hi: int, params: PotentialParams) -> list[float]:
+    """The factor kernel: ln factor_j for j = lo, ..., hi - 1, with alpha and
+    c^alpha computed once.
+
+    When the subtrahend c^alpha is negligible the subtraction is rewritten
+    through log1p to keep full precision.  (j + c)^alpha grows with j, so
+    when the last index still takes the direct form, every index does, and
+    a value does not depend on the span it is evaluated in.
+    """
     a = params.alpha
     c = params.offset
     small = c ** a
@@ -123,6 +153,7 @@ def log_factors(lo: int, hi: int, params: PotentialParams) -> list[float]:
     return out
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def log_g(n: int, params: PotentialParams) -> float:
     """ln g(n, k) in closed form, without walking the product.
 
@@ -134,6 +165,8 @@ def log_g(n: int, params: PotentialParams) -> float:
     in powers of (c / (j + c))^alpha, and each power is summed over j by
     Euler-Maclaurin, so the cost does not grow with n.  Raises ValueError
     when M exceeds 2^20, which only k below about 0.02 needs at gamma <= 10.
+    The last ``_MEMO_SIZE`` values asked for are kept: the walks of a sweep
+    anchor at the same index again and again.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

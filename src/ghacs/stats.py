@@ -209,6 +209,9 @@ class LogTermWalk:
                            if anchor else 0.0)
         self._up = [0.0]  # r(anchor), r(anchor + 1), ...
         self._down = []   # r(anchor - 1), r(anchor - 2), ...
+        # _stop_head's result per (tail_tolerance, hard_cap): the values it
+        # reads never change, so every policy with the same head shares it.
+        self._heads = {}
 
     @property
     def lo(self) -> int:
@@ -330,8 +333,9 @@ def _stop_head(walk: LogTermWalk, log_tol: float, cap: int):
     """
     start = lo = walk.anchor
     r_max = 0.0  # r(anchor)
+    log = math.log
     for n, r in walk.downward(max(0, start + 1 - cap)):
-        if math.log(n + 1) + r < log_tol + r_max:
+        if log(n + 1) + r < log_tol + r_max:
             break
         if start - n + 1 >= cap:
             return lo, False
@@ -350,18 +354,21 @@ def _stop_adaptive(walk: LogTermWalk, lo: int, policy: TruncationPolicy):
     Reaching ``hard_cap`` window terms first stops the walk unconverged,
     without a threshold.
     """
-    tol = policy.tail_tolerance
-    running_log_s2 = log_sum_exp(r + 2.0 * math.log(n) if n else -math.inf
+    tol, quiet_run, hard_cap = policy.tail_tolerance, policy.quiet_run, policy.hard_cap
+    log, exp, log1p = math.log, math.exp, math.log1p
+    running_log_s2 = log_sum_exp(r + 2.0 * log(n) if n else -math.inf
                                  for n, r in enumerate(walk.window(lo, walk.anchor), lo))
     quiet = 0
     threshold = None
-    for n, r in walk.upward(lo + policy.hard_cap - 1):
-        lt2 = r + 2.0 * math.log(n)
+    for n, r in walk.upward(lo + hard_cap - 1):
+        lt2 = r + 2.0 * log(n)
         # The log-domain comparison decides first: exp of the difference
         # overflows once a term dwarfs the running sum (|z| near 1e300).
-        significant = lt2 >= running_log_s2 or math.exp(lt2 - running_log_s2) >= tol
-        big, small = (lt2, running_log_s2) if lt2 > running_log_s2 else (running_log_s2, lt2)
-        running_log_s2 = big + math.log1p(math.exp(small - big))
+        significant = lt2 >= running_log_s2 or exp(lt2 - running_log_s2) >= tol
+        if lt2 > running_log_s2:
+            running_log_s2 = lt2 + log1p(exp(running_log_s2 - lt2))
+        else:
+            running_log_s2 += log1p(exp(lt2 - running_log_s2))
         if significant:
             quiet = 0
             threshold = None
@@ -369,9 +376,9 @@ def _stop_adaptive(walk: LogTermWalk, lo: int, policy: TruncationPolicy):
             if quiet == 0:
                 threshold = n
             quiet += 1
-            if quiet >= policy.quiet_run:
+            if quiet >= quiet_run:
                 return n, True, threshold
-        if n + 1 - lo >= policy.hard_cap:
+        if n + 1 - lo >= hard_cap:
             return n, False, None
 
 
@@ -386,12 +393,12 @@ def _reduce(walk: LogTermWalk, lo: int, hi: int, converged: bool,
     r_max = max(rs)
     origin = lo + rs.index(r_max)
     ds = range(lo - origin, hi + 1 - origin)
-    ws = [math.exp(r - r_max) for r in rs]
-    wd = [w * d for w, d in zip(ws, ds)]
+    ws = list(map(math.exp, map(operator.sub, rs, itertools.repeat(r_max))))
+    wd = list(map(operator.mul, ws, ds))
     s0 = math.fsum(ws)
     return LogSeriesSums(
         log_s0=math.fsum((walk.log_anchor, r_max, math.log(s0))), origin=origin,
-        m1=math.fsum(wd) / s0, m2=math.fsum(x * d for x, d in zip(wd, ds)) / s0,
+        m1=math.fsum(wd) / s0, m2=math.fsum(map(operator.mul, wd, ds)) / s0,
         terms_used=hi + 1, converged=converged, estimated_threshold=threshold,
         first_index=lo)
 
@@ -403,8 +410,9 @@ def walk_sums(walk: LogTermWalk, policy: TruncationPolicy) -> LogSeriesSums:
     fixed cutoff (``start_index`` gives an anchor every policy accepts).
     A fixed window wider than ``hard_cap`` raises ValueError before the walk
     is extended to the cutoff.  Policies applied one after another to the
-    same walk share its values, so a fixed cutoff read after the adaptive
-    rule costs only its reduction.
+    same walk share its values and, at the same tolerance and cap, its head
+    stop, so a fixed cutoff read after the adaptive rule costs only its
+    reduction.
     """
     adaptive = policy.n_max is None
     if walk.abs_z == 0.0:
@@ -413,7 +421,10 @@ def walk_sums(walk: LogTermWalk, policy: TruncationPolicy) -> LogSeriesSums:
     if not adaptive and policy.n_max < walk.anchor:
         raise ValueError(f"fixed cutoff n_max = {policy.n_max} lies below the "
                          f"walk's anchor {walk.anchor}")
-    lo, closed = _stop_head(walk, math.log(policy.tail_tolerance), policy.hard_cap)
+    head = (policy.tail_tolerance, policy.hard_cap)
+    if head not in walk._heads:
+        walk._heads[head] = _stop_head(walk, math.log(policy.tail_tolerance), policy.hard_cap)
+    lo, closed = walk._heads[head]
     if not adaptive:
         if not closed or policy.n_max + 1 - lo > policy.hard_cap:
             raise ValueError(f"fixed cutoff n_max = {policy.n_max} would sum more than "

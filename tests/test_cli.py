@@ -154,6 +154,23 @@ def test_non_finite_amplitude_is_usage_error(args):
     assert "NaN" not in result.output and "sum=nan" not in result.output
 
 
+@pytest.mark.parametrize("args,code,message", [
+    # |z| = -0.0 passes the engine's check, so the table runs.
+    (["table", "--k", "1.5", "--z-list", "-0,1", "--format", "csv"], 0, ""),
+    (["stats", "--k", "1.5", "--z", "-1e-05"], 2, "abs_z must be a finite real >= 0, got -1e-05"),
+    (["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "1", "--z-step", "0.5",
+      "--cutoffs", "-1,5"], 2, "cutoffs must be >= 1"),
+], ids=["table", "stats", "sweep"])
+def test_values_with_a_leading_minus_reach_the_engine(args, code, message):
+    # Read as option names, they would all end in "expected one argument".
+    result = invoke(args)
+    assert result.exit_code == code
+    assert "expected one argument" not in result.stderr
+    assert message in result.stderr
+    if code == 0:
+        assert parse_csv(result.stdout)[2][0][0] == "-0.0"
+
+
 # Every command at a given k, gamma and |z|, adaptive by default.
 def each_command(k, gamma, z):
     physics = ["--k", k, "--gamma", gamma]

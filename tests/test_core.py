@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ghacs
@@ -119,11 +119,16 @@ def first_log1p_index(params):
 class TestLogFactors:
     @given(params_st, st.integers(min_value=1, max_value=10 ** 9),
            st.integers(min_value=0, max_value=200))
+    @example(params=K15, lo=60, length=140)  # across the block edges at 65, 129 and 193
     @settings(max_examples=60)
     def test_block_equals_one_index_calls_bitwise(self, params, lo, length):
+        # log_factors reads memoised aligned blocks, so its one-index calls
+        # read the same blocks as the span; the kernel is evaluated fresh.
         hi = lo + length
-        assert log_factors(lo, hi, params) == [log_factors(j, j + 1, params)[0]
-                                               for j in range(lo, hi)]
+        block = log_factors(lo, hi, params)
+        assert block == core._log_factors(lo, hi, params)
+        assert block == [core._log_factors(j, j + 1, params)[0] for j in range(lo, hi)]
+        assert block == [log_factors(j, j + 1, params)[0] for j in range(lo, hi)]
 
     def test_block_across_log1p_crossover(self):
         # At k = 100 the log1p form takes over near j = 2.3e8; a block whose
@@ -143,6 +148,17 @@ class TestLogFactors:
 
     def test_empty_span(self):
         assert log_factors(7, 7, K15) == []
+
+    def test_blocks_are_memoised_within_a_bound(self):
+        # Each aligned block is evaluated once while it stays among the last
+        # _MEMO_SIZE used; a walk far longer than that keeps only that many.
+        core._factor_block.cache_clear()
+        log_factors(1, 200, K15)
+        log_factors(60, 140, K15)
+        assert core._factor_block.cache_info().misses == 4
+        log_factors(1, 100 * core.MAX_BLOCK, K15)
+        info = core._factor_block.cache_info()
+        assert info.misses == 100 and info.currsize == info.maxsize == core._MEMO_SIZE
 
     def test_rejects_index_below_one(self):
         with pytest.raises(ValueError):

@@ -1,18 +1,27 @@
+import contextlib
+import io
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ghacs.core
 import ghacs.lab
 import ghacs.stats
-from ghacs.core import PotentialParams
+from ghacs.cli import main
+from ghacs.core import MAX_BLOCK, PotentialParams
 from ghacs.lab import (SweepSpec, ThresholdEstimateError, collapse_onset,
                        estimate_threshold, run_sweep)
 from ghacs.stats import TruncationPolicy, start_index, state_stats
 
 K15 = PotentialParams(k=1.5, gamma=2.0)
 TABLE_GRID = (2.5, 5.0, 7.5, 10.0, 12.5, 15.0)
+
+
+def clear_memos():
+    ghacs.core._factor_block.cache_clear()
+    ghacs.core.log_g.cache_clear()
 
 
 class TestSweepSpec:
@@ -121,14 +130,20 @@ class TestRunSweep:
     @settings(max_examples=30, deadline=None)
     def test_shared_walk_equals_standalone_runs(self, z_grid, cutoffs, k):
         # |z| = 0 keeps one term under every policy; cutoffs above the
-        # adaptive stopping index extend the shared walk past it.
+        # adaptive stopping index extend the shared walk past it.  Once with
+        # the factor-block and ln g memos cleared before every run, so that
+        # each result is computed afresh, and once with them left warm.
         spec = SweepSpec(k=k, gamma=2.0, z_grid=sorted(z_grid), cutoffs=sorted(cutoffs))
         policy = TruncationPolicy.adaptive()
-        for row in run_sweep(spec, policy).rows:
-            assert row.adaptive_stats == state_stats(row.abs_z, spec.params, policy)
-            for c in spec.cutoffs:
-                assert row.fixed_stats[c] == state_stats(row.abs_z, spec.params,
-                                                         TruncationPolicy.fixed(c))
+        for fresh in (clear_memos, lambda: None):
+            fresh()
+            for row in run_sweep(spec, policy).rows:
+                fresh()
+                assert row.adaptive_stats == state_stats(row.abs_z, spec.params, policy)
+                for c in spec.cutoffs:
+                    fresh()
+                    assert row.fixed_stats[c] == state_stats(row.abs_z, spec.params,
+                                                             TruncationPolicy.fixed(c))
 
     def test_one_walk_per_amplitude(self, monkeypatch):
         covered, walks = [], []
@@ -164,6 +179,58 @@ class TestRunSweep:
         # steps between terms j - 1 and j.
         expected = [j for lo, hi in spans.values() for j in range(lo + 1, hi + 1)]
         assert sorted(covered) == sorted(expected)
+
+
+class TestSweepReuse:
+    """One sweep evaluates each factor block, head stop and anchor once."""
+
+    def test_shared_work_evaluated_once(self, monkeypatch):
+        blocks, heads, walks = [], [], []
+        kernel, stop_head = ghacs.core._log_factors, ghacs.stats._stop_head
+        walk_class = ghacs.lab.LogTermWalk
+
+        def recorded_kernel(lo, hi, params):
+            blocks.append((lo, hi, params))
+            return kernel(lo, hi, params)
+
+        def recorded_head(walk, log_tol, cap):
+            heads.append((walk, log_tol, cap))
+            return stop_head(walk, log_tol, cap)
+
+        def recorded_walk(*args):
+            walks.append(walk_class(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(ghacs.core, "_log_factors", recorded_kernel)
+        monkeypatch.setattr(ghacs.stats, "_stop_head", recorded_head)
+        monkeypatch.setattr(ghacs.lab, "LogTermWalk", recorded_walk)
+        clear_memos()
+        spec = SweepSpec(k=1.5, gamma=2.0, z_grid=(0.0, 2.5, 5.0, 10.0, 12.0, 12.1, 15.0),
+                         cutoffs=(50, 150, 400))
+        run_sweep(spec, TruncationPolicy.adaptive())
+        # Factors by aligned blocks, each once, fewer than the walks hold.
+        assert len(set(blocks)) == len(blocks)
+        assert all((lo - 1) % MAX_BLOCK == 0 and hi - lo == MAX_BLOCK for lo, hi, _ in blocks)
+        assert len(blocks) * MAX_BLOCK < sum(w.hi - w.lo for w in walks)
+        # One head stop per walk: at the default tolerance and cap the
+        # adaptive rule and every cutoff above the peak share it.  |z| = 0
+        # has no head to stop.
+        assert len(set(heads)) == len(heads) == sum(1 for w in walks if w.abs_z > 0.0)
+        assert len(heads) < (len(spec.z_grid) - 1) * (1 + len(spec.cutoffs))
+        # ln g once per distinct anchor, though cutoffs below the peak
+        # anchor at the same index at every amplitude above it.
+        anchors = [w.anchor for w in walks if w.anchor]
+        assert ghacs.core.log_g.cache_info().misses == len(set(anchors)) < len(anchors)
+
+    def test_memos_stay_within_their_bound(self):
+        clear_memos()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["stats", "--k", "0.5", "--z", "15"]) == 0
+        for memo in (ghacs.core._factor_block, ghacs.core.log_g):
+            info = memo.cache_info()
+            assert info.maxsize == ghacs.core._MEMO_SIZE and info.currsize <= info.maxsize
+        # The walk ran through far more blocks than are kept.
+        assert ghacs.core._factor_block.cache_info().misses > 5 * ghacs.core._MEMO_SIZE
 
 
 class TestCollapseOnset:

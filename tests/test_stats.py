@@ -99,7 +99,7 @@ class TestAccumulateSums:
         assert sums.terms_used > 1000
 
     def test_hard_cap_bounds_the_factors_evaluated(self, monkeypatch):
-        # The walk evaluates factors by blocks, clamped where the cap fires:
+        # The walk asks for factors by blocks, clamped where the cap fires:
         # from the peak at n = 1149 down to n = 1050, where the window would
         # reach 100 terms, i.e. factors 1051..1149 and not one more.
         covered = []
