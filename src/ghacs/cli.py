@@ -354,18 +354,19 @@ def dist(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, reading every argument that starts with "-" and a digit (or ".digit") as a value.
+    """argparse, reading every argument that starts with "-" and a digit (or
+    ".digit"), or with "-inf" or "-nan" in any case, as a value.
 
     argparse's own matcher (Python 3.10 to 3.13) takes only plain negative
-    integers and decimals, so ``--z -1e-05``, ``--z-list -0,1`` and
-    ``--cutoffs -1,5`` ended in "expected one argument" instead of reaching
-    the engine's checks.  No option name here looks like that.  The
+    integers and decimals, so ``--z -1e-05``, ``--z -inf``, ``--z-list -0,1``
+    and ``--cutoffs -1,5`` ended in "expected one argument" instead of
+    reaching the engine's checks.  No option name here looks like that.  The
     subcommand parsers are of this class too.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -10,9 +10,9 @@ which replaces n! of the harmonic-oscillator case (k = 2 gives alpha = 1
 and g = n! exactly).  Terms |z|^{2n} / g(n, k) overflow native floats long
 before the series converges for large |z|, so everything works with
 logarithms.  This module gives the factor logarithms ln g(j) - ln g(j - 1),
-a block of consecutive indices per call, and ln g(n, k) itself in closed
-form, at a cost independent of n, so that the term walk in ``stats`` can
-start at any index (the largest term) and step outward from it.  Both are
+an aligned block of consecutive indices per call, and ln g(n, k) itself in
+closed form, at a cost independent of n, so that the term walk in ``stats``
+can start at any index (the largest term) and step outward from it.  Both are
 pure functions of their arguments, kept in small bounded memos, so that the
 walks of a sweep evaluate each factor and each anchor's ln g once.  It uses
 the standard library only.
@@ -27,8 +27,8 @@ from collections import namedtuple
 
 __all__ = [
     "PotentialParams",
+    "factor_block",
     "log_g",
-    "log_factors",
     "log_g_increment",
     "log_sum_exp",
 ]
@@ -37,7 +37,7 @@ __all__ = [
 # inside ln is replaced by an explicit log1p correction.
 _DIRECT_RATIO_FLOOR = 1e-17
 
-# Factors are evaluated in lists of at most this many, so that memory stays
+# Factors are evaluated in aligned blocks of this many, so that memory stays
 # bounded however far a sum or a walk runs.  64 pointers fill 512 bytes, the
 # largest request the small-object allocator serves; blocks of 1024 measured
 # no faster and raised the peak RSS of a deep-tail run by fragmenting the heap.
@@ -89,8 +89,12 @@ class PotentialParams(namedtuple("PotentialParams", "k gamma")):
 
     @property
     def alpha(self) -> float:
-        """alpha = 2k / (k + 2), strictly increasing in k with range (0, 2)."""
-        return 2.0 * self.k / (self.k + 2.0)
+        """alpha = 2k / (k + 2), strictly increasing in k with range (0, 2).
+
+        Written as k / (k/2 + 1), which rounds to the same double wherever
+        2k is finite and stays finite (2.0) for k up to the largest double.
+        """
+        return self.k / (0.5 * self.k + 1.0)
 
     @property
     def offset(self) -> float:
@@ -101,30 +105,23 @@ def log_g_increment(j: int, params: PotentialParams) -> float:
     """ln of the j-th product factor, ln[(j + gamma/4)^alpha - (gamma/4)^alpha].
 
     The factor is strictly positive for every j >= 1, so the result is
-    always finite.  It is the one-index case of ``log_factors``.
+    always finite.  It is read from the ``factor_block`` holding j.
     """
-    return log_factors(j, j + 1, params)[0]
-
-
-def log_factors(lo: int, hi: int, params: PotentialParams) -> list[float]:
-    """ln factor_j for j = lo, ..., hi - 1.
-
-    Each ln factor_j depends on j and params alone, so the values are read
-    from aligned blocks of MAX_BLOCK indices (1..64, 65..128, ...), each
-    evaluated once while it stays among the last ``_MEMO_SIZE`` used.
-    """
-    if lo < 1:
-        raise ValueError(f"factor index must be >= 1, got {lo}")
-    out = []
-    for b in range((lo - 1) // MAX_BLOCK, (hi - 2) // MAX_BLOCK + 1):
-        first = b * MAX_BLOCK + 1
-        out += _factor_block(b, params)[max(lo - first, 0):hi - first]
-    return out
+    if j < 1:
+        raise ValueError(f"factor index must be >= 1, got {j}")
+    b, i = divmod(j - 1, MAX_BLOCK)
+    return factor_block(b, params)[i]
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _factor_block(b: int, params: PotentialParams) -> tuple[float, ...]:
-    """ln factor_j for the b-th aligned block, j = b MAX_BLOCK + 1, ..., (b + 1) MAX_BLOCK."""
+def factor_block(b: int, params: PotentialParams) -> tuple[float, ...]:
+    """ln factor_j for the b-th aligned block, j = b MAX_BLOCK + 1, ..., (b + 1) MAX_BLOCK.
+
+    Each ln factor_j depends on j and params alone, so a block is evaluated
+    once while it stays among the last ``_MEMO_SIZE`` used.
+    """
+    if b < 0:
+        raise ValueError(f"factor block index must be >= 0, got {b}")
     return tuple(_log_factors(b * MAX_BLOCK + 1, (b + 1) * MAX_BLOCK + 1, params))
 
 
@@ -180,8 +177,8 @@ def log_g(n: int, params: PotentialParams) -> float:
         raise ValueError(f"ln g({n}) at k = {params.k}, gamma = {params.gamma} needs {m} directly "
                          f"summed factors, more than {_MAX_DIRECT_FACTORS}: k is too small "
                          f"(or gamma too large) for this amplitude")
-    direct = math.fsum(itertools.chain.from_iterable(
-        log_factors(j, min(j + MAX_BLOCK, m + 1), params) for j in range(1, m + 1, MAX_BLOCK)))
+    direct = math.fsum(itertools.islice(itertools.chain.from_iterable(
+        factor_block(b, params) for b in itertools.count()), m))
     if n == m:
         return direct
     gamma_part = a * (math.lgamma(n + c + 1.0) - math.lgamma(m + c + 1.0))

@@ -27,7 +27,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .core import MAX_BLOCK, PotentialParams, log_factors, log_g, log_sum_exp
+from .core import MAX_BLOCK, PotentialParams, factor_block, log_g, log_sum_exp
 # Not called here, but the benchmark's tracer (bench/tracing.py) wraps
 # ghacs.stats.log_g_increment, so the name stays bound.
 from .core import log_g_increment  # noqa: F401
@@ -54,9 +54,6 @@ _VARIANCE_FLOOR = -1e-9
 # A walk starts at n = 0 when the peak lies beyond this index, where n + c
 # stops being exact in a double.
 _MAX_START = 2 ** 52
-
-# The smallest block of factors a walk evaluates at a time.
-_MIN_BLOCK = 32
 
 
 class VarianceConsistencyError(RuntimeError):
@@ -193,9 +190,10 @@ class LogTermWalk:
     neighbour nearer the anchor, r(n) = r(n - 1) + (ln|z|^2 - ln factor_n),
     so a walk extended in steps, up or down, holds exactly the values of one
     extended at once, and every stopping rule and cutoff applied to it reads
-    the same numbers.  The span grows by blocks of factors (``log_factors``).
-    At |z| = 0 the series is the single term n = 0 and the walk cannot be
-    extended.
+    the same numbers.  Each side grows through the aligned blocks of factors
+    (``core.factor_block``), one lookup per block, to the block's edge or to
+    the index asked for.  At |z| = 0 the series is the single term n = 0
+    and the walk cannot be extended.
     """
 
     def __init__(self, abs_z: float, params: PotentialParams, anchor: int = 0):
@@ -231,7 +229,7 @@ class LogTermWalk:
         return self._down[:a - lo][::-1] + self._up[:hi - a + 1]
 
     def extend_to(self, n: int) -> None:
-        """Extend the span to include n, in blocks of at most MAX_BLOCK factors."""
+        """Extend the span to include n, one aligned block of factors at a time."""
         if n < 0:
             raise ValueError(f"no term below n = 0, asked for {n}")
         if self.abs_z == 0.0:
@@ -241,13 +239,17 @@ class LogTermWalk:
         log_z2 = 2.0 * math.log(self.abs_z)
         while self.hi < n:
             # r(j) = r(j - 1) + (ln|z|^2 - ln factor_j), for j = hi + 1, ...
-            factors = log_factors(self.hi + 1, min(n, self.hi + MAX_BLOCK) + 1, self.params)
+            # to the end of factor hi + 1's block, or to n.
+            b, i = divmod(self.hi, MAX_BLOCK)
+            factors = factor_block(b, self.params)[i:min(n - b * MAX_BLOCK, MAX_BLOCK)]
             self._up.extend(itertools.islice(itertools.accumulate(
                 map(operator.sub, itertools.repeat(log_z2), factors),
                 initial=self._up[-1]), 1, None))
         while self.lo > n:
             # r(j - 1) = r(j) - (ln|z|^2 - ln factor_j), for j = lo, lo - 1, ...
-            factors = log_factors(max(n, self.lo - MAX_BLOCK) + 1, self.lo + 1, self.params)
+            # to the start of factor lo's block, or to n + 1.
+            b, i = divmod(self.lo - 1, MAX_BLOCK)
+            factors = factor_block(b, self.params)[max(n - b * MAX_BLOCK, 0):i + 1]
             last = self._down[-1] if self._down else self._up[0]
             self._down.extend(itertools.islice(itertools.accumulate(
                 map(operator.sub, itertools.repeat(log_z2), reversed(factors)),
@@ -256,14 +258,14 @@ class LogTermWalk:
     def upward(self, last: float = math.inf):
         """(n, r(n)) for n = anchor + 1, ..., last.
 
-        Stored values come first; past them the span grows by blocks as the
-        values are asked for, never beyond ``last``.
+        Stored values come first; past them the span grows to the next
+        block edge as the values are asked for, never beyond ``last``.
         """
         up, a = self._up, self.anchor
         n = a  # the last index yielded
         while n < last:
             if n >= self.hi:
-                self.extend_to(min(last, n + _block(len(up))))
+                self.extend_to(min(last, (n // MAX_BLOCK + 1) * MAX_BLOCK))
             stop = min(last, self.hi)
             for m in range(n + 1, stop + 1):
                 yield m, up[m - a]
@@ -278,18 +280,11 @@ class LogTermWalk:
         n = a
         while n > last:
             if n <= self.lo:
-                self.extend_to(max(last, n - _block(len(down))))
+                self.extend_to(max(last, (n - 1) // MAX_BLOCK * MAX_BLOCK))
             stop = max(last, self.lo)
             for m in range(n - 1, stop - 1, -1):
                 yield m, down[a - 1 - m]
             n = stop
-
-
-def _block(span: int) -> int:
-    """How many factors a walk that already holds ``span`` values on one side
-    evaluates next: the span again, from 32 up to MAX_BLOCK, so a short walk
-    overshoots where it stops by at most about as many values as it needed."""
-    return min(MAX_BLOCK, max(_MIN_BLOCK, span))
 
 
 def _check_amplitude(abs_z: float) -> None:

@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import ghacs
-import ghacs.stats
 from ghacs import cli
 from ghacs.cli import main
 from ghacs.lab import SweepSpec, collapse_onset, run_sweep
@@ -160,7 +159,9 @@ def test_non_finite_amplitude_is_usage_error(args):
     (["stats", "--k", "1.5", "--z", "-1e-05"], 2, "abs_z must be a finite real >= 0, got -1e-05"),
     (["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "1", "--z-step", "0.5",
       "--cutoffs", "-1,5"], 2, "cutoffs must be >= 1"),
-], ids=["table", "stats", "sweep"])
+    (["stats", "--k", "1.5", "--z", "-inf"], 2, "abs_z must be a finite real >= 0, got -inf"),
+    (["stats", "--k", "1.5", "--z", "-nan"], 2, "abs_z must be a finite real >= 0, got nan"),
+], ids=["table", "stats", "sweep", "stats-inf", "stats-nan"])
 def test_values_with_a_leading_minus_reach_the_engine(args, code, message):
     # Read as option names, they would all end in "expected one argument".
     result = invoke(args)
@@ -169,6 +170,18 @@ def test_values_with_a_leading_minus_reach_the_engine(args, code, message):
     assert message in result.stderr
     if code == 0:
         assert parse_csv(result.stdout)[2][0][0] == "-0.0"
+
+
+def test_k_beyond_half_the_largest_double_runs():
+    # 2k overflows there; alpha is 2.0 to the last bit from k = 1e300 on,
+    # so every number printed is that of k = 1e300.
+    rows = []
+    for k in ("1e300", "1e308"):
+        result = invoke(["stats", "--k", k, "--z", "2", "--format", "csv"])
+        assert result.exit_code == 0
+        rows.append([line for line in result.stdout.splitlines() if not line.startswith("#")])
+    assert rows[0] == rows[1]
+    assert rows[0][1].startswith("1.316")
 
 
 # Every command at a given k, gamma and |z|, adaptive by default.
@@ -503,15 +516,8 @@ class TestDistCommand:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
-    def test_one_walk(self, monkeypatch):
-        covered = []
-        factors = ghacs.stats.log_factors
-
-        def recorded(lo, hi, params):
-            covered.extend(range(lo, hi))
-            return factors(lo, hi, params)
-
-        monkeypatch.setattr(ghacs.stats, "log_factors", recorded)
+    def test_one_walk(self, factor_reads):
+        covered = factor_reads.indices
         result = invoke(["dist", "--k", "1.5", "--z", "3", "--format", "csv"])
         assert result.exit_code == 0
         _, _, rows, _ = parse_csv(result.output)
@@ -664,15 +670,18 @@ def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
-def mostly(valid, rejected):
-    """Mostly valid values, sometimes one of the rejected ones."""
-    return st.tuples(valid, st.sampled_from(rejected), st.integers(min_value=0, max_value=7)).map(
+def mostly(usual, rare):
+    """Mostly values drawn from ``usual``, one time in eight one of ``rare``."""
+    return st.tuples(usual, st.sampled_from(rare), st.integers(min_value=0, max_value=7)).map(
         lambda t: t[1] if t[2] == 3 else t[0])
 
 
 amplitudes = mostly(st.floats(min_value=0.0, max_value=30.0), [-1.0, math.nan, math.inf, -math.inf])
 # k >= 0.1 and gamma <= 10 keep ln g's directly summed head short (see core.log_g).
-physics = st.tuples(mostly(st.floats(min_value=0.1, max_value=100.0), [0.0, -1.0, math.nan, math.inf]),
+# The extreme k are valid too: beyond about 8.99e307, 2k overflows.
+physics = st.tuples(mostly(mostly(st.floats(min_value=0.1, max_value=100.0),
+                                  [1e300, 9e307, sys.float_info.max]),
+                           [0.0, -1.0, math.nan, math.inf]),
                     mostly(st.floats(min_value=0.1, max_value=10.0), [0.0, -2.0, math.nan, math.inf]))
 hard_caps = st.integers(min_value=1, max_value=20000)
 formats = st.sampled_from(["csv", "json", "table"])

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import ghacs
 from ghacs import core, lab, stats
-from ghacs.core import PotentialParams, log_factors, log_g, log_g_increment, log_sum_exp
+from ghacs.core import (MAX_BLOCK, PotentialParams, factor_block, log_g, log_g_increment,
+                        log_sum_exp)
 from ghacs.stats import LogTermWalk
 
 from oracle import structure_function
@@ -64,6 +65,18 @@ class TestPotentialParams:
     def test_alpha_in_open_interval(self, params):
         assert 0.0 < params.alpha < 2.0
 
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(k=5e-324)
+    @example(k=8.99e307)
+    @example(k=1.7976931348623157e308)
+    def test_alpha_finite_for_every_finite_k(self, k):
+        # 2k / (k + 2) overflows to inf for k above about 8.99e307; alpha
+        # stays finite there and rounds as that form wherever 2k is finite.
+        alpha = PotentialParams(k=k).alpha
+        assert 0.0 < alpha <= 2.0
+        if math.isfinite(2.0 * k):
+            assert alpha == 2.0 * k / (k + 2.0)
+
 
 class TestCharacteristicExponent:
     def test_harmonic_case(self):
@@ -116,53 +129,69 @@ def first_log1p_index(params):
     return hi
 
 
+def block_span(b):
+    """The factor indices of the b-th aligned block, as a (lo, hi) span."""
+    return b * MAX_BLOCK + 1, (b + 1) * MAX_BLOCK + 1
+
+
 class TestLogFactors:
+    """ln factor_j: the kernel, its memoised aligned blocks and log_g_increment."""
+
     @given(params_st, st.integers(min_value=1, max_value=10 ** 9),
            st.integers(min_value=0, max_value=200))
     @example(params=K15, lo=60, length=140)  # across the block edges at 65, 129 and 193
     @settings(max_examples=60)
     def test_block_equals_one_index_calls_bitwise(self, params, lo, length):
-        # log_factors reads memoised aligned blocks, so its one-index calls
-        # read the same blocks as the span; the kernel is evaluated fresh.
+        # A span of the kernel, its one-index calls, and log_g_increment, which
+        # reads memoised aligned blocks, agree bitwise; so does each block
+        # with the kernel over its own span, evaluated fresh.
         hi = lo + length
-        block = log_factors(lo, hi, params)
-        assert block == core._log_factors(lo, hi, params)
-        assert block == [core._log_factors(j, j + 1, params)[0] for j in range(lo, hi)]
-        assert block == [log_factors(j, j + 1, params)[0] for j in range(lo, hi)]
+        span = core._log_factors(lo, hi, params)
+        assert span == [core._log_factors(j, j + 1, params)[0] for j in range(lo, hi)]
+        assert span == [log_g_increment(j, params) for j in range(lo, hi)]
+        for b in range((lo - 1) // MAX_BLOCK, (hi - 2) // MAX_BLOCK + 1):
+            assert factor_block(b, params) == tuple(core._log_factors(*block_span(b), params))
 
     def test_block_across_log1p_crossover(self):
-        # At k = 100 the log1p form takes over near j = 2.3e8; a block whose
+        # At k = 100 the log1p form takes over near j = 2.3e8; a span whose
         # last index is past it evaluates every index the per-index way.
         params = PotentialParams(k=100.0, gamma=2.0)
         x = first_log1p_index(params)
         assert 2e8 < x < 3e8
-        block = log_factors(x - 10, x + 10, params)
-        assert block == [log_factors(j, j + 1, params)[0] for j in range(x - 10, x + 10)]
-        assert block == [log_g_increment(j, params) for j in range(x - 10, x + 10)]
+        span = core._log_factors(x - 10, x + 10, params)
+        assert span == [core._log_factors(j, j + 1, params)[0] for j in range(x - 10, x + 10)]
+        assert span == [log_g_increment(j, params) for j in range(x - 10, x + 10)]
+        for b in {(j - 1) // MAX_BLOCK for j in (x - 10, x + 9)}:
+            assert factor_block(b, params) == tuple(core._log_factors(*block_span(b), params))
         with mpmath.workdps(40):
             a = mpmath.mpf(2 * 100.0) / (100.0 + 2)
             c = mpmath.mpf(0.5)
-            for j, value in zip(range(x - 10, x + 10), block):
+            for j, value in zip(range(x - 10, x + 10), span):
                 expected = float(mpmath.log((j + c) ** a - c ** a))
                 assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_empty_span(self):
-        assert log_factors(7, 7, K15) == []
+        assert core._log_factors(7, 7, K15) == []
 
     def test_blocks_are_memoised_within_a_bound(self):
         # Each aligned block is evaluated once while it stays among the last
         # _MEMO_SIZE used; a walk far longer than that keeps only that many.
-        core._factor_block.cache_clear()
-        log_factors(1, 200, K15)
-        log_factors(60, 140, K15)
-        assert core._factor_block.cache_info().misses == 4
-        log_factors(1, 100 * core.MAX_BLOCK, K15)
-        info = core._factor_block.cache_info()
+        factor_block.cache_clear()
+        for b in range(4):
+            factor_block(b, K15)
+        for j in range(60, 140):
+            log_g_increment(j, K15)
+        assert factor_block.cache_info().misses == 4
+        for b in range(100):
+            factor_block(b, K15)
+        info = factor_block.cache_info()
         assert info.misses == 100 and info.currsize == info.maxsize == core._MEMO_SIZE
 
     def test_rejects_index_below_one(self):
         with pytest.raises(ValueError):
-            log_factors(0, 5, K15)
+            factor_block(-1, K15)
+        with pytest.raises(ValueError):
+            log_g_increment(0, K15)
 
 
 class TestLogG:
@@ -281,8 +310,8 @@ class TestLogTerm:
         once.extend_to(0)
         assert up == list(zip(range(6, 10), once.window(6, 9)))
         assert down == list(zip(range(4, -1, -1), once.window(0, 4)[::-1]))
-        # The span grows by blocks, so it may reach past the last index read.
-        assert walk.lo == 0 and walk.hi >= 9
+        # The span grows to the next block edge, past the last index read.
+        assert walk.lo == 0 and walk.hi == MAX_BLOCK
 
     @pytest.mark.parametrize("abs_z", [-1.0, math.nan, math.inf])
     def test_rejects_amplitude_not_finite_and_nonnegative(self, abs_z):

@@ -20,7 +20,7 @@ TABLE_GRID = (2.5, 5.0, 7.5, 10.0, 12.5, 15.0)
 
 
 def clear_memos():
-    ghacs.core._factor_block.cache_clear()
+    ghacs.core.factor_block.cache_clear()
     ghacs.core.log_g.cache_clear()
 
 
@@ -145,19 +145,13 @@ class TestRunSweep:
                     assert row.fixed_stats[c] == state_stats(row.abs_z, spec.params,
                                                              TruncationPolicy.fixed(c))
 
-    def test_one_walk_per_amplitude(self, monkeypatch):
-        covered, walks = [], []
-        factors, walk_class = ghacs.stats.log_factors, ghacs.lab.LogTermWalk
-
-        def recorded(lo, hi, params):
-            covered.extend(range(lo, hi))
-            return factors(lo, hi, params)
+    def test_one_walk_per_amplitude(self, monkeypatch, factor_reads):
+        walks, walk_class = [], ghacs.lab.LogTermWalk
 
         def recorded_walk(*args):
             walks.append(walk_class(*args))
             return walks[-1]
 
-        monkeypatch.setattr(ghacs.stats, "log_factors", recorded)
         monkeypatch.setattr(ghacs.lab, "LogTermWalk", recorded_walk)
         spec = SweepSpec(k=1.5, gamma=2.0, z_grid=(0.0, 2.5, 15.0), cutoffs=(50, 150, 400))
         policy = TruncationPolicy.adaptive()
@@ -178,7 +172,7 @@ class TestRunSweep:
         # Each walk evaluates each factor index of its span once: index j
         # steps between terms j - 1 and j.
         expected = [j for lo, hi in spans.values() for j in range(lo + 1, hi + 1)]
-        assert sorted(covered) == sorted(expected)
+        assert sorted(factor_reads.indices) == sorted(expected)
 
 
 class TestSweepReuse:
@@ -226,11 +220,11 @@ class TestSweepReuse:
         clear_memos()
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["stats", "--k", "0.5", "--z", "15"]) == 0
-        for memo in (ghacs.core._factor_block, ghacs.core.log_g):
+        for memo in (ghacs.core.factor_block, ghacs.core.log_g):
             info = memo.cache_info()
             assert info.maxsize == ghacs.core._MEMO_SIZE and info.currsize <= info.maxsize
         # The walk ran through far more blocks than are kept.
-        assert ghacs.core._factor_block.cache_info().misses > 5 * ghacs.core._MEMO_SIZE
+        assert ghacs.core.factor_block.cache_info().misses > 5 * ghacs.core._MEMO_SIZE
 
 
 class TestCollapseOnset:

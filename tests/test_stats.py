@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghacs.core
 import ghacs.stats
 from ghacs.core import PotentialParams
 from ghacs.stats import (DEFAULT_POLICY, LogSeriesSums, LogTermWalk, TruncationPolicy,
@@ -98,21 +99,35 @@ class TestAccumulateSums:
         assert sums.terms_used - sums.first_index <= 100
         assert sums.terms_used > 1000
 
-    def test_hard_cap_bounds_the_factors_evaluated(self, monkeypatch):
-        # The walk asks for factors by blocks, clamped where the cap fires:
-        # from the peak at n = 1149 down to n = 1050, where the window would
-        # reach 100 terms, i.e. factors 1051..1149 and not one more.
-        covered = []
-        factors = ghacs.stats.log_factors
-
-        def recorded(lo, hi, params):
-            covered.extend(range(lo, hi))
-            return factors(lo, hi, params)
-
-        monkeypatch.setattr(ghacs.stats, "log_factors", recorded)
+    def test_hard_cap_bounds_the_factors_evaluated(self, factor_reads):
+        # The walk reads factors by aligned blocks, clamped where the cap
+        # fires: from the peak at n = 1149 down to n = 1050, where the window
+        # would reach 100 terms, i.e. factors 1051..1149 and not one more,
+        # from the two blocks that hold them (1089..1152, then 1025..1088).
         sums = accumulate_sums(4.0, PotentialParams(k=0.5), TruncationPolicy.adaptive(hard_cap=100))
         assert (sums.origin, sums.first_index, sums.converged) == (1149, 1051, False)
-        assert sorted(covered) == list(range(1051, 1150))
+        assert sorted(factor_reads.indices) == list(range(1051, 1150))
+        assert factor_reads.blocks == [17, 16]
+
+    def test_one_lookup_per_block_and_side(self, monkeypatch, factor_reads):
+        # Each side of the walk grows a whole aligned block at a time, so the
+        # memo sees one lookup per block it spans on that side, and one more
+        # for the 64 factors ln g of the anchor sums directly: 383 here,
+        # where growth by unaligned spans made 765.
+        walks, walk_class = [], ghacs.stats.LogTermWalk
+
+        def recorded_walk(*args):
+            walks.append(walk_class(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(ghacs.stats, "LogTermWalk", recorded_walk)
+        ghacs.core.factor_block.cache_clear()
+        ghacs.core.log_g.cache_clear()
+        accumulate_sums(15.0, PotentialParams(k=0.5), ADAPTIVE)
+        (walk,) = walks
+        assert factor_reads.blocks == factor_reads.spanned(walk)
+        info = ghacs.core.factor_block.cache_info()
+        assert info.hits + info.misses == len(factor_reads.blocks) + 1 == 383
 
     def test_deep_tail_matches_frozen_oracle(self):
         sums = accumulate_sums(15.0, PotentialParams(k=0.5), ADAPTIVE)
