@@ -72,7 +72,10 @@ class PotentialParams(namedtuple("PotentialParams", "k gamma")):
 
     gamma enters only through gamma/4; the default gamma = 2 puts the
     offset at 1/2 (the standard two-turning-point value).  gamma is capped
-    at 1e6, beyond which the factors lose digits to cancellation.
+    at 1e6, beyond which the factors lose digits to cancellation.  A gamma
+    whose gamma/4 underflows to 0, or a k so small that (1 + gamma/4)^alpha
+    and (gamma/4)^alpha round to the same double (k below about 8e-17 at
+    gamma = 2), is refused: the factors' logarithms would be of 0.
     """
 
     __slots__ = ()
@@ -85,7 +88,15 @@ class PotentialParams(namedtuple("PotentialParams", "k gamma")):
         if gamma > _MAX_GAMMA:
             raise ValueError(f"gamma must be at most {_MAX_GAMMA:g}, where the structure "
                              f"function's factors still keep their digits; got {gamma}")
-        return super().__new__(cls, k, gamma)
+        self = super().__new__(cls, k, gamma)
+        c, a = self.offset, self.alpha
+        if c == 0.0:
+            raise ValueError(f"gamma = {gamma} is too small: gamma/4 underflows to 0")
+        if (1.0 + c) ** a - c ** a <= 0.0:
+            raise ValueError(f"k = {k} is too small at gamma = {gamma}: the structure "
+                             f"function's first factor (1 + gamma/4)^alpha - (gamma/4)^alpha "
+                             f"rounds to 0")
+        return self
 
     @property
     def alpha(self) -> float:

@@ -9,15 +9,15 @@ c = gamma/4, and fall after it, and at large |z| their mass sits in a few
 standard deviations around it: at k = 0.5, |z| = 15 about 24k terms around
 n* = 7.7e5.  So the walk (``LogTermWalk``) starts at the largest term of the
 summed range, with ln t of that anchor in closed form (``core.log_g``), and
-steps outward one factor at a time, keeping logs relative to the anchor
-term.  A truncation policy is a stopping rule over the walk.  Downward it
-stops once the skipped head is provably below ``tail_tolerance`` of the
-largest term.  Upward it stops at a fixed cutoff n_max, or adaptively once
-the terms of the m = 2 sum (the slowest to converge) stay below the
-tolerance of its running value for a sustained run.  The policy's hard cap
-bounds every window.  One compensated pass reduces the window to ln S0 and
-the first two moments about its largest term, so the variance is formed
-without cancellation.
+grows outward by aligned blocks of factors, keeping logs relative to the
+anchor.  A truncation policy is a stopping rule over the weights
+w_n = t_n / t_anchor, about 1 at most.  Downward it stops once the skipped
+head is provably below ``tail_tolerance`` of the largest term.  Upward it
+stops at a fixed cutoff n_max, or adaptively once the terms of the m = 2
+sum (the slowest to converge) stay below the tolerance of its running value
+for a sustained run.  The policy's hard cap bounds every window.  One
+compensated pass reduces the window to ln S0 and the first two moments
+about its largest term, so the variance is formed without cancellation.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
 _VARIANCE_FLOOR = -1e-9
 
 # A walk starts at n = 0 when the peak lies beyond this index, where n + c
-# stops being exact in a double.
+# stops being exact in a double; an adaptive walk there ends at its hard cap.
 _MAX_START = 2 ** 52
 
 
@@ -319,60 +319,53 @@ def start_index(abs_z: float, params: PotentialParams, policy: TruncationPolicy)
     return 0 if peak is None else peak
 
 
-def _stop_head(walk: LogTermWalk, log_tol: float, cap: int):
+def _stop_head(walk: LogTermWalk, tol: float, cap: int):
     """Walk down from the anchor: (first index of the window, whether the head closed).
 
-    Stops at the first n with (n + 1) t_n < tol * (largest term so far):
-    the terms rise up to the peak, so t_0 + ... + t_n is at most that.
+    Stops at the first n with (n + 1) w_n < tol * (largest weight so far):
+    the terms rise up to the peak, so t_0 + ... + t_n is at most (n + 1) t_n.
     Reaching ``cap`` window terms first leaves the head open.
     """
     start = lo = walk.anchor
-    r_max = 0.0  # r(anchor)
-    log = math.log
+    w_max = 1.0  # w(anchor)
+    exp = math.exp
     for n, r in walk.downward(max(0, start + 1 - cap)):
-        if log(n + 1) + r < log_tol + r_max:
+        w = exp(r)
+        if (n + 1) * w < tol * w_max:
             break
         if start - n + 1 >= cap:
             return lo, False
         lo = n
-        if r > r_max:
-            r_max = r
+        if w > w_max:
+            w_max = w
     return lo, True
 
 
 def _stop_adaptive(walk: LogTermWalk, lo: int, policy: TruncationPolicy):
     """Adaptive truncation above the anchor: (last index, converged, threshold).
 
-    Stops once ``quiet_run`` consecutive terms of the m = 2 sum each add
-    less than ``tail_tolerance`` of its running value, which starts as the
-    sum over the window lo..anchor; threshold is the first index of that run.
-    Reaching ``hard_cap`` window terms first stops the walk unconverged,
-    without a threshold.
+    Stops once ``quiet_run`` consecutive terms w_n n^2 of the m = 2 sum
+    each add at most ``tail_tolerance`` of its running value, which starts
+    as the sum over the window lo..anchor (a term that underflows to 0
+    against a sum still 0 is quiet); threshold is the first index of that
+    run.  Reaching ``hard_cap`` window terms first stops the walk
+    unconverged, without a threshold.
     """
     tol, quiet_run, hard_cap = policy.tail_tolerance, policy.quiet_run, policy.hard_cap
-    log, exp, log1p = math.log, math.exp, math.log1p
-    running_log_s2 = log_sum_exp(r + 2.0 * log(n) if n else -math.inf
-                                 for n, r in enumerate(walk.window(lo, walk.anchor), lo))
+    exp = math.exp
+    s2 = math.fsum(n * n * exp(r) for n, r in enumerate(walk.window(lo, walk.anchor), lo))
     quiet = 0
-    threshold = None
     for n, r in walk.upward(lo + hard_cap - 1):
-        lt2 = r + 2.0 * log(n)
-        # The log-domain comparison decides first: exp of the difference
-        # overflows once a term dwarfs the running sum (|z| near 1e300).
-        significant = lt2 >= running_log_s2 or exp(lt2 - running_log_s2) >= tol
-        if lt2 > running_log_s2:
-            running_log_s2 = lt2 + log1p(exp(running_log_s2 - lt2))
-        else:
-            running_log_s2 += log1p(exp(lt2 - running_log_s2))
-        if significant:
+        t2 = n * n * exp(r)
+        if t2 > tol * s2:
             quiet = 0
-            threshold = None
         else:
             if quiet == 0:
                 threshold = n
             quiet += 1
             if quiet >= quiet_run:
                 return n, True, threshold
+        s2 += t2
         if n + 1 - lo >= hard_cap:
             return n, False, None
 
@@ -401,8 +394,9 @@ def _reduce(walk: LogTermWalk, lo: int, hi: int, converged: bool,
 def walk_sums(walk: LogTermWalk, policy: TruncationPolicy) -> LogSeriesSums:
     """The sums of one truncation policy over ``walk``, extending it only as far as the policy needs.
 
-    The window grows out of the walk's anchor, which must not lie above a
-    fixed cutoff (``start_index`` gives an anchor every policy accepts).
+    The window grows out of the walk's anchor, which must be the largest
+    term of the range the policy sums, or the stopping rules' weights may
+    overflow (OverflowError): ``start_index`` gives an anchor every policy accepts.
     A fixed window wider than ``hard_cap`` raises ValueError before the walk
     is extended to the cutoff.  Policies applied one after another to the
     same walk share its values and, at the same tolerance and cap, its head
@@ -418,7 +412,7 @@ def walk_sums(walk: LogTermWalk, policy: TruncationPolicy) -> LogSeriesSums:
                          f"walk's anchor {walk.anchor}")
     head = (policy.tail_tolerance, policy.hard_cap)
     if head not in walk._heads:
-        walk._heads[head] = _stop_head(walk, math.log(policy.tail_tolerance), policy.hard_cap)
+        walk._heads[head] = _stop_head(walk, policy.tail_tolerance, policy.hard_cap)
     lo, closed = walk._heads[head]
     if not adaptive:
         if not closed or policy.n_max + 1 - lo > policy.hard_cap:
@@ -428,6 +422,11 @@ def walk_sums(walk: LogTermWalk, policy: TruncationPolicy) -> LogSeriesSums:
         return _reduce(walk, lo, policy.n_max, False, None)
     if not closed:
         return _reduce(walk, lo, walk.anchor, False, None)
+    if walk.anchor == 0 and _peak_index(walk.abs_z, walk.params) is None:
+        # The peak lies beyond 2^52: no cap that fits in memory reaches it,
+        # and the weights t_n / t_0 overflow on the way.
+        walk.extend_to(policy.hard_cap - 1)
+        return _reduce(walk, 0, policy.hard_cap - 1, False, None)
     hi, converged, threshold = _stop_adaptive(walk, lo, policy)
     return _reduce(walk, lo, hi, converged, threshold)
 

@@ -172,6 +172,23 @@ def test_values_with_a_leading_minus_reach_the_engine(args, code, message):
         assert parse_csv(result.stdout)[2][0][0] == "-0.0"
 
 
+@pytest.mark.parametrize("args,message", [
+    (["stats", "--k", "1e-20", "--z", "2"], "k = 1e-20 is too small"),
+    (["stats", "--k", "5e-324", "--z", "1"], "k = 5e-324 is too small"),
+    (["stats", "--k", "1.5", "--gamma", "5e-324", "--z", "2"], "gamma = 5e-324 is too small"),
+    # Refused before any factor is needed.
+    (["stats", "--k", "1e-20", "--z", "0"], "k = 1e-20 is too small"),
+], ids=["k-1e-20", "k-5e-324", "gamma-5e-324", "k-1e-20-at-z-0"])
+def test_values_the_factors_cannot_represent_are_named(args, message):
+    # The first factor (1 + gamma/4)^alpha - (gamma/4)^alpha rounds to 0,
+    # or gamma/4 underflows to 0, and either would be taken the log of.
+    result = invoke(args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert message in result.stderr
+    assert "math domain error" not in result.stderr
+
+
 def test_k_beyond_half_the_largest_double_runs():
     # 2k overflows there; alpha is 2.0 to the last bit from k = 1e300 on,
     # so every number printed is that of k = 1e300.
@@ -676,14 +693,20 @@ def mostly(usual, rare):
         lambda t: t[1] if t[2] == 3 else t[0])
 
 
-amplitudes = mostly(st.floats(min_value=0.0, max_value=30.0), [-1.0, math.nan, math.inf, -math.inf])
+# Below about 1e-162, t_1 / t_0 underflows to 0 (at k = 1.5).
+amplitudes = mostly(mostly(st.floats(min_value=0.0, max_value=30.0), [1e-300, 1e-160]),
+                    [-1.0, math.nan, math.inf, -math.inf])
 # k >= 0.1 and gamma <= 10 keep ln g's directly summed head short (see core.log_g).
-# The extreme k are valid too: beyond about 8.99e307, 2k overflows.
+# The extreme k are valid too: beyond about 8.99e307, 2k overflows.  k = 1e-20
+# and 5e-324 round the first factor to 0, and gamma = 5e-324 leaves gamma/4 = 0.
 physics = st.tuples(mostly(mostly(st.floats(min_value=0.1, max_value=100.0),
                                   [1e300, 9e307, sys.float_info.max]),
-                           [0.0, -1.0, math.nan, math.inf]),
-                    mostly(st.floats(min_value=0.1, max_value=10.0), [0.0, -2.0, math.nan, math.inf]))
+                           [0.0, -1.0, math.nan, math.inf, 1e-20, 5e-324]),
+                    mostly(st.floats(min_value=0.1, max_value=10.0),
+                           [0.0, -2.0, math.nan, math.inf, 5e-324]))
 hard_caps = st.integers(min_value=1, max_value=20000)
+# Subnormal tolerances included: tol * sum then rounds coarsely or to 0.
+tail_tols = mostly(st.floats(min_value=5e-324, max_value=0.5), [5e-324, 1e-310])
 formats = st.sampled_from(["csv", "json", "table"])
 
 
@@ -701,17 +724,21 @@ class TestFuzz:
             json.loads(result.stdout, parse_constant=_reject_constant)
 
     @given(physics, amplitudes, st.one_of(st.none(), st.integers(min_value=-1, max_value=2000)),
-           hard_caps, formats)
+           hard_caps, tail_tols, formats)
     @settings(max_examples=100, deadline=None)
-    def test_stats(self, kg, z, n_max, cap, fmt):
-        policy = ["--hard-cap", cap] if n_max is None else ["--fixed-nmax", n_max]
+    def test_stats(self, kg, z, n_max, cap, tol, fmt):
+        policy = (["--hard-cap", cap, "--tail-tol", tol] if n_max is None
+                  else ["--fixed-nmax", n_max])
         self.check(["stats", "--k", kg[0], "--gamma", kg[1], "--z", z, *policy], fmt)
 
-    @given(physics, mostly(st.floats(min_value=0.0, max_value=6.0), [-1.0, math.nan, math.inf]),
-           st.one_of(st.none(), st.integers(min_value=-1, max_value=2000)), hard_caps, formats)
+    @given(physics, mostly(st.floats(min_value=0.0, max_value=6.0),
+                           [-1.0, math.nan, math.inf, 1e-300, 1e-160]),
+           st.one_of(st.none(), st.integers(min_value=-1, max_value=2000)), hard_caps,
+           tail_tols, formats)
     @settings(max_examples=100, deadline=None)
-    def test_dist(self, kg, z, n_max, cap, fmt):
-        policy = ["--hard-cap", cap] if n_max is None else ["--fixed-nmax", n_max]
+    def test_dist(self, kg, z, n_max, cap, tol, fmt):
+        policy = (["--hard-cap", cap, "--tail-tol", tol] if n_max is None
+                  else ["--fixed-nmax", n_max])
         self.check(["dist", "--k", kg[0], "--gamma", kg[1], "--z", z, *policy], fmt)
 
     @given(physics, st.lists(amplitudes, min_size=1, max_size=3),
@@ -723,11 +750,13 @@ class TestFuzz:
 
     @given(physics, amplitudes, st.floats(min_value=0.0, max_value=30.0),
            st.integers(min_value=0, max_value=3), st.lists(st.integers(min_value=-1, max_value=2000),
-                                                           max_size=3), hard_caps, formats)
+                                                           max_size=3), hard_caps,
+           tail_tols, formats)
     @settings(max_examples=100, deadline=None)
-    def test_sweep(self, kg, z_min, span, steps, cutoffs, cap, fmt):
+    def test_sweep(self, kg, z_min, span, steps, cutoffs, cap, tol, fmt):
         # At most four grid points, or a rejected grid.
         z_step = span / steps if steps else 1.0
         self.check(["sweep", "--k", kg[0], "--gamma", kg[1], "--z-min", z_min,
                     "--z-max", z_min + span, "--z-step", z_step,
-                    "--cutoffs", ",".join(map(str, cutoffs)), "--hard-cap", cap], fmt)
+                    "--cutoffs", ",".join(map(str, cutoffs)), "--hard-cap", cap,
+                    "--tail-tol", tol], fmt)

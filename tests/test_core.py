@@ -61,6 +61,20 @@ class TestPotentialParams:
             PotentialParams(k=1.5, gamma=gamma)
         assert PotentialParams(k=1.5, gamma=1e6).gamma == 1e6
 
+    @pytest.mark.parametrize("k", [1e-20, 1e-300, 5e-324])
+    def test_rejects_k_whose_first_factor_rounds_to_zero(self, k):
+        # (1 + gamma/4)^alpha and (gamma/4)^alpha round to the same double,
+        # so ln of the first factor would be ln 0.
+        with pytest.raises(ValueError, match=f"k = {k} is too small at gamma = 2.0"):
+            PotentialParams(k=k)
+        assert math.isfinite(log_g_increment(1, PotentialParams(k=1e-15)))
+
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-323])
+    def test_rejects_gamma_whose_quarter_underflows(self, gamma):
+        with pytest.raises(ValueError, match=f"gamma = {gamma} is too small"):
+            PotentialParams(k=1.5, gamma=gamma)
+        assert PotentialParams(k=1.5, gamma=2e-323).offset > 0.0
+
     @given(params_st)
     def test_alpha_in_open_interval(self, params):
         assert 0.0 < params.alpha < 2.0
@@ -72,7 +86,12 @@ class TestPotentialParams:
     def test_alpha_finite_for_every_finite_k(self, k):
         # 2k / (k + 2) overflows to inf for k above about 8.99e307; alpha
         # stays finite there and rounds as that form wherever 2k is finite.
-        alpha = PotentialParams(k=k).alpha
+        # Below about 8e-17 the first factor rounds to 0 and k is refused.
+        try:
+            alpha = PotentialParams(k=k).alpha
+        except ValueError as exc:
+            assert k < 1e-16 and f"k = {k} is too small" in str(exc)
+            return
         assert 0.0 < alpha <= 2.0
         if math.isfinite(2.0 * k):
             assert alpha == 2.0 * k / (k + 2.0)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import ghacs.core
 import ghacs.stats
-from ghacs.core import PotentialParams
+from ghacs.core import PotentialParams, log_sum_exp
 from ghacs.stats import (DEFAULT_POLICY, LogSeriesSums, LogTermWalk, TruncationPolicy,
                          VarianceConsistencyError, accumulate_sums, start_index,
                          state_stats, stats_from_sums, walk_sums, weight_distribution)
@@ -22,6 +22,63 @@ ORACLE_LOG_SUMS_Z5 = (38.377429848722890, 42.148685839618742, 45.946129665911731
 # oracle.direct_stats(15, 0.5, 2.0, 776287, dps=40), about 40 s.
 DEEP_TAIL_MEAN_Z15 = 765785.83938257258882
 DEEP_TAIL_Q_Z15 = 1.49160681816661
+
+
+def reference_stop_head(walk, log_tol, cap):
+    """The head rule on logarithms, as it stood before the rules moved to weights."""
+    start = lo = walk.anchor
+    r_max = 0.0  # r(anchor)
+    log = math.log
+    for n, r in walk.downward(max(0, start + 1 - cap)):
+        if log(n + 1) + r < log_tol + r_max:
+            break
+        if start - n + 1 >= cap:
+            return lo, False
+        lo = n
+        if r > r_max:
+            r_max = r
+    return lo, True
+
+
+def reference_stop_adaptive(walk, lo, policy):
+    """The adaptive rule on a running ln S2, as it stood before the rules moved to weights."""
+    tol, quiet_run, hard_cap = policy.tail_tolerance, policy.quiet_run, policy.hard_cap
+    log, exp, log1p = math.log, math.exp, math.log1p
+    running_log_s2 = log_sum_exp(r + 2.0 * log(n) if n else -math.inf
+                                 for n, r in enumerate(walk.window(lo, walk.anchor), lo))
+    quiet = 0
+    threshold = None
+    for n, r in walk.upward(lo + hard_cap - 1):
+        lt2 = r + 2.0 * log(n)
+        # The log-domain comparison decides first: exp of the difference
+        # overflows once a term dwarfs the running sum (|z| near 1e300).
+        significant = lt2 >= running_log_s2 or exp(lt2 - running_log_s2) >= tol
+        if lt2 > running_log_s2:
+            running_log_s2 = lt2 + log1p(exp(running_log_s2 - lt2))
+        else:
+            running_log_s2 += log1p(exp(lt2 - running_log_s2))
+        if significant:
+            quiet = 0
+            threshold = None
+        else:
+            if quiet == 0:
+                threshold = n
+            quiet += 1
+            if quiet >= quiet_run:
+                return n, True, threshold
+        if n + 1 - lo >= hard_cap:
+            return n, False, None
+
+
+def reference_window(abs_z, params, policy):
+    """(first_index, terms_used, converged, estimated_threshold) of an adaptive
+    run at |z| > 0 under the log-domain rules, on a walk of its own."""
+    walk = LogTermWalk(abs_z, params, start_index(abs_z, params, policy))
+    lo, closed = reference_stop_head(walk, math.log(policy.tail_tolerance), policy.hard_cap)
+    if not closed:
+        return lo, walk.anchor + 1, False, None
+    hi, converged, threshold = reference_stop_adaptive(walk, lo, policy)
+    return lo, hi + 1, converged, threshold
 
 
 class TestTruncationPolicy:
@@ -71,11 +128,43 @@ class TestAccumulateSums:
             accumulate_sums(z, K15, ADAPTIVE)
 
     def test_huge_amplitude_reaches_hard_cap_without_overflow(self):
-        # Every term dwarfs the running sum, so the significance test must
-        # decide in the log domain instead of overflowing exp().
+        # The peak lies beyond 2^52, so the walk starts at n = 0, where the
+        # weights t_n / t_0 overflow; it ends at the cap without reading them.
         sums = accumulate_sums(1e300, K15, TruncationPolicy.adaptive(hard_cap=50))
         assert not sums.converged
         assert sums.terms_used == 50
+        # math.exp raises on these weights, and a per-term test that took
+        # them as inf (inf against an inf sum) would report convergence at
+        # this loose a tolerance.
+        sums = accumulate_sums(1e300, K15, TruncationPolicy.adaptive(
+            tail_tolerance=0.9, quiet_run=1, hard_cap=50))
+        assert (sums.first_index, sums.terms_used, sums.converged) == (0, 50, False)
+        assert sums.estimated_threshold is None
+
+    def test_term_that_underflows_against_a_zero_sum_is_quiet(self):
+        # t_1 / t_0 underflows to 0 below |z| of about 1e-162, and the m = 2
+        # sum over the window 0..0 is 0: n = 1 opens the quiet run.  (The
+        # log-domain rule counted n = 1 as significant: 12 terms, threshold 2.)
+        sums = accumulate_sums(1e-200, K15, ADAPTIVE)
+        assert (sums.terms_used, sums.estimated_threshold, sums.converged) == (11, 1, True)
+        assert stats_from_sums(sums).mean == 0.0
+        assert reference_window(1e-200, K15, ADAPTIVE) == (0, 12, True, 2)
+
+    @given(z=st.floats(min_value=1e-3, max_value=40.0),
+           k=st.floats(min_value=0.1, max_value=100.0),
+           gamma=st.floats(min_value=0.1, max_value=10.0),
+           log_tol=st.floats(min_value=-300.0, max_value=math.log10(0.5)),
+           quiet_run=st.integers(min_value=1, max_value=20),
+           hard_cap=st.sampled_from([50, 1000, 10 ** 6]))
+    @settings(max_examples=40, deadline=None)
+    def test_linear_rules_match_the_log_domain_reference(self, z, k, gamma, log_tol,
+                                                         quiet_run, hard_cap):
+        params = PotentialParams(k=k, gamma=gamma)
+        policy = TruncationPolicy.adaptive(tail_tolerance=10.0 ** log_tol,
+                                           quiet_run=quiet_run, hard_cap=hard_cap)
+        sums = accumulate_sums(z, params, policy)
+        assert (sums.first_index, sums.terms_used, sums.converged,
+                sums.estimated_threshold) == reference_window(z, params, policy)
 
     def test_fixed_mode_includes_nmax(self):
         sums = accumulate_sums(1.0, K15, TruncationPolicy.fixed(5))
