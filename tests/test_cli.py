@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import ghacs
 from ghacs import cli
 from ghacs.cli import main
+from ghacs.core import MAX_BLOCK
 from ghacs.lab import SweepSpec, collapse_onset, run_sweep
 from ghacs.stats import TruncationPolicy
 
@@ -47,6 +48,20 @@ def invoke(args):
         except Exception as exc:
             code, exception = 1, exc
     return Result(code, out.getvalue(), err.getvalue(), exception)
+
+
+def traced_peak(args):
+    """invoke(args) and the peak of the memory it allocated, in bytes, by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = invoke(args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def parse_csv(output):
@@ -187,6 +202,24 @@ def test_values_the_factors_cannot_represent_are_named(args, message):
     assert result.stdout == ""
     assert message in result.stderr
     assert "math domain error" not in result.stderr
+
+
+@pytest.mark.parametrize("tol", ["5e-324", "1e-310"])
+def test_subnormal_tail_tolerance_is_usage_error(tol):
+    # Below the smallest normal double the head rule's bound cannot hold.
+    for args in [["stats", "--k", "0.5", "--z", "15"], *each_command("1.5", "2", "3")]:
+        result = invoke([*args, "--tail-tol", tol])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"tail_tolerance = {tol} is subnormal" in result.stderr
+        assert "2.2250738585072014e-308" in result.stderr
+
+
+def test_smallest_normal_tail_tolerances_run():
+    for tol in ("2.2250738585072014e-308", "1e-300"):
+        result = invoke(["stats", "--k", "0.5", "--z", "15", "--tail-tol", tol, "--format", "csv"])
+        assert result.exit_code == 0
+        assert parse_csv(result.stdout)[2][0][5] == "True"
 
 
 def test_k_beyond_half_the_largest_double_runs():
@@ -538,10 +571,26 @@ class TestDistCommand:
         result = invoke(["dist", "--k", "1.5", "--z", "3", "--format", "csv"])
         assert result.exit_code == 0
         _, _, rows, _ = parse_csv(result.output)
-        # Walked out from the peak, down to n = 0: each factor index once,
-        # every row's among them (the last block may reach past the rows).
+        # Walked out from the peak, down to n = 0, since no row underflows
+        # here: each factor index once, every row's among them (the last
+        # block may reach past the rows).
         assert len(covered) == len(set(covered))
         assert set(range(1, len(rows))) <= set(covered)
+
+    def test_zero_prefix_reads_no_factor_below_its_block(self, factor_reads):
+        # At k = 0.5, |z| = 10 the rows below n = 83209 underflow to 0.0.  The
+        # walk down stops in the block of factors that gives the first of
+        # them, P_83208 (factors 83201..83264), and reads none below it.
+        covered = factor_reads.indices
+        result = invoke(["dist", "--k", "0.5", "--z", "10", "--format", "csv"])
+        assert result.exit_code == 0
+        _, _, rows, _ = parse_csv(result.output)
+        assert len(rows) == 105820
+        assert [n for n, p in rows[:83209]] == list(map(str, range(83209)))
+        assert {p for n, p in rows[:83209]} == {"0.0"}
+        assert float(rows[83209][1]) > 0.0
+        assert len(covered) == len(set(covered))
+        assert min(covered) == 83208 // MAX_BLOCK * MAX_BLOCK + 1 == 83201
 
     @pytest.mark.parametrize("z,cap", [("100", "50"), ("20", "1000000")])
     def test_rows_beyond_hard_cap_exit_unconverged(self, z, cap):
@@ -587,16 +636,7 @@ class TestDistCommand:
         # writer that built all three peaked at 28.8 MB in this test.
         args = ["dist", "--k", "0.5", "--z", "10", "--format", "csv",
                 "--out", str(tmp_path / "dist.csv")]
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            result = invoke(args)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        result, peak = traced_peak(args)
         assert result.exit_code == 0
         assert peak <= 0.6 * 28.8e6
 
@@ -606,19 +646,20 @@ class TestDistCommand:
         # the same distribution peaked near 87 MB in this test.
         target = tmp_path / "dist.json"
         args = ["dist", "--k", "0.5", "--z", "10", "--format", "json", "--out", str(target)]
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            result = invoke(args)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        result, peak = traced_peak(args)
         assert result.exit_code == 0
         assert len(json.loads(target.read_text())["rows"]) == 105820
         assert peak <= 0.6 * 28.8e6
+
+    def test_zero_prefix_costs_no_memory_of_its_own(self, tmp_path):
+        # The 83,209 rows that underflow share one 0.0 and are never walked:
+        # this run peaked at 2.3 MB, and at 5.3 MB when the walk went down
+        # to n = 0 and held a float per row.
+        args = ["dist", "--k", "0.5", "--z", "10", "--format", "csv",
+                "--out", str(tmp_path / "dist.csv")]
+        result, peak = traced_peak(args)
+        assert result.exit_code == 0
+        assert peak <= 3.5e6
 
 
 def joined_emit(fmt, inputs, header, rows, pretty, footers=None):
@@ -705,7 +746,7 @@ physics = st.tuples(mostly(mostly(st.floats(min_value=0.1, max_value=100.0),
                     mostly(st.floats(min_value=0.1, max_value=10.0),
                            [0.0, -2.0, math.nan, math.inf, 5e-324]))
 hard_caps = st.integers(min_value=1, max_value=20000)
-# Subnormal tolerances included: tol * sum then rounds coarsely or to 0.
+# Subnormal tolerances included: they are refused with exit 2.
 tail_tols = mostly(st.floats(min_value=5e-324, max_value=0.5), [5e-324, 1e-310])
 formats = st.sampled_from(["csv", "json", "table"])
 

@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import ghacs.core
@@ -81,6 +82,17 @@ def reference_window(abs_z, params, policy):
     return lo, hi + 1, converged, threshold
 
 
+def reference_weights(abs_z, params, policy):
+    """P_0 .. P_N off a walk extended all the way down to n = 0, as
+    ``WeightDistribution.weights`` read them before the walk stopped at the
+    first row that underflows."""
+    walk = LogTermWalk(abs_z, params, start_index(abs_z, params, policy))
+    sums = walk_sums(walk, policy)
+    log_mass = log_sum_exp(walk.window(sums.first_index, sums.terms_used - 1))
+    walk.extend_to(0)
+    return [math.exp(r - log_mass) for r in walk.window(0, sums.terms_used - 1)]
+
+
 class TestTruncationPolicy:
     def test_fixed_requires_nmax(self):
         with pytest.raises(ValueError):
@@ -101,6 +113,18 @@ class TestTruncationPolicy:
             TruncationPolicy.adaptive(quiet_run=0)
         with pytest.raises(ValueError):
             TruncationPolicy.adaptive(quiet_run=50, hard_cap=10)
+
+    @pytest.mark.parametrize("tol", [5e-324, 1e-310, math.nextafter(sys.float_info.min, 0.0)])
+    def test_subnormal_tolerance_rejected(self, tol):
+        # Below the smallest normal double, tail_tolerance times a weight
+        # loses its digits and the head rule's bound no longer holds.
+        with pytest.raises(ValueError, match=f"tail_tolerance = {tol!r} is subnormal.*"
+                                             f"{sys.float_info.min!r}"):
+            TruncationPolicy.adaptive(tail_tolerance=tol)
+
+    def test_smallest_normal_tolerance_accepted(self):
+        tol = sys.float_info.min
+        assert TruncationPolicy.adaptive(tail_tolerance=tol).tail_tolerance == tol
 
     def test_fixed_mode_validates_the_head_tolerance(self):
         # A fixed cutoff drops its head at tail_tolerance too.
@@ -402,3 +426,26 @@ class TestWeightDistribution:
         assert mean == pytest.approx(st_.mean, rel=1e-10)
         assert second - mean ** 2 == pytest.approx(st_.variance, rel=1e-8)
 
+    @given(z=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=12.0)),
+           k=st.floats(min_value=-1.0, max_value=2.0).map(lambda log_k: 10.0 ** log_k),
+           gamma=st.floats(min_value=0.1, max_value=10.0),
+           policy=st.one_of(
+               st.floats(min_value=-300.0, max_value=math.log10(0.5)).map(
+                   lambda log_tol: TruncationPolicy.adaptive(tail_tolerance=10.0 ** log_tol)),
+               st.integers(min_value=1, max_value=3000).map(TruncationPolicy.fixed)))
+    @example(z=10.0, k=0.5, gamma=2.0, policy=ADAPTIVE)
+    @example(z=5.0, k=0.5, gamma=2.0, policy=TruncationPolicy.fixed(2000))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_the_full_walk_bitwise(self, z, k, gamma, policy):
+        # The walk down stops at the first row that underflows, and the rows
+        # beneath it are taken as 0.0 without their factors.
+        params = PotentialParams(k=k, gamma=gamma)
+        assume(start_index(z, params, policy) <= 3 * 10 ** 5)
+        wd = weight_distribution(z, params, policy)
+        assume(wd.support_bound <= 3 * 10 ** 5)
+        weights = wd.weights()
+        event("zero prefix" if weights[0] == 0.0 else "no zero prefix")
+        assert list(map(float.hex, weights)) == list(map(float.hex, reference_weights(
+            z, params, policy)))
+        # fsum rounds the exact sum: the footer's order cannot change it.
+        assert math.fsum(reversed(weights)) == math.fsum(weights)
