@@ -6,7 +6,7 @@ from .lab import (SweepRow, SweepSpec, ThresholdEstimateError, TruncationReport,
                   collapse_onset, estimate_threshold, run_sweep, sweep_row)
 from .stats import (LogSeriesSums, LogTermWalk, StateStats, TruncationPolicy,
                     VarianceConsistencyError, WeightDistribution, accumulate_sums,
-                    start_index, state_stats, walk_sums, weight_distribution)
+                    policy_sums, state_stats, weight_distribution)
 
 __version__ = "0.1.0"
 
@@ -14,7 +14,7 @@ __all__ = [
     "PotentialParams", "log_g", "log_g_increment", "log_sum_exp",
     "TruncationPolicy", "LogSeriesSums", "LogTermWalk", "StateStats",
     "WeightDistribution", "VarianceConsistencyError",
-    "accumulate_sums", "start_index", "walk_sums", "state_stats", "weight_distribution",
+    "accumulate_sums", "policy_sums", "state_stats", "weight_distribution",
     "SweepSpec", "SweepRow", "TruncationReport", "ThresholdEstimateError",
     "estimate_threshold", "run_sweep", "sweep_row", "collapse_onset",
 ]

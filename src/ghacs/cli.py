@@ -103,9 +103,10 @@ def _emit(fmt, out, inputs, header, rows, pretty, footers=None):
 
     Lines are written as they are formatted, a chunk at a time, so that no
     copy of the whole output is held; each csv or json row is one template.
-    ``pretty()`` returns the table format's rows of strings, header
-    row first; it runs only for that format.  ``footers`` maps a format to
-    what follows the rows: csv comment lines, extra json keys, table lines.
+    ``pretty()`` returns the table format's rows of strings, header row
+    first; it runs only for that format, twice (widths, then lines), so that
+    its rows need not be held.  ``footers`` maps a format to what follows
+    the rows: csv comment lines, extra json keys, table lines.
     """
     footers = footers or {}
     comments = (f"# {key}={value}" for key, value in inputs.items())
@@ -117,10 +118,11 @@ def _emit(fmt, out, inputs, header, rows, pretty, footers=None):
                                 map(template.__mod__, map(tuple, rows)),
                                 (f"# {c}" for c in footers.get("csv", ())))
     else:
-        cells = pretty()
-        widths = [max(len(r[i]) for r in cells) for i in range(len(cells[0]))]
+        cells, widths = iter(pretty()), itertools.repeat(0)
+        while chunk := list(itertools.islice(cells, 4096)):
+            widths = list(map(max, widths, (max(map(len, column)) for column in zip(*chunk))))
         lines = itertools.chain(comments, ("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip()
-                                           for r in cells), footers.get("table", ()))
+                                           for r in pretty()), footers.get("table", ()))
     with _sink(out) as fh:
         # A few thousand lines per write: a write call per line costs more
         # than formatting the line.
@@ -348,8 +350,8 @@ def dist(args) -> int:
     total = math.fsum(reversed(weights))
     header = ["n", "p_n"]
     inputs = {"k": k, "gamma": gamma, "z": z, **_policy_inputs(policy)}
-    _emit(args.fmt, args.out, inputs, header, enumerate(weights), lambda: [header] + [
-        [str(n), f"{w:.6f}"] for n, w in enumerate(weights)], {
+    _emit(args.fmt, args.out, inputs, header, enumerate(weights), lambda: itertools.chain(
+        [header], ([str(n), f"{w:.6f}"] for n, w in enumerate(weights))), {
         "csv": [f"sum={total}"],
         "json": {"weight_sum": total},
         "table": [f"sum  {total:.10f}"]})

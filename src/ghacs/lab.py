@@ -9,12 +9,13 @@ the cutoff, the variance collapses and Mandel Q plunges spuriously toward
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 
 from .core import PotentialParams
-from .stats import (DEFAULT_POLICY, LogTermWalk, StateStats, TruncationPolicy,
-                    accumulate_sums, start_index, stats_from_sums, walk_sums)
+from .stats import (DEFAULT_POLICY, TruncationPolicy, _count, accumulate_sums,
+                    policy_sums, stats_from_sums)
 # Not called here, but the benchmark's tracer (bench/tracing.py) wraps
 # ghacs.lab.state_stats, so the name stays bound.
 from .stats import state_stats  # noqa: F401
@@ -42,7 +43,7 @@ class SweepSpec(namedtuple("SweepSpec", "k gamma z_grid cutoffs")):
 
     def __new__(cls, k: float, gamma: float, z_grid: tuple[float, ...],
                 cutoffs: tuple[int, ...] = ()):
-        z_grid, cutoffs = tuple(z_grid), tuple(cutoffs)
+        z_grid, cutoffs = tuple(z_grid), tuple(_count("cutoffs", c) for c in cutoffs)
         if any(b <= a for a, b in zip(z_grid, z_grid[1:])):
             raise ValueError("z_grid must be strictly increasing")
         if not all(math.isfinite(z) and z >= 0 for z in z_grid):
@@ -106,21 +107,13 @@ def sweep_row(abs_z: float, params: PotentialParams, policy: TruncationPolicy,
               cutoffs: tuple[int, ...] = ()) -> SweepRow:
     """The adaptive reference and every fixed cutoff at one amplitude.
 
-    Policies whose walks start at the same index (the peak, for the adaptive
-    rule and every cutoff above it) share one walk; a cutoff below the peak
-    starts its own at the cutoff.  Each result equals a standalone run.
+    The policies share their walks and head stops (``stats.policy_sums``);
+    each result equals a standalone run.
     """
-    walks = {}
-
-    def stats_of(p: TruncationPolicy) -> StateStats:
-        start = start_index(abs_z, params, p)
-        if start not in walks:
-            walks[start] = LogTermWalk(abs_z, params, start)
-        return stats_from_sums(walk_sums(walks[start], p))
-
-    adaptive = stats_of(policy)
-    fixed = {n_max: stats_of(TruncationPolicy.fixed(n_max)) for n_max in cutoffs}
-    return SweepRow(abs_z=abs_z, adaptive_stats=adaptive, fixed_stats=fixed)
+    cutoffs = tuple(cutoffs)
+    policies = itertools.chain([policy], map(TruncationPolicy.fixed, cutoffs))
+    adaptive, *fixed = map(stats_from_sums, policy_sums(abs_z, params, policies))
+    return SweepRow(abs_z=abs_z, adaptive_stats=adaptive, fixed_stats=dict(zip(cutoffs, fixed)))
 
 
 def run_sweep(spec: SweepSpec, policy_defaults: TruncationPolicy) -> TruncationReport:
@@ -144,8 +137,8 @@ def collapse_onset(report: TruncationReport, n_max: int,
     """
     if n_max not in report.spec.cutoffs:
         raise ValueError(f"n_max={n_max} is not one of the report cutoffs")
-    if drop <= 0:
-        raise ValueError("drop must be positive")
+    if not (drop > 0 and math.isfinite(drop)):
+        raise ValueError(f"drop must be a positive finite number, got {drop}")
     for row in report.rows:
         q_adaptive = row.adaptive_stats.mandel_q
         q_fixed = row.fixed_stats[n_max].mandel_q

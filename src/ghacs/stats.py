@@ -42,8 +42,7 @@ __all__ = [
     "WeightDistribution",
     "VarianceConsistencyError",
     "accumulate_sums",
-    "start_index",
-    "walk_sums",
+    "policy_sums",
     "state_stats",
     "weight_distribution",
 ]
@@ -79,7 +78,7 @@ class TruncationPolicy(namedtuple("TruncationPolicy", "n_max tail_tolerance quie
 
     def __new__(cls, n_max: int | None = None, tail_tolerance: float = 1e-16,
                 quiet_run: int = 10, hard_cap: int = 10 ** 6):
-        if n_max is not None and n_max < 1:
+        if n_max is not None and _count("n_max", n_max) < 1:
             raise ValueError("fixed mode requires n_max >= 1")
         if not (0.0 < tail_tolerance < 1.0):
             raise ValueError("tail_tolerance must lie in (0, 1)")
@@ -88,9 +87,9 @@ class TruncationPolicy(namedtuple("TruncationPolicy", "n_max tail_tolerance quie
             # the head rule could skip more than the tolerance allows.
             raise ValueError(f"tail_tolerance = {tail_tolerance!r} is subnormal, below the "
                              f"smallest normal double {sys.float_info.min!r}")
-        if quiet_run < 1:
+        if _count("quiet_run", quiet_run) < 1:
             raise ValueError("quiet_run must be >= 1")
-        if hard_cap < quiet_run:
+        if _count("hard_cap", hard_cap) < quiet_run:
             raise ValueError("hard_cap must be >= quiet_run")
         return super().__new__(cls, n_max, tail_tolerance, quiet_run, hard_cap)
 
@@ -103,6 +102,13 @@ class TruncationPolicy(namedtuple("TruncationPolicy", "n_max tail_tolerance quie
         """The adaptive policy; keyword ``tail_tolerance``, ``quiet_run`` and
         ``hard_cap`` replace the field defaults."""
         return cls(None, **tolerances)
+
+
+def _count(field: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -210,7 +216,8 @@ class LogTermWalk:
     the same numbers.  Each side grows through the aligned blocks of factors
     (``core.factor_block``), one lookup per block, to the block's edge or to
     the index asked for.  At |z| = 0 the series is the single term n = 0
-    and the walk cannot be extended.
+    and the walk cannot be extended.  It holds values only; ``policy_sums``
+    decides which policies share it.
     """
 
     def __init__(self, abs_z: float, params: PotentialParams, anchor: int = 0):
@@ -224,9 +231,6 @@ class LogTermWalk:
                            if anchor else 0.0)
         self._up = [0.0]  # r(anchor), r(anchor + 1), ...
         self._down = []   # r(anchor - 1), r(anchor - 2), ...
-        # _stop_head's result per (tail_tolerance, hard_cap): the values it
-        # reads never change, so every policy with the same head shares it.
-        self._heads = {}
 
     @property
     def lo(self) -> int:
@@ -323,17 +327,15 @@ def _peak_index(abs_z: float, params: PotentialParams) -> int | None:
     return max(0, math.floor(math.exp(log_peak) - c))
 
 
-def start_index(abs_z: float, params: PotentialParams, policy: TruncationPolicy) -> int:
+def _start_index(peak: int | None, policy: TruncationPolicy) -> int:
     """Where a walk for ``policy`` starts: the largest term of the range it sums.
 
     That is the peak, or the cutoff n_max when it lies below the peak; an
-    adaptive walk whose peak lies beyond 2^52 starts at n = 0.
+    adaptive walk whose peak lies beyond 2^52 (None) starts at n = 0.
     """
-    _check_amplitude(abs_z)
-    peak = _peak_index(abs_z, params) if abs_z > 0.0 else 0
-    if policy.n_max is not None:
-        return policy.n_max if peak is None else min(peak, policy.n_max)
-    return 0 if peak is None else peak
+    if peak is None:
+        return policy.n_max or 0
+    return peak if policy.n_max is None else min(peak, policy.n_max)
 
 
 def _stop_head(walk: LogTermWalk, tol: float, cap: int):
@@ -408,29 +410,21 @@ def _reduce(walk: LogTermWalk, lo: int, hi: int, converged: bool,
         first_index=lo)
 
 
-def walk_sums(walk: LogTermWalk, policy: TruncationPolicy) -> LogSeriesSums:
-    """The sums of one truncation policy over ``walk``, extending it only as far as the policy needs.
+def _walk_sums(walk: LogTermWalk, policy: TruncationPolicy, peak: int | None,
+               heads: dict) -> LogSeriesSums:
+    """The sums of one policy over its walk, extending it only as far as the policy needs.
 
-    The window grows out of the walk's anchor, which must be the largest
-    term of the range the policy sums, or the stopping rules' weights may
-    overflow (OverflowError): ``start_index`` gives an anchor every policy accepts.
-    A fixed window wider than ``hard_cap`` raises ValueError before the walk
-    is extended to the cutoff.  Policies applied one after another to the
-    same walk share its values and, at the same tolerance and cap, its head
-    stop, so a fixed cutoff read after the adaptive rule costs only its
-    reduction.
+    ``heads`` holds the head stops made at this amplitude.  A fixed window
+    wider than ``hard_cap`` raises ValueError before the walk is extended.
     """
     adaptive = policy.n_max is None
     if walk.abs_z == 0.0:
         # Only n = 0 survives: S0 = 1, S1 = S2 = 0.
         return _reduce(walk, 0, 0, adaptive, 0 if adaptive else None)
-    if not adaptive and policy.n_max < walk.anchor:
-        raise ValueError(f"fixed cutoff n_max = {policy.n_max} lies below the "
-                         f"walk's anchor {walk.anchor}")
-    head = (policy.tail_tolerance, policy.hard_cap)
-    if head not in walk._heads:
-        walk._heads[head] = _stop_head(walk, policy.tail_tolerance, policy.hard_cap)
-    lo, closed = walk._heads[head]
+    head = (walk.anchor, policy.tail_tolerance, policy.hard_cap)
+    if head not in heads:
+        heads[head] = _stop_head(walk, policy.tail_tolerance, policy.hard_cap)
+    lo, closed = heads[head]
     if not adaptive:
         if not closed or policy.n_max + 1 - lo > policy.hard_cap:
             raise ValueError(f"fixed cutoff n_max = {policy.n_max} would sum more than "
@@ -439,13 +433,35 @@ def walk_sums(walk: LogTermWalk, policy: TruncationPolicy) -> LogSeriesSums:
         return _reduce(walk, lo, policy.n_max, False, None)
     if not closed:
         return _reduce(walk, lo, walk.anchor, False, None)
-    if walk.anchor == 0 and _peak_index(walk.abs_z, walk.params) is None:
+    if peak is None:
         # The peak lies beyond 2^52: no cap that fits in memory reaches it,
         # and the weights t_n / t_0 overflow on the way.
         walk.extend_to(policy.hard_cap - 1)
         return _reduce(walk, 0, policy.hard_cap - 1, False, None)
     hi, converged, threshold = _stop_adaptive(walk, lo, policy)
     return _reduce(walk, lo, hi, converged, threshold)
+
+
+def _walks(abs_z: float, params: PotentialParams, policies):
+    """(walk, sums) of each policy in turn; see ``policy_sums``."""
+    _check_amplitude(abs_z)
+    peak = _peak_index(abs_z, params) if abs_z > 0.0 else 0
+    walks, heads = {}, {}
+    for policy in policies:
+        start = _start_index(peak, policy)
+        if start not in walks:
+            walks[start] = LogTermWalk(abs_z, params, start)
+        yield walks[start], _walk_sums(walks[start], policy, peak, heads)
+
+
+def policy_sums(abs_z: float, params: PotentialParams, policies):
+    """The sums of each truncation policy at one amplitude, in order, as they are asked for.
+
+    Each walk starts at the largest term of the range it sums, and serves
+    every policy that starts there (the peak, for the adaptive rule and every
+    cutoff above it), sharing a head stop between equal tolerances and caps.
+    """
+    return (sums for _, sums in _walks(abs_z, params, policies))
 
 
 def accumulate_sums(abs_z: float, params: PotentialParams,
@@ -455,7 +471,7 @@ def accumulate_sums(abs_z: float, params: PotentialParams,
     An adaptive run that reaches hard_cap returns converged = False
     explicitly rather than a silently questionable number.
     """
-    return walk_sums(LogTermWalk(abs_z, params, start_index(abs_z, params, policy)), policy)
+    return next(policy_sums(abs_z, params, (policy,)))
 
 
 def state_stats(abs_z: float, params: PotentialParams,
@@ -487,6 +503,5 @@ def weight_distribution(abs_z: float, params: PotentialParams,
     The sums are taken here; the walk is extended down below the summed
     window, toward n = 0, only when the rows are first read.
     """
-    walk = LogTermWalk(abs_z, params, start_index(abs_z, params, policy))
-    return WeightDistribution(walk, walk_sums(walk, policy))
+    return WeightDistribution(*next(_walks(abs_z, params, (policy,))))
 

@@ -35,6 +35,19 @@ def factor_reads(monkeypatch):
     return reads
 
 
+@pytest.fixture
+def walks_made(monkeypatch):
+    """Every ``LogTermWalk`` that ``stats`` makes, in the order it makes them."""
+    walks, walk_class = [], ghacs.stats.LogTermWalk
+
+    def recorded(*args):
+        walks.append(walk_class(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(ghacs.stats, "LogTermWalk", recorded)
+    return walks
+
+
 def _spanned(walk) -> list[int]:
     a = walk.anchor
     down = range((a - 1) // MAX_BLOCK, walk.lo // MAX_BLOCK - 1, -1) if walk.lo < a else ()

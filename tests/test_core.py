@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ghacs
@@ -133,19 +133,34 @@ class TestLogGIncrement:
         assert math.isfinite(log_g_increment(j, params))
 
 
+# The factor kernel once switched to a log1p form, a * ln(j + c) + log1p(-c^a /
+# (j + c)^a), where (j + c)^a exceeded this multiple of c^a.  That form was the
+# less accurate of the two: 2.0e-16 relative at worst, against 1.1e-16.
+LOG1P_RATIO = 1e17
+# Near 2^52 the offset c is no longer exact in j + c; the walk starts no higher.
+MAX_J = 2 ** 52
+
+
 def first_log1p_index(params):
-    """The smallest j whose factor takes the log1p form: c^a < floor (j + c)^a."""
+    """The smallest j with (j + c)^a > LOG1P_RATIO c^a, where the log1p form took over."""
     a, c = params.alpha, params.offset
     lo, hi = 1, 2
-    while c ** a >= core._DIRECT_RATIO_FLOOR * (hi + c) ** a:
+    while (hi + c) ** a <= LOG1P_RATIO * c ** a:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if c ** a >= core._DIRECT_RATIO_FLOOR * (mid + c) ** a:
+        if (mid + c) ** a <= LOG1P_RATIO * c ** a:
             lo = mid
         else:
             hi = mid
     return hi
+
+
+def mp_log_factor(j, params):
+    """ln[(j + c)^a - c^a] in 40-digit arithmetic, at the double alpha and c."""
+    with mpmath.workdps(40):
+        a, c = mpmath.mpf(params.alpha), mpmath.mpf(params.offset)
+        return mpmath.log((j + c) ** a - c ** a)
 
 
 def block_span(b):
@@ -172,8 +187,8 @@ class TestLogFactors:
             assert factor_block(b, params) == tuple(core._log_factors(*block_span(b), params))
 
     def test_block_across_log1p_crossover(self):
-        # At k = 100 the log1p form takes over near j = 2.3e8; a span whose
-        # last index is past it evaluates every index the per-index way.
+        # At k = 100 the old log1p form took over near j = 2.3e8; the one
+        # direct formula spans it with no seam.
         params = PotentialParams(k=100.0, gamma=2.0)
         x = first_log1p_index(params)
         assert 2e8 < x < 3e8
@@ -188,6 +203,25 @@ class TestLogFactors:
             for j, value in zip(range(x - 10, x + 10), span):
                 expected = float(mpmath.log((j + c) ** a - c ** a))
                 assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @given(k=st.one_of(st.floats(min_value=math.log10(4.0), max_value=6.0).map(
+               lambda log_k: 10.0 ** log_k), st.just(1e300)),
+           gamma=st.floats(min_value=-1.0, max_value=6.0).map(lambda log_gamma: 10.0 ** log_gamma),
+           u=st.floats(min_value=0.0, max_value=1.0))
+    @example(k=100.0, gamma=2.0, u=0.0)
+    @example(k=10.0 ** 3.9375, gamma=1000.0, u=0.25)  # 1.8e-16 in the log1p form
+    @settings(max_examples=300, deadline=None)
+    def test_large_index_factors_match_mpmath(self, k, gamma, u):
+        # Where the old log1p form took over, up to 2^52, the direct formula
+        # is within 1.5e-16 relative of 40-digit values; it measured 1.1e-16
+        # at worst, the log1p form 2.0e-16.
+        params = PotentialParams(k=k, gamma=gamma)
+        x = first_log1p_index(params)
+        assume(x < MAX_J)
+        j = x + round(u * (MAX_J - x))
+        (value,) = core._log_factors(j, j + 1, params)
+        expected = mp_log_factor(j, params)
+        assert abs(value - expected) <= 1.5e-16 * abs(expected)
 
     def test_empty_span(self):
         assert core._log_factors(7, 7, K15) == []

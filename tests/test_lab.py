@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 import ghacs.core
 import ghacs.lab
 import ghacs.stats
-from ghacs.cli import main
+from ghacs.cli import _z_grid, main
 from ghacs.core import MAX_BLOCK, PotentialParams
 from ghacs.lab import (SweepSpec, ThresholdEstimateError, collapse_onset,
-                       estimate_threshold, run_sweep)
-from ghacs.stats import TruncationPolicy, start_index, state_stats
+                       estimate_threshold, run_sweep, sweep_row)
+from ghacs.stats import TruncationPolicy, state_stats
 
 K15 = PotentialParams(k=1.5, gamma=2.0)
 TABLE_GRID = (2.5, 5.0, 7.5, 10.0, 12.5, 15.0)
@@ -44,6 +44,12 @@ class TestSweepSpec:
     def test_rejects_unordered_cutoffs(self):
         with pytest.raises(ValueError):
             SweepSpec(k=1.5, gamma=2.0, z_grid=(1.0,), cutoffs=(100, 50))
+
+    @pytest.mark.parametrize("cutoffs", [(50.5,), (50, 100.0), (None,)])
+    def test_rejects_cutoffs_that_are_not_integers(self, cutoffs):
+        # 50.5 was accepted and failed deep in the walk, as a slice index.
+        with pytest.raises(ValueError, match="^cutoffs must be an integer, got "):
+            SweepSpec(k=1.5, gamma=2.0, z_grid=(1.0,), cutoffs=cutoffs)
 
 
 class TestEstimateThreshold:
@@ -125,16 +131,22 @@ class TestRunSweep:
 
     @given(st.lists(st.floats(min_value=0.0, max_value=6.0), min_size=1, max_size=4, unique=True),
            st.lists(st.integers(min_value=1, max_value=250), max_size=3, unique=True),
-           st.floats(min_value=0.8, max_value=10.0))
-    @example(z_grid=[0.0, 0.5, 3.0], cutoffs=[1, 40, 300], k=1.5)
+           st.floats(min_value=0.8, max_value=10.0),
+           st.floats(min_value=-300.0, max_value=math.log10(0.5)),
+           st.sampled_from([10, 50, 1000, 10 ** 6]))
+    @example(z_grid=[0.0, 0.5, 3.0], cutoffs=[1, 40, 300], k=1.5, log_tol=-16.0, hard_cap=10 ** 6)
+    @example(z_grid=[0.0, 1e300], cutoffs=[1, 40, 300], k=1.5, log_tol=-16.0, hard_cap=50)
     @settings(max_examples=30, deadline=None)
-    def test_shared_walk_equals_standalone_runs(self, z_grid, cutoffs, k):
+    def test_shared_walk_equals_standalone_runs(self, z_grid, cutoffs, k, log_tol, hard_cap):
         # |z| = 0 keeps one term under every policy; cutoffs above the
-        # adaptive stopping index extend the shared walk past it.  Once with
-        # the factor-block and ln g memos cleared before every run, so that
-        # each result is computed afresh, and once with them left warm.
+        # adaptive stopping index extend the shared walk past it, and where
+        # the adaptive tolerance or cap differs from the cutoffs' defaults,
+        # two head stops share that walk.  At |z| = 1e300 the peak lies
+        # beyond 2^52.  Once with the factor-block and ln g memos cleared
+        # before every run, so that each result is computed afresh, and once
+        # with them left warm.
         spec = SweepSpec(k=k, gamma=2.0, z_grid=sorted(z_grid), cutoffs=sorted(cutoffs))
-        policy = TruncationPolicy.adaptive()
+        policy = TruncationPolicy.adaptive(tail_tolerance=10.0 ** log_tol, hard_cap=hard_cap)
         for fresh in (clear_memos, lambda: None):
             fresh()
             for row in run_sweep(spec, policy).rows:
@@ -145,14 +157,7 @@ class TestRunSweep:
                     assert row.fixed_stats[c] == state_stats(row.abs_z, spec.params,
                                                              TruncationPolicy.fixed(c))
 
-    def test_one_walk_per_amplitude(self, monkeypatch, factor_reads):
-        walks, walk_class = [], ghacs.lab.LogTermWalk
-
-        def recorded_walk(*args):
-            walks.append(walk_class(*args))
-            return walks[-1]
-
-        monkeypatch.setattr(ghacs.lab, "LogTermWalk", recorded_walk)
+    def test_one_walk_per_amplitude(self, walks_made, factor_reads):
         spec = SweepSpec(k=1.5, gamma=2.0, z_grid=(0.0, 2.5, 15.0), cutoffs=(50, 150, 400))
         policy = TruncationPolicy.adaptive()
         report = run_sweep(spec, policy)
@@ -161,27 +166,48 @@ class TestRunSweep:
         assert longest[0] == 1 and longest[1] == 401 and longest[2] > 401
         # One walk per start index (the peak, or a cutoff below it), and each
         # spans every window read from it.
-        spans = {(w.abs_z, w.anchor): (w.lo, w.hi) for w in walks}
-        assert len(spans) == len(walks) == 1 + 1 + 4
+        spans = {(w.abs_z, w.anchor): (w.lo, w.hi) for w in walks_made}
+        assert len(spans) == len(walks_made) == 1 + 1 + 4
         for row in report.rows:
             policies = [(policy, row.adaptive_stats)] + [
                 (TruncationPolicy.fixed(c), row.fixed_stats[c]) for c in spec.cutoffs]
+            peak = ghacs.stats._peak_index(row.abs_z, spec.params) if row.abs_z else 0
             for p, st_ in policies:
-                lo, hi = spans[row.abs_z, start_index(row.abs_z, spec.params, p)]
+                lo, hi = spans[row.abs_z, ghacs.stats._start_index(peak, p)]
                 assert lo <= st_.sums.first_index and st_.sums.terms_used - 1 <= hi
         # Each walk evaluates each factor index of its span once: index j
         # steps between terms j - 1 and j.
         expected = [j for lo, hi in spans.values() for j in range(lo + 1, hi + 1)]
         assert sorted(factor_reads.indices) == sorted(expected)
 
+    def test_sweep_row_reads_cutoffs_from_any_iterable(self):
+        row = sweep_row(7.5, K15, TruncationPolicy.adaptive(), iter([50, 400]))
+        assert row == sweep_row(7.5, K15, TruncationPolicy.adaptive(), (50, 400))
+        assert list(row.fixed_stats) == [50, 400]
+
+    def test_peak_found_once_per_amplitude(self, monkeypatch):
+        # The reference sweep: 150 amplitudes, each with the adaptive rule
+        # and four cutoffs, which found the peak 759 times when each policy
+        # looked for its own.
+        calls, peak_index = [], ghacs.stats._peak_index
+
+        def counted(abs_z, params):
+            calls.append(abs_z)
+            return peak_index(abs_z, params)
+
+        monkeypatch.setattr(ghacs.stats, "_peak_index", counted)
+        spec = SweepSpec(k=1.5, gamma=2.0, z_grid=_z_grid(0.1, 15.0, 0.1),
+                         cutoffs=(50, 100, 200, 300))
+        run_sweep(spec, TruncationPolicy.adaptive())
+        assert calls == list(spec.z_grid) and len(calls) == 150
+
 
 class TestSweepReuse:
     """One sweep evaluates each factor block, head stop and anchor once."""
 
-    def test_shared_work_evaluated_once(self, monkeypatch):
-        blocks, heads, walks = [], [], []
+    def test_shared_work_evaluated_once(self, monkeypatch, walks_made):
+        blocks, heads = [], []
         kernel, stop_head = ghacs.core._log_factors, ghacs.stats._stop_head
-        walk_class = ghacs.lab.LogTermWalk
 
         def recorded_kernel(lo, hi, params):
             blocks.append((lo, hi, params))
@@ -191,13 +217,8 @@ class TestSweepReuse:
             heads.append((walk, log_tol, cap))
             return stop_head(walk, log_tol, cap)
 
-        def recorded_walk(*args):
-            walks.append(walk_class(*args))
-            return walks[-1]
-
         monkeypatch.setattr(ghacs.core, "_log_factors", recorded_kernel)
         monkeypatch.setattr(ghacs.stats, "_stop_head", recorded_head)
-        monkeypatch.setattr(ghacs.lab, "LogTermWalk", recorded_walk)
         clear_memos()
         spec = SweepSpec(k=1.5, gamma=2.0, z_grid=(0.0, 2.5, 5.0, 10.0, 12.0, 12.1, 15.0),
                          cutoffs=(50, 150, 400))
@@ -205,15 +226,15 @@ class TestSweepReuse:
         # Factors by aligned blocks, each once, fewer than the walks hold.
         assert len(set(blocks)) == len(blocks)
         assert all((lo - 1) % MAX_BLOCK == 0 and hi - lo == MAX_BLOCK for lo, hi, _ in blocks)
-        assert len(blocks) * MAX_BLOCK < sum(w.hi - w.lo for w in walks)
+        assert len(blocks) * MAX_BLOCK < sum(w.hi - w.lo for w in walks_made)
         # One head stop per walk: at the default tolerance and cap the
         # adaptive rule and every cutoff above the peak share it.  |z| = 0
         # has no head to stop.
-        assert len(set(heads)) == len(heads) == sum(1 for w in walks if w.abs_z > 0.0)
+        assert len(set(heads)) == len(heads) == sum(1 for w in walks_made if w.abs_z > 0.0)
         assert len(heads) < (len(spec.z_grid) - 1) * (1 + len(spec.cutoffs))
         # ln g once per distinct anchor, though cutoffs below the peak
         # anchor at the same index at every amplitude above it.
-        anchors = [w.anchor for w in walks if w.anchor]
+        anchors = [w.anchor for w in walks_made if w.anchor]
         assert ghacs.core.log_g.cache_info().misses == len(set(anchors)) < len(anchors)
 
     def test_memos_stay_within_their_bound(self):
@@ -248,3 +269,9 @@ class TestCollapseOnset:
     def test_bad_drop_rejected(self, table_report):
         with pytest.raises(ValueError):
             collapse_onset(table_report, 150, drop=0.0)
+
+    @pytest.mark.parametrize("drop", [math.nan, math.inf])
+    def test_drop_not_positive_and_finite_rejected(self, table_report, drop):
+        # A NaN drop compared False with every Q and returned None.
+        with pytest.raises(ValueError, match=f"^drop must be a positive finite number, got {drop}"):
+            collapse_onset(table_report, 150, drop=drop)

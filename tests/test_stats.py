@@ -9,8 +9,8 @@ import ghacs.core
 import ghacs.stats
 from ghacs.core import PotentialParams, log_sum_exp
 from ghacs.stats import (DEFAULT_POLICY, LogSeriesSums, LogTermWalk, TruncationPolicy,
-                         VarianceConsistencyError, accumulate_sums, start_index,
-                         state_stats, stats_from_sums, walk_sums, weight_distribution)
+                         VarianceConsistencyError, accumulate_sums, policy_sums,
+                         state_stats, stats_from_sums, weight_distribution)
 
 from oracle import direct_log_sums, direct_stats, direct_weights
 
@@ -23,6 +23,12 @@ ORACLE_LOG_SUMS_Z5 = (38.377429848722890, 42.148685839618742, 45.946129665911731
 # oracle.direct_stats(15, 0.5, 2.0, 776287, dps=40), about 40 s.
 DEEP_TAIL_MEAN_Z15 = 765785.83938257258882
 DEEP_TAIL_Q_Z15 = 1.49160681816661
+
+
+def start_of(abs_z, params, policy):
+    """The index a walk for ``policy`` starts at: the largest term of its range."""
+    peak = ghacs.stats._peak_index(abs_z, params) if abs_z > 0.0 else 0
+    return ghacs.stats._start_index(peak, policy)
 
 
 def reference_stop_head(walk, log_tol, cap):
@@ -74,7 +80,7 @@ def reference_stop_adaptive(walk, lo, policy):
 def reference_window(abs_z, params, policy):
     """(first_index, terms_used, converged, estimated_threshold) of an adaptive
     run at |z| > 0 under the log-domain rules, on a walk of its own."""
-    walk = LogTermWalk(abs_z, params, start_index(abs_z, params, policy))
+    walk = LogTermWalk(abs_z, params, start_of(abs_z, params, policy))
     lo, closed = reference_stop_head(walk, math.log(policy.tail_tolerance), policy.hard_cap)
     if not closed:
         return lo, walk.anchor + 1, False, None
@@ -86,8 +92,7 @@ def reference_weights(abs_z, params, policy):
     """P_0 .. P_N off a walk extended all the way down to n = 0, as
     ``WeightDistribution.weights`` read them before the walk stopped at the
     first row that underflows."""
-    walk = LogTermWalk(abs_z, params, start_index(abs_z, params, policy))
-    sums = walk_sums(walk, policy)
+    walk, sums = next(ghacs.stats._walks(abs_z, params, (policy,)))
     log_mass = log_sum_exp(walk.window(sums.first_index, sums.terms_used - 1))
     walk.extend_to(0)
     return [math.exp(r - log_mass) for r in walk.window(0, sums.terms_used - 1)]
@@ -125,6 +130,15 @@ class TestTruncationPolicy:
     def test_smallest_normal_tolerance_accepted(self):
         tol = sys.float_info.min
         assert TruncationPolicy.adaptive(tail_tolerance=tol).tail_tolerance == tol
+
+    @pytest.mark.parametrize("field,value", [("n_max", 50.5), ("n_max", 50.0),
+                                             ("quiet_run", 2.0), ("hard_cap", math.inf),
+                                             ("hard_cap", 1e6)])
+    def test_counts_must_be_integers(self, field, value):
+        # A float count was accepted and failed deep in the walk (a slice
+        # index), or, as an infinite hard cap, removed the cap.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            TruncationPolicy(**{field: value})
 
     def test_fixed_mode_validates_the_head_tolerance(self):
         # A fixed cutoff drops its head at tail_tolerance too.
@@ -222,22 +236,15 @@ class TestAccumulateSums:
         assert sorted(factor_reads.indices) == list(range(1051, 1150))
         assert factor_reads.blocks == [17, 16]
 
-    def test_one_lookup_per_block_and_side(self, monkeypatch, factor_reads):
+    def test_one_lookup_per_block_and_side(self, walks_made, factor_reads):
         # Each side of the walk grows a whole aligned block at a time, so the
         # memo sees one lookup per block it spans on that side, and one more
         # for the 64 factors ln g of the anchor sums directly: 383 here,
         # where growth by unaligned spans made 765.
-        walks, walk_class = [], ghacs.stats.LogTermWalk
-
-        def recorded_walk(*args):
-            walks.append(walk_class(*args))
-            return walks[-1]
-
-        monkeypatch.setattr(ghacs.stats, "LogTermWalk", recorded_walk)
         ghacs.core.factor_block.cache_clear()
         ghacs.core.log_g.cache_clear()
         accumulate_sums(15.0, PotentialParams(k=0.5), ADAPTIVE)
-        (walk,) = walks
+        (walk,) = walks_made
         assert factor_reads.blocks == factor_reads.spanned(walk)
         info = ghacs.core.factor_block.cache_info()
         assert info.hits + info.misses == len(factor_reads.blocks) + 1 == 383
@@ -278,37 +285,47 @@ class TestAccumulateSums:
         b = accumulate_sums(7.5, K15, ADAPTIVE)
         assert a == b
 
-    def test_fixed_cutoff_below_the_anchor_rejected(self):
-        # The window grows out of the anchor; a cutoff below it has no head to measure.
-        with pytest.raises(ValueError, match="anchor"):
-            walk_sums(LogTermWalk(7.5, K15, 40), TruncationPolicy.fixed(5))
-
-    def test_fixed_window_of_exactly_hard_cap_terms(self):
+    def test_fixed_window_of_exactly_hard_cap_terms(self, walks_made):
         # At k = 1.5, |z| = 5 the head closes at n = 0, so n_max = 99 sums
         # 100 terms and n_max = 100 one more.
         policy = TruncationPolicy(n_max=99, hard_cap=100)
         sums = accumulate_sums(5.0, K15, policy)
         assert (sums.first_index, sums.terms_used) == (0, 100)
-        walk = LogTermWalk(5.0, K15, start_index(5.0, K15, TruncationPolicy.fixed(100)))
         with pytest.raises(ValueError, match="hard_cap"):
-            walk_sums(walk, TruncationPolicy(n_max=100, hard_cap=100))
+            accumulate_sums(5.0, K15, TruncationPolicy(n_max=100, hard_cap=100))
         # Refused before the walk is extended to the cutoff.
-        assert walk.hi < 100
+        assert walks_made[-1].hi < 100
 
-    def test_fixed_window_whose_head_stays_open_rejected(self):
+    def test_fixed_window_whose_head_stays_open_rejected(self, walks_made):
         # At k = 0.5, |z| = 4 the peak sits near n = 1150, and the head
         # below it does not close within 100 terms.
-        params = PotentialParams(k=0.5)
-        policy = TruncationPolicy(n_max=1200, hard_cap=100)
-        walk = LogTermWalk(4.0, params, start_index(4.0, params, policy))
         with pytest.raises(ValueError, match="hard_cap"):
-            walk_sums(walk, policy)
+            accumulate_sums(4.0, PotentialParams(k=0.5), TruncationPolicy(n_max=1200, hard_cap=100))
+        (walk,) = walks_made
         assert walk.hi < 1200
 
-    def test_fixed_cutoff_at_the_anchor(self):
-        walk = LogTermWalk(7.5, K15, 40)
-        assert walk_sums(walk, TruncationPolicy.fixed(40)) == accumulate_sums(
-            7.5, K15, TruncationPolicy.fixed(40))
+    def test_fixed_cutoff_at_the_anchor(self, walks_made):
+        # A cutoff below the peak (near n = 110) anchors its walk at the
+        # cutoff, the largest term of its range, and sums up to it.
+        sums = accumulate_sums(7.5, K15, TruncationPolicy.fixed(40))
+        (walk,) = walks_made
+        assert walk.anchor == sums.origin == sums.terms_used - 1 == 40
+        assert start_of(7.5, K15, ADAPTIVE) > 100
+
+    def test_policy_sums_runs_each_policy_when_asked(self, walks_made):
+        # The sums come in policy order, each equal to a run of its own.  The
+        # peak, n = 43, and the cutoff 40 below it each get one walk, and the
+        # last policy's error surfaces only when its sums are asked for,
+        # before its cutoff extends the shared walk.
+        policies = [ADAPTIVE, TruncationPolicy.fixed(40), TruncationPolicy.fixed(60),
+                    TruncationPolicy(n_max=200, hard_cap=100)]
+        sums = policy_sums(5.0, K15, policies)
+        got = [next(sums) for _ in policies[:3]]
+        assert [w.anchor for w in walks_made] == [43, 40]
+        with pytest.raises(ValueError, match="hard_cap"):
+            next(sums)
+        assert len(walks_made) == 2 and walks_made[0].hi < 200
+        assert got == [accumulate_sums(5.0, K15, p) for p in policies[:3]]
 
     @pytest.mark.parametrize("k", [0.5, 1.5, 10.0])
     def test_largest_gamma_matches_oracle(self, k):
@@ -440,7 +457,7 @@ class TestWeightDistribution:
         # The walk down stops at the first row that underflows, and the rows
         # beneath it are taken as 0.0 without their factors.
         params = PotentialParams(k=k, gamma=gamma)
-        assume(start_index(z, params, policy) <= 3 * 10 ** 5)
+        assume(start_of(z, params, policy) <= 3 * 10 ** 5)
         wd = weight_distribution(z, params, policy)
         assume(wd.support_bound <= 3 * 10 ** 5)
         weights = wd.weights()
