@@ -105,8 +105,9 @@ def _emit(fmt, out, inputs, header, rows, pretty, footers=None):
     copy of the whole output is held; each csv or json row is one template.
     ``pretty()`` returns the table format's rows of strings, header row
     first; it runs only for that format, twice (widths, then lines), so that
-    its rows need not be held.  ``footers`` maps a format to what follows
-    the rows: csv comment lines, extra json keys, table lines.
+    its rows need not be held, and each line is one template built from
+    the widths.  ``footers`` maps a format to what follows the rows: csv
+    comment lines, extra json keys, table lines.
     """
     footers = footers or {}
     comments = (f"# {key}={value}" for key, value in inputs.items())
@@ -118,11 +119,13 @@ def _emit(fmt, out, inputs, header, rows, pretty, footers=None):
                                 map(template.__mod__, map(tuple, rows)),
                                 (f"# {c}" for c in footers.get("csv", ())))
     else:
-        cells, widths = iter(pretty()), itertools.repeat(0)
+        cells = iter(pretty())
+        widths = list(map(len, next(cells)))
         while chunk := list(itertools.islice(cells, 4096)):
             widths = list(map(max, widths, (max(map(len, column)) for column in zip(*chunk))))
-        lines = itertools.chain(comments, ("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip()
-                                           for r in pretty()), footers.get("table", ()))
+        template = "  ".join(f"%-{w}s" for w in widths)
+        lines = itertools.chain(comments, map(str.rstrip, map(template.__mod__, map(tuple, pretty()))),
+                                footers.get("table", ()))
     with _sink(out) as fh:
         # A few thousand lines per write: a write call per line costs more
         # than formatting the line.

@@ -51,8 +51,9 @@ __all__ = [
 # non-negative value; a deficit beyond this share of m2 is a logic error.
 _VARIANCE_FLOOR = -1e-9
 
-# A walk starts at n = 0 when the peak lies beyond this index, where n + c
-# stops being exact in a double; an adaptive walk there ends at its hard cap.
+# _peak_index gives up beyond this index, where n + c stops being exact in
+# a double.  An adaptive walk whose peak lies further out starts at the top
+# of its hard cap, or just below this index, where the terms still rise.
 _MAX_START = 2 ** 52
 
 
@@ -119,14 +120,14 @@ class LogSeriesSums(namedtuple("LogSeriesSums", "log_s0 origin m1 m2 terms_used 
                                defaults=(None, 0))):
     """ln S0, the first two moments about an origin, and the truncation record.
 
-    The moments are taken about ``origin``, the index of the largest summed
-    term: m1 = S1/S0 - origin and m2 = sum_n (n - origin)^2 t_n / S0.  The
-    mean is origin + m1 and the variance m2 - m1^2, free of the
-    cancellation in S2/S0 - (S1/S0)^2.  The summed window is first_index ..
-    terms_used - 1; the terms below it sum to less than the tail tolerance
-    times the largest term.  converged is True only for adaptive runs whose
-    quiet-run criterion fired before the hard cap; estimated_threshold is
-    the first index of that quiet run.
+    The moments are taken about ``origin``, the walk's anchor, which is the
+    largest summed term: m1 = S1/S0 - origin and
+    m2 = sum_n (n - origin)^2 t_n / S0.  The mean is origin + m1 and the
+    variance m2 - m1^2, free of the cancellation in S2/S0 - (S1/S0)^2.
+    The summed window is first_index .. terms_used - 1; the terms below it
+    sum to less than the tail tolerance times the largest term.  converged
+    is True only for adaptive runs whose quiet-run criterion fired before
+    the hard cap; estimated_threshold is the first index of that quiet run.
     """
 
     __slots__ = ()
@@ -330,33 +331,32 @@ def _peak_index(abs_z: float, params: PotentialParams) -> int | None:
 def _start_index(peak: int | None, policy: TruncationPolicy) -> int:
     """Where a walk for ``policy`` starts: the largest term of the range it sums.
 
-    That is the peak, or the cutoff n_max when it lies below the peak; an
-    adaptive walk whose peak lies beyond 2^52 (None) starts at n = 0.
+    That is the peak, or the cutoff n_max when it lies below the peak.  When
+    the peak lies beyond 2^52 (None) the terms rise through every index a
+    window can reach, so an adaptive walk starts at the top of its hard cap
+    (at most 2^52 - 1), and a fixed one at its cutoff.
     """
     if peak is None:
-        return policy.n_max or 0
+        return policy.n_max or min(policy.hard_cap, _MAX_START) - 1
     return peak if policy.n_max is None else min(peak, policy.n_max)
 
 
 def _stop_head(walk: LogTermWalk, tol: float, cap: int):
     """Walk down from the anchor: (first index of the window, whether the head closed).
 
-    Stops at the first n with (n + 1) w_n < tol * (largest weight so far):
-    the terms rise up to the peak, so t_0 + ... + t_n is at most (n + 1) t_n.
-    Reaching ``cap`` window terms first leaves the head open.
+    Stops at the first n with (n + 1) w_n < tol: the terms rise up to the
+    anchor, whose weight is 1, so t_0 + ... + t_n is at most (n + 1) t_n
+    and below tol of the largest term.  Reaching ``cap`` window terms first
+    leaves the head open.
     """
     start = lo = walk.anchor
-    w_max = 1.0  # w(anchor)
     exp = math.exp
     for n, r in walk.downward(max(0, start + 1 - cap)):
-        w = exp(r)
-        if (n + 1) * w < tol * w_max:
+        if (n + 1) * exp(r) < tol:
             break
         if start - n + 1 >= cap:
             return lo, False
         lo = n
-        if w > w_max:
-            w_max = w
     return lo, True
 
 
@@ -385,26 +385,24 @@ def _stop_adaptive(walk: LogTermWalk, lo: int, policy: TruncationPolicy):
             if quiet >= quiet_run:
                 return n, True, threshold
         s2 += t2
-        if n + 1 - lo >= hard_cap:
-            return n, False, None
+    return lo + hard_cap - 1, False, None
 
 
 def _reduce(walk: LogTermWalk, lo: int, hi: int, converged: bool,
             threshold: int | None) -> LogSeriesSums:
-    """ln S0 and the moments about the largest term, over the window lo..hi, in one pass.
+    """ln S0 and the moments about the anchor, over the window lo..hi, in one pass.
 
-    With weights w_n = t_n / t_max and d = n - origin, sum w, sum w d and
-    sum w d^2 are summed exactly (math.fsum) and give S0, m1 and m2.
+    The anchor is the window's largest term.  With weights
+    w_n = t_n / t_anchor and d = n - anchor, sum w, sum w d and sum w d^2
+    are summed exactly (math.fsum) and give S0, m1 and m2.
     """
-    rs = walk.window(lo, hi)
-    r_max = max(rs)
-    origin = lo + rs.index(r_max)
+    origin = walk.anchor
     ds = range(lo - origin, hi + 1 - origin)
-    ws = list(map(math.exp, map(operator.sub, rs, itertools.repeat(r_max))))
+    ws = list(map(math.exp, walk.window(lo, hi)))
     wd = list(map(operator.mul, ws, ds))
     s0 = math.fsum(ws)
     return LogSeriesSums(
-        log_s0=math.fsum((walk.log_anchor, r_max, math.log(s0))), origin=origin,
+        log_s0=math.fsum((walk.log_anchor, math.log(s0))), origin=origin,
         m1=math.fsum(wd) / s0, m2=math.fsum(map(operator.mul, wd, ds)) / s0,
         terms_used=hi + 1, converged=converged, estimated_threshold=threshold,
         first_index=lo)
@@ -414,6 +412,10 @@ def _walk_sums(walk: LogTermWalk, policy: TruncationPolicy, peak: int | None,
                heads: dict) -> LogSeriesSums:
     """The sums of one policy over its walk, extending it only as far as the policy needs.
 
+    The walk's anchor is the largest term of every window taken here, the
+    invariant that the head rule and the reduction rely on.  (Where the
+    peak is flat, past n of about 10^14, that holds to rounding: the walk's
+    r and the peak index leave other terms up to a few 1e-15 above it.)
     ``heads`` holds the head stops made at this amplitude.  A fixed window
     wider than ``hard_cap`` raises ValueError before the walk is extended.
     """
@@ -431,13 +433,10 @@ def _walk_sums(walk: LogTermWalk, policy: TruncationPolicy, peak: int | None,
                              f"hard_cap ({policy.hard_cap}) terms")
         walk.extend_to(policy.n_max)
         return _reduce(walk, lo, policy.n_max, False, None)
-    if not closed:
+    if not closed or peak is None:
+        # An open head, or a peak beyond 2^52, whose walk starts as high
+        # as a window may reach: the run ends at the anchor, unconverged.
         return _reduce(walk, lo, walk.anchor, False, None)
-    if peak is None:
-        # The peak lies beyond 2^52: no cap that fits in memory reaches it,
-        # and the weights t_n / t_0 overflow on the way.
-        walk.extend_to(policy.hard_cap - 1)
-        return _reduce(walk, 0, policy.hard_cap - 1, False, None)
     hi, converged, threshold = _stop_adaptive(walk, lo, policy)
     return _reduce(walk, lo, hi, converged, threshold)
 

@@ -287,9 +287,13 @@ def test_fixed_window_beyond_the_hard_cap_is_usage_error(args):
     assert time.perf_counter() - start < 5.0
 
 
-@pytest.mark.parametrize("args", each_command("0.01", "2", "0.5"), ids=lambda a: a[0])
+@pytest.mark.parametrize("args", each_command("0.01", "2", "0.5") + [pytest.param(
+    ["stats", "--k", "0.015", "--z", "2", "--hard-cap", "2000000"], id="stats-past-2^52")],
+    ids=lambda a: a[0])
 def test_small_k_past_the_factor_budget_is_usage_error(args):
-    # ln g at the peak (n near 3e9) would sum about 3e9 factors directly.
+    # ln g at the walk's start would sum more than 2^20 factors directly:
+    # about 3e9 at k = 0.01 (the peak), and 1999999 at k = 0.015, whose peak
+    # lies beyond 2^52 and whose walk starts at the top of the cap.
     start = time.perf_counter()
     result = invoke(args)
     assert result.exit_code == 2
@@ -398,6 +402,15 @@ class TestStatsCommand:
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
         assert "hard_cap" in result.output
+
+    def test_peak_past_2_52_exits_at_once(self):
+        # At k = 0.1 the peak passes 2^52 from |z| near 5.5.  The walk starts
+        # at the top of the default cap and ends a few terms below it;
+        # walked up from n = 0 to the cap, it peaked at 105.6 MB here.
+        result, peak = traced_peak(["stats", "--k", "0.1", "--z", "30"])
+        assert result.exit_code == 3
+        assert "hard_cap" in result.output
+        assert peak <= 3.5e6
 
     def test_deep_tail_converges(self):
         # The peak sits near n = 3.2e6, beyond the 10^6 cap on terms

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ghacs.core
 import ghacs.stats
-from ghacs.core import PotentialParams, log_sum_exp
+from ghacs.core import MAX_BLOCK, PotentialParams, log_sum_exp
 from ghacs.stats import (DEFAULT_POLICY, LogSeriesSums, LogTermWalk, TruncationPolicy,
                          VarianceConsistencyError, accumulate_sums, policy_sums,
                          state_stats, stats_from_sums, weight_distribution)
@@ -79,10 +79,12 @@ def reference_stop_adaptive(walk, lo, policy):
 
 def reference_window(abs_z, params, policy):
     """(first_index, terms_used, converged, estimated_threshold) of an adaptive
-    run at |z| > 0 under the log-domain rules, on a walk of its own."""
+    run at |z| > 0 under the log-domain rules, on a walk of its own.
+
+    An open head, or a peak beyond 2^52, ends the run at the anchor."""
     walk = LogTermWalk(abs_z, params, start_of(abs_z, params, policy))
     lo, closed = reference_stop_head(walk, math.log(policy.tail_tolerance), policy.hard_cap)
-    if not closed:
+    if not closed or ghacs.stats._peak_index(abs_z, params) is None:
         return lo, walk.anchor + 1, False, None
     hi, converged, threshold = reference_stop_adaptive(walk, lo, policy)
     return lo, hi + 1, converged, threshold
@@ -166,17 +168,17 @@ class TestAccumulateSums:
             accumulate_sums(z, K15, ADAPTIVE)
 
     def test_huge_amplitude_reaches_hard_cap_without_overflow(self):
-        # The peak lies beyond 2^52, so the walk starts at n = 0, where the
-        # weights t_n / t_0 overflow; it ends at the cap without reading them.
+        # The peak lies beyond 2^52 and the terms rise all the way to it, so
+        # the walk starts at the top of the cap, n = 49, and ends there.
         sums = accumulate_sums(1e300, K15, TruncationPolicy.adaptive(hard_cap=50))
         assert not sums.converged
         assert sums.terms_used == 50
-        # math.exp raises on these weights, and a per-term test that took
-        # them as inf (inf against an inf sum) would report convergence at
-        # this loose a tolerance.
+        # Each term below n = 49 weighs less than e^-1300 of the next: the
+        # head closes at once, and a rule that read the terms above the
+        # anchor as quiet at this loose a tolerance would report convergence.
         sums = accumulate_sums(1e300, K15, TruncationPolicy.adaptive(
             tail_tolerance=0.9, quiet_run=1, hard_cap=50))
-        assert (sums.first_index, sums.terms_used, sums.converged) == (0, 50, False)
+        assert (sums.first_index, sums.terms_used, sums.converged) == (49, 50, False)
         assert sums.estimated_threshold is None
 
     def test_term_that_underflows_against_a_zero_sum_is_quiet(self):
@@ -248,6 +250,46 @@ class TestAccumulateSums:
         assert factor_reads.blocks == factor_reads.spanned(walk)
         info = ghacs.core.factor_block.cache_info()
         assert info.hits + info.misses == len(factor_reads.blocks) + 1 == 383
+
+    @pytest.mark.parametrize("z,k", [(1e300, 1.5), (30.0, 0.1)])
+    def test_peak_past_2_52_reads_one_block(self, walks_made, factor_reads, z, k):
+        # The walk starts at the top of the default cap, n = 999,999, and its
+        # head closes within the block that holds it.  Started at n = 0, it
+        # walked the cap and read all 15,625 blocks.
+        sums = accumulate_sums(z, PotentialParams(k=k), ADAPTIVE)
+        (walk,) = walks_made
+        assert walk.anchor == sums.origin == sums.terms_used - 1 == 999_999
+        assert not sums.converged
+        assert factor_reads.blocks == [999_998 // MAX_BLOCK]
+
+    @given(z=st.one_of(st.floats(min_value=0.0, max_value=40.0),
+                       st.sampled_from([1e10, 1e20, 1e300])),
+           k=st.floats(min_value=-1.0, max_value=2.0).map(lambda log_k: 10.0 ** log_k),
+           gamma=st.floats(min_value=0.1, max_value=10.0),
+           policies=st.lists(st.one_of(
+               st.tuples(st.floats(min_value=-300.0, max_value=math.log10(0.5)),
+                         st.sampled_from([50, 1000])).map(
+                   lambda t: TruncationPolicy.adaptive(tail_tolerance=10.0 ** t[0],
+                                                       hard_cap=t[1])),
+               st.integers(min_value=1, max_value=3000).map(TruncationPolicy.fixed)),
+               min_size=1, max_size=3))
+    @example(z=30.0, k=0.1, gamma=2.0, policies=[ADAPTIVE])
+    @example(z=1e300, k=1.5, gamma=2.0, policies=[ADAPTIVE, TruncationPolicy.fixed(40)])
+    @example(z=1.0, k=2.0, gamma=2.0, policies=[ADAPTIVE])
+    @example(z=12.0, k=0.15295299865873557, gamma=9.786045567176172,
+             policies=[TruncationPolicy.adaptive(tail_tolerance=1.32744245590724e-177,
+                                                 hard_cap=20000)])
+    @settings(max_examples=100, deadline=None)
+    def test_every_window_tops_at_its_anchor(self, z, k, gamma, policies):
+        # The head rule and the reduction take the anchor as the largest
+        # term of the window, past 2^52 too, and ties included (k = 2 at
+        # integer |z|^2, where r(anchor - 1) = 0.0).  Where the peak is
+        # flat, past n of about 10^14, the rounded walk and peak index leave
+        # r up to a few 1e-15 above 0: 1.8e-15 at k = 0.153, gamma = 9.79,
+        # |z| = 12, where _peak_index lands 11 above the peak.
+        for walk, sums in ghacs.stats._walks(z, PotentialParams(k=k, gamma=gamma), policies):
+            assert sums.origin == walk.anchor
+            assert max(walk.window(sums.first_index, sums.terms_used - 1)) <= 1e-12
 
     def test_deep_tail_matches_frozen_oracle(self):
         sums = accumulate_sums(15.0, PotentialParams(k=0.5), ADAPTIVE)
