@@ -7,8 +7,8 @@ it, csv as leading ``# key=value`` comment lines and json under an
 identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage error (a malformed or rejected input value
-included), 3 adaptive run failed to converge (or, for dist, listed more rows
-than its hard cap).
+included) or a failed write, 3 adaptive run failed to converge (or, for
+dist, listed more rows than its hard cap).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ _ADAPTIVE_FLAGS = {"--tail-tol": "tail_tolerance", "--quiet-run": "quiet_run",
 
 
 class UsageError(Exception):
-    """A rejected input value: the command's usage line and the message, exit 2."""
+    """A rejected input value or a failed write: the usage line and the message, exit 2."""
 
 
 def _policy_from_flags(args, fixed_nmax=None) -> TruncationPolicy:
@@ -71,7 +71,8 @@ def _policy_inputs(policy: TruncationPolicy) -> dict:
 
 
 def _check_out(out: str | None) -> None:
-    """Refuse, before the run, an --out that is a directory or a file that cannot be written.
+    """Refuse, before the run, an --out that is a directory, lies in a missing
+    directory or is a file that cannot be written.
 
     ``_sink`` opens the file only after the run, so that a run that exits 3
     creates none.
@@ -80,22 +81,33 @@ def _check_out(out: str | None) -> None:
         return
     if os.path.isdir(out):
         raise UsageError(f"cannot write --out {out!r}: Is a directory")
+    if not os.path.isdir(os.path.dirname(out) or os.curdir):
+        raise UsageError(f"cannot write --out {out!r}: No such file or directory")
     if os.path.exists(out) and not os.access(out, os.W_OK):
         raise UsageError(f"cannot write --out {out!r}: Permission denied")
 
 
 @contextlib.contextmanager
 def _sink(out: str | None):
-    """stdout, or the file ``out`` opened for writing with LF line endings."""
-    if out is None:
-        yield sys.stdout
-        return
+    """stdout, or the file ``out`` opened for writing with LF line endings.
+
+    An OSError in opening, writing or flushing, such as a closed pipe or a
+    full disk, is a usage error (exit 2).  On stdout, fd 1 is pointed at
+    the null device first, so that the interpreter's own flush at exit
+    does not fail again (the ``signal`` module docs' note on SIGPIPE).
+    """
+    name = "stdout" if out is None else f"--out {out!r}"
     try:
-        fh = open(out, "w", newline="\n")
+        if out is None:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(out, "w", newline="\n") as fh:
+                yield fh
     except OSError as exc:
-        raise UsageError(f"cannot write --out {out!r}: {exc.strerror}") from None
-    with fh:
-        yield fh
+        if out is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write {name}: {exc.strerror}") from None
 
 
 def _emit(fmt, out, inputs, header, rows, pretty, footers=None):
@@ -431,7 +443,7 @@ def main(argv=None) -> int:
     """Run the command line ``argv`` (sys.argv[1:] when None); returns the exit code.
 
     0 on success, 2 for a usage error (argparse's own, or a rejected input
-    value), 3 for an unconverged run.
+    value) or a failed write, 3 for an unconverged run.
     """
     parser = _parser()
     try:

@@ -214,11 +214,13 @@ class LogTermWalk:
     neighbour nearer the anchor, r(n) = r(n - 1) + (ln|z|^2 - ln factor_n),
     so a walk extended in steps, up or down, holds exactly the values of one
     extended at once, and every stopping rule and cutoff applied to it reads
-    the same numbers.  Each side grows through the aligned blocks of factors
-    (``core.factor_block``), one lookup per block, to the block's edge or to
-    the index asked for.  At |z| = 0 the series is the single term n = 0
-    and the walk cannot be extended.  It holds values only; ``policy_sums``
-    decides which policies share it.
+    the same numbers.  It is grown by ``extend_to`` and read only by index
+    range, through ``window``: the stopping rules, the reduction and the
+    distribution alike.  Each side grows through the aligned blocks of
+    factors (``core.factor_block``), one lookup per block, to the block's
+    edge or to the index asked for.  At |z| = 0 the series is the single
+    term n = 0 and the walk cannot be extended.  It holds values only;
+    ``policy_sums`` decides which policies share it.
     """
 
     def __init__(self, abs_z: float, params: PotentialParams, anchor: int = 0):
@@ -277,37 +279,6 @@ class LogTermWalk:
                 map(operator.sub, itertools.repeat(log_z2), reversed(factors)),
                 operator.sub, initial=last), 1, None))
 
-    def upward(self, last: float = math.inf):
-        """(n, r(n)) for n = anchor + 1, ..., last.
-
-        Stored values come first; past them the span grows to the next
-        block edge as the values are asked for, never beyond ``last``.
-        """
-        up, a = self._up, self.anchor
-        n = a  # the last index yielded
-        while n < last:
-            if n >= self.hi:
-                self.extend_to(min(last, (n // MAX_BLOCK + 1) * MAX_BLOCK))
-            stop = min(last, self.hi)
-            for m in range(n + 1, stop + 1):
-                yield m, up[m - a]
-            n = stop
-
-    def downward(self, last: int = 0):
-        """(n, r(n)) for n = anchor - 1, ..., last.
-
-        As ``upward``, downward to ``last`` (n = 0 by default).
-        """
-        down, a = self._down, self.anchor
-        n = a
-        while n > last:
-            if n <= self.lo:
-                self.extend_to(max(last, (n - 1) // MAX_BLOCK * MAX_BLOCK))
-            stop = max(last, self.lo)
-            for m in range(n - 1, stop - 1, -1):
-                yield m, down[a - 1 - m]
-            n = stop
-
 
 def _check_amplitude(abs_z: float) -> None:
     if not (math.isfinite(abs_z) and abs_z >= 0.0):
@@ -344,20 +315,34 @@ def _start_index(peak: int | None, policy: TruncationPolicy) -> int:
 def _stop_head(walk: LogTermWalk, tol: float, cap: int):
     """Walk down from the anchor: (first index of the window, whether the head closed).
 
-    Stops at the first n with (n + 1) w_n < tol: the terms rise up to the
-    anchor, whose weight is 1, so t_0 + ... + t_n is at most (n + 1) t_n
-    and below tol of the largest term.  Reaching ``cap`` window terms first
-    leaves the head open.
+    The head closes above the largest n with (n + 1) w_n < tol: the terms
+    rise up to the anchor, whose weight is 1, so t_0 + ... + t_n is at most
+    (n + 1) t_n and below tol of the largest term.  Reaching ``cap`` window
+    terms first leaves the head open.  The walk grows down one aligned
+    block at a time, and each block is tested at its lowest index only:
+    below the anchor each step down subtracts d_j = ln|z|^2 - ln factor_j
+    >= 0, so (n + 1) w_n never rises as n falls.  (Rounding can make d_j
+    negative only within rounding of 0, next to the peak, where w is about
+    1 and the test fails on both sides for any tol < 1.)  So the block
+    whose lowest index passes holds the largest n that passes, and only
+    that block is searched.
     """
-    start = lo = walk.anchor
+    top = walk.anchor
+    last = max(0, top + 1 - cap)
     exp = math.exp
-    for n, r in walk.downward(max(0, start + 1 - cap)):
-        if (n + 1) * exp(r) < tol:
-            break
-        if start - n + 1 >= cap:
-            return lo, False
-        lo = n
-    return lo, True
+    while top > last:
+        lo = max(last, (top - 1) // MAX_BLOCK * MAX_BLOCK)
+        walk.extend_to(lo)
+        rs = walk.window(lo, top - 1)
+        if (lo + 1) * exp(rs[0]) < tol:
+            return 1 + next(n for n in range(top - 1, lo - 1, -1)
+                            if (n + 1) * exp(rs[n - lo]) < tol), True
+        top = lo
+    # No term passed.  Where the window last..anchor holds ``cap`` terms the
+    # cap ended the walk and the head stays open; a cap of 1 reads no term.
+    if 2 <= cap <= walk.anchor + 1:
+        return last + 1, False
+    return last, True
 
 
 def _stop_adaptive(walk: LogTermWalk, lo: int, policy: TruncationPolicy):
@@ -368,24 +353,31 @@ def _stop_adaptive(walk: LogTermWalk, lo: int, policy: TruncationPolicy):
     as the sum over the window lo..anchor (a term that underflows to 0
     against a sum still 0 is quiet); threshold is the first index of that
     run.  Reaching ``hard_cap`` window terms first stops the walk
-    unconverged, without a threshold.
+    unconverged, without a threshold.  The walk grows up one aligned block
+    at a time, and the test reads each block's terms in turn, since a
+    quiet run counts consecutive terms against the running sum.
     """
     tol, quiet_run, hard_cap = policy.tail_tolerance, policy.quiet_run, policy.hard_cap
     exp = math.exp
     s2 = math.fsum(n * n * exp(r) for n, r in enumerate(walk.window(lo, walk.anchor), lo))
     quiet = 0
-    for n, r in walk.upward(lo + hard_cap - 1):
-        t2 = n * n * exp(r)
-        if t2 > tol * s2:
-            quiet = 0
-        else:
-            if quiet == 0:
-                threshold = n
-            quiet += 1
-            if quiet >= quiet_run:
-                return n, True, threshold
-        s2 += t2
-    return lo + hard_cap - 1, False, None
+    top, last = walk.anchor, lo + hard_cap - 1
+    while top < last:
+        hi = min(last, (top // MAX_BLOCK + 1) * MAX_BLOCK)
+        walk.extend_to(hi)
+        for n, r in enumerate(walk.window(top + 1, hi), top + 1):
+            t2 = n * n * exp(r)
+            if t2 > tol * s2:
+                quiet = 0
+            else:
+                if quiet == 0:
+                    threshold = n
+                quiet += 1
+                if quiet >= quiet_run:
+                    return n, True, threshold
+            s2 += t2
+        top = hi
+    return last, False, None
 
 
 def _reduce(walk: LogTermWalk, lo: int, hi: int, converged: bool,

@@ -126,18 +126,47 @@ def test_adaptive_flag_beside_fixed_nmax_is_named(command, flag, value):
     assert f"--fixed-nmax cannot be given with {flag}" in result.stderr
 
 
+def package_env():
+    """The environment of a fresh interpreter that imports this ghacs."""
+    src = os.path.dirname(os.path.dirname(ghacs.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_import_loads_no_click_dataclasses_or_inspect():
     # In a fresh interpreter, against the modules loaded before the import,
     # so that what site loads at start-up does not count.
     code = ("import sys; before = set(sys.modules); import ghacs.cli; "
             "print(*sorted(set(sys.modules) - before))")
-    src = os.path.dirname(os.path.dirname(ghacs.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                text=True, check=True).stdout.split())
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=package_env(),
+                                capture_output=True, text=True, check=True).stdout.split())
     assert "ghacs.cli" in loaded
     assert not loaded & {"click", "dataclasses", "inspect"}
+
+
+def test_stdout_closed_early_is_usage_error_without_traceback():
+    # As in `ghacs dist ... | head -n 1`: the reader leaves after one line of
+    # the 1.47 MB csv, and the next write finds the pipe closed.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ghacs.cli", "dist", "--k", "0.5", "--z", "10", "--format", "csv"],
+        env=package_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "# k=0.5\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.splitlines()[-1] == "ghacs dist: error: cannot write stdout: Broken pipe"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_out_onto_a_full_device_is_usage_error():
+    result = invoke(["stats", "--k", "1.5", "--z", "2.5", "--out", "/dev/full"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert [line for line in result.stderr.splitlines() if "error:" in line] == [
+        "ghacs stats: error: cannot write --out '/dev/full': No space left on device"]
 
 
 def test_click_style_entry_point_returns_the_exit_code(capsys):
@@ -255,18 +284,23 @@ def test_out_into_a_missing_directory_is_usage_error(tmp_path, args):
     assert str(target) in result.output
 
 
-@pytest.mark.parametrize("args", each_command("0.5", "2", "15"), ids=lambda a: a[0])
-def test_out_naming_a_directory_is_refused_before_the_run(monkeypatch, tmp_path, args):
+@pytest.mark.parametrize("args,target,message", [
+    *(pytest.param(args, ".", "Is a directory", id=args[0])
+      for args in each_command("0.5", "2", "15")),
+    *(pytest.param(args, "missing/x.csv", "No such file or directory", id=f"{args[0]}-missing")
+      for args in each_command("0.5", "2", "15"))])
+def test_out_naming_a_directory_is_refused_before_the_run(monkeypatch, tmp_path, args,
+                                                          target, message):
     def unreachable(*args):
         raise AssertionError("the run started")
 
     monkeypatch.setattr(cli.engine, "accumulate_sums", unreachable)
     for name in ("weight_distribution", "sweep_row", "run_sweep"):
         monkeypatch.setattr(cli, name, unreachable)
-    result = invoke(args + ["--out", str(tmp_path)])
+    result = invoke(args + ["--out", str(tmp_path / target)])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
-    assert "Is a directory" in result.stderr
+    assert message in result.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -350,22 +350,6 @@ class TestLogTerm:
                 assert walk.log_anchor + walk.window(n, n)[0] == pytest.approx(closed_form,
                                                                               rel=1e-12)
 
-    def test_iteration_replays_stored_terms_then_extends(self):
-        walk = walk_to(7, 2.5, K15, anchor=5)
-        walk.extend_to(3)
-        up = []
-        for n, r in walk.upward():
-            up.append((n, r))
-            if n == 9:
-                break
-        down = list(walk.downward())
-        once = walk_to(9, 2.5, K15, anchor=5)
-        once.extend_to(0)
-        assert up == list(zip(range(6, 10), once.window(6, 9)))
-        assert down == list(zip(range(4, -1, -1), once.window(0, 4)[::-1]))
-        # The span grows to the next block edge, past the last index read.
-        assert walk.lo == 0 and walk.hi == MAX_BLOCK
-
     @pytest.mark.parametrize("abs_z", [-1.0, math.nan, math.inf])
     def test_rejects_amplitude_not_finite_and_nonnegative(self, abs_z):
         with pytest.raises(ValueError):

@@ -31,12 +31,31 @@ def start_of(abs_z, params, policy):
     return ghacs.stats._start_index(peak, policy)
 
 
+def outward(walk, last):
+    """(n, r(n)) for n from the anchor outward to ``last``, the anchor left out,
+    one term at a time: upward when ``last`` lies above the anchor, else
+    downward.  The walk grows one aligned block at a time, to the block's
+    edge or to ``last``, as the stopping rules grow it."""
+    n = walk.anchor
+    while n < last:
+        walk.extend_to(min(last, (n // MAX_BLOCK + 1) * MAX_BLOCK))
+        hi = min(last, walk.hi)
+        yield from enumerate(walk.window(n + 1, hi), n + 1)
+        n = hi
+    while n > last:
+        walk.extend_to(max(last, (n - 1) // MAX_BLOCK * MAX_BLOCK))
+        lo = max(last, walk.lo)
+        yield from zip(range(n - 1, lo - 1, -1), reversed(walk.window(lo, n - 1)))
+        n = lo
+
+
 def reference_stop_head(walk, log_tol, cap):
-    """The head rule on logarithms, as it stood before the rules moved to weights."""
+    """The head rule on logarithms, term by term, as it stood before the rules
+    moved to weights and the head rule to one test per block."""
     start = lo = walk.anchor
     r_max = 0.0  # r(anchor)
     log = math.log
-    for n, r in walk.downward(max(0, start + 1 - cap)):
+    for n, r in outward(walk, max(0, start + 1 - cap)):
         if log(n + 1) + r < log_tol + r_max:
             break
         if start - n + 1 >= cap:
@@ -55,7 +74,7 @@ def reference_stop_adaptive(walk, lo, policy):
                                  for n, r in enumerate(walk.window(lo, walk.anchor), lo))
     quiet = 0
     threshold = None
-    for n, r in walk.upward(lo + hard_cap - 1):
+    for n, r in outward(walk, lo + hard_cap - 1):
         lt2 = r + 2.0 * log(n)
         # The log-domain comparison decides first: exp of the difference
         # overflows once a term dwarfs the running sum (|z| near 1e300).
@@ -75,6 +94,8 @@ def reference_stop_adaptive(walk, lo, policy):
                 return n, True, threshold
         if n + 1 - lo >= hard_cap:
             return n, False, None
+    # A cap of one term leaves nothing above the anchor to read.
+    return lo + hard_cap - 1, False, None
 
 
 def reference_window(abs_z, params, policy):
@@ -193,15 +214,25 @@ class TestAccumulateSums:
     @given(z=st.floats(min_value=1e-3, max_value=40.0),
            k=st.floats(min_value=0.1, max_value=100.0),
            gamma=st.floats(min_value=0.1, max_value=10.0),
-           log_tol=st.floats(min_value=-300.0, max_value=math.log10(0.5)),
+           log_tol=st.floats(min_value=-300.0, max_value=math.log10(0.99)),
            quiet_run=st.integers(min_value=1, max_value=20),
-           hard_cap=st.sampled_from([50, 1000, 10 ** 6]))
-    @settings(max_examples=40, deadline=None)
+           hard_cap=st.sampled_from([1, 2, 3, 50, 64, 65, 1000, 10 ** 6]))
+    # k = 2 puts the anchor at 63 and 64, next to and on a block edge; at
+    # |z| = 2.5 the anchor is 8, so a cap of 9 ends the head at n = 1 and a
+    # cap of 10 reaches n = 0.
+    @example(z=8.0, k=2.0, gamma=2.0, log_tol=-16.0, quiet_run=10, hard_cap=10 ** 6)
+    @example(z=math.sqrt(65.0), k=2.0, gamma=2.0, log_tol=-16.0, quiet_run=10, hard_cap=10 ** 6)
+    @example(z=math.sqrt(65.0), k=2.0, gamma=2.0, log_tol=-16.0, quiet_run=10, hard_cap=65)
+    @example(z=2.5, k=1.5, gamma=2.0, log_tol=-16.0, quiet_run=1, hard_cap=9)
+    @example(z=2.5, k=1.5, gamma=2.0, log_tol=-16.0, quiet_run=1, hard_cap=10)
+    @example(z=1.5, k=1.5, gamma=2.0, log_tol=math.log10(0.99), quiet_run=1, hard_cap=1000)
+    @settings(max_examples=60, deadline=None)
     def test_linear_rules_match_the_log_domain_reference(self, z, k, gamma, log_tol,
                                                          quiet_run, hard_cap):
         params = PotentialParams(k=k, gamma=gamma)
         policy = TruncationPolicy.adaptive(tail_tolerance=10.0 ** log_tol,
-                                           quiet_run=quiet_run, hard_cap=hard_cap)
+                                           quiet_run=min(quiet_run, hard_cap),
+                                           hard_cap=hard_cap)
         sums = accumulate_sums(z, params, policy)
         assert (sums.first_index, sums.terms_used, sums.converged,
                 sums.estimated_threshold) == reference_window(z, params, policy)
@@ -290,6 +321,39 @@ class TestAccumulateSums:
         for walk, sums in ghacs.stats._walks(z, PotentialParams(k=k, gamma=gamma), policies):
             assert sums.origin == walk.anchor
             assert max(walk.window(sums.first_index, sums.terms_used - 1)) <= 1e-12
+
+    @given(z=st.one_of(st.floats(min_value=1e-3, max_value=40.0),
+                       st.sampled_from([1e10, 1e300])),
+           k=st.floats(min_value=-1.0, max_value=2.0).map(lambda log_k: 10.0 ** log_k),
+           gamma=st.floats(min_value=0.1, max_value=10.0),
+           log_tol=st.floats(min_value=-300.0, max_value=math.log10(0.99)),
+           below=st.integers(min_value=0, max_value=3))
+    @example(z=12.0, k=0.15295299865873557, gamma=9.786045567176172,
+             log_tol=math.log10(1.32744245590724e-177), below=0)
+    @example(z=math.sqrt(65.0), k=2.0, gamma=2.0, log_tol=-16.0, below=1)
+    @settings(max_examples=100, deadline=None)
+    def test_head_test_never_rises_below_the_anchor(self, z, k, gamma, log_tol, below):
+        # _stop_head tests each block at its lowest index only.  That finds
+        # the head's first index as a per-term test would because, below the
+        # anchor, (n + 1) w_n never rises as n falls wherever it is below 1:
+        # here on the adaptive walk, and on walks anchored at fixed cutoffs
+        # on the peak and just below it, each read a block past its head.
+        params = PotentialParams(k=k, gamma=gamma)
+        peak = ghacs.stats._peak_index(z, params)
+        policies = [TruncationPolicy.adaptive(tail_tolerance=10.0 ** log_tol, hard_cap=20000)]
+        if peak is not None and peak > below:
+            policies.append(TruncationPolicy(n_max=peak - below, hard_cap=20000))
+        for policy in policies:
+            try:
+                walk, _ = next(ghacs.stats._walks(z, params, (policy,)))
+            except ValueError:  # a fixed window wider than the cap
+                event("fixed head wider than the cap")
+                continue
+            walk.extend_to(max(0, walk.lo - MAX_BLOCK))
+            v = [(n + 1) * math.exp(r)
+                 for n, r in enumerate(walk.window(walk.lo, walk.anchor - 1), walk.lo)]
+            assert not [n for n, (low, high) in enumerate(zip(v, v[1:]), walk.lo + 1)
+                        if high < 1.0 and low > high]
 
     def test_deep_tail_matches_frozen_oracle(self):
         sums = accumulate_sums(15.0, PotentialParams(k=0.5), ADAPTIVE)
