@@ -8,15 +8,15 @@ built from the structure function
 
 which replaces n! of the harmonic-oscillator case (k = 2 gives alpha = 1
 and g = n! exactly).  Terms |z|^{2n} / g(n, k) overflow native floats long
-before the series converges for large |z|, so everything works with
-logarithms.  This module gives the factor logarithms ln g(j) - ln g(j - 1),
-an aligned block of consecutive indices per call, and ln g(n, k) itself in
-closed form, at a cost independent of n, so that the term walk in ``stats``
-can start at any index (the largest term) and step outward from it.  Both are
-pure functions of their arguments, kept in small bounded memos, so that the
-walks of a sweep evaluate each factor and each anchor's ln g once.  A factor
-has one formula, ln[(j + c)^alpha - c^alpha] with c = gamma/4, evaluated as
-written.  It uses the standard library only.
+before the series converges for large |z|, so a term is known here only by
+its logarithm.  This module gives the factors g(j) / g(j - 1), an aligned
+block of consecutive indices per call, and ln g(n, k) itself in closed form,
+at a cost independent of n, so that the term walk in ``stats`` can start at
+any index (the largest term) and step outward from it by ratios of terms.
+Both are pure functions of their arguments, kept in small bounded memos, so
+that the walks of a sweep evaluate each factor and each anchor's ln g once.
+A factor has one formula, (j + c)^alpha - c^alpha with c = gamma/4,
+evaluated as written.  It uses the standard library only.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class PotentialParams(namedtuple("PotentialParams", "k gamma")):
     at 1e6, beyond which the factors lose digits to cancellation.  A gamma
     whose gamma/4 underflows to 0, or a k so small that (1 + gamma/4)^alpha
     and (gamma/4)^alpha round to the same double (k below about 8e-17 at
-    gamma = 2), is refused: the factors' logarithms would be of 0.
+    gamma = 2), is refused: the first factor would be 0.
     """
 
     __slots__ = ()
@@ -113,37 +113,38 @@ def log_g_increment(j: int, params: PotentialParams) -> float:
     """ln of the j-th product factor, ln[(j + gamma/4)^alpha - (gamma/4)^alpha].
 
     The factor is strictly positive for every j >= 1, so the result is
-    always finite.  It is read from the ``factor_block`` holding j.
+    always finite.  It is the log of the entry of the ``factor_block``
+    holding j.
     """
     if j < 1:
         raise ValueError(f"factor index must be >= 1, got {j}")
     b, i = divmod(j - 1, MAX_BLOCK)
-    return factor_block(b, params)[i]
+    return math.log(factor_block(b, params)[i])
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def factor_block(b: int, params: PotentialParams) -> tuple[float, ...]:
-    """ln factor_j for the b-th aligned block, j = b MAX_BLOCK + 1, ..., (b + 1) MAX_BLOCK.
+    """factor_j for the b-th aligned block, j = b MAX_BLOCK + 1, ..., (b + 1) MAX_BLOCK.
 
-    The block is ``_log_factors`` over its span, evaluated once while it
+    The block is ``_factors`` over its span, evaluated once while it
     stays among the last ``_MEMO_SIZE`` used.
     """
     if b < 0:
         raise ValueError(f"factor block index must be >= 0, got {b}")
-    return tuple(_log_factors(b * MAX_BLOCK + 1, (b + 1) * MAX_BLOCK + 1, params))
+    return tuple(_factors(b * MAX_BLOCK + 1, (b + 1) * MAX_BLOCK + 1, params))
 
 
-def _log_factors(lo: int, hi: int, params: PotentialParams) -> list[float]:
-    """The factor kernel: ln[(j + c)^alpha - c^alpha] for j = lo, ..., hi - 1,
+def _factors(lo: int, hi: int, params: PotentialParams) -> list[float]:
+    """The factor kernel: (j + c)^alpha - c^alpha for j = lo, ..., hi - 1,
     with alpha and c^alpha computed once.
 
-    Up to j = 2^52 it measured within 1.1e-16 relative of 40-digit values.
+    Up to j = 2^52 the logs of its factors measured within 1.1e-16 relative
+    of 40-digit values.
     """
     a = params.alpha
     c = params.offset
     small = c ** a
-    log = math.log
-    return [log((j + c) ** a - small) for j in range(lo, hi)]
+    return [(j + c) ** a - small for j in range(lo, hi)]
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -173,8 +174,8 @@ def log_g(n: int, params: PotentialParams) -> float:
         raise ValueError(f"ln g({n}) at k = {params.k}, gamma = {params.gamma} needs {m} directly "
                          f"summed factors, more than {_MAX_DIRECT_FACTORS}: k is too small "
                          f"(or gamma too large) for this amplitude")
-    direct = math.fsum(itertools.islice(itertools.chain.from_iterable(
-        factor_block(b, params) for b in itertools.count()), m))
+    direct = math.fsum(map(math.log, itertools.islice(itertools.chain.from_iterable(
+        factor_block(b, params) for b in itertools.count()), m)))
     if n == m:
         return direct
     gamma_part = a * (math.lgamma(n + c + 1.0) - math.lgamma(m + c + 1.0))

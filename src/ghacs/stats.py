@@ -9,15 +9,16 @@ c = gamma/4, and fall after it, and at large |z| their mass sits in a few
 standard deviations around it: at k = 0.5, |z| = 15 about 24k terms around
 n* = 7.7e5.  So the walk (``LogTermWalk``) starts at the largest term of the
 summed range, with ln t of that anchor in closed form (``core.log_g``), and
-grows outward by aligned blocks of factors, keeping logs relative to the
-anchor.  A truncation policy is a stopping rule over the weights
-w_n = t_n / t_anchor, about 1 at most.  Downward it stops once the skipped
-head is provably below ``tail_tolerance`` of the largest term.  Upward it
-stops at a fixed cutoff n_max, or adaptively once the terms of the m = 2
-sum (the slowest to converge) stay below the tolerance of its running value
-for a sustained run.  The policy's hard cap bounds every window.  One
-compensated pass reduces the window to ln S0 and the first two moments
-about its largest term, so the variance is formed without cancellation.
+grows outward by aligned blocks of factors, keeping the weights
+w_n = t_n / t_anchor, about 1 at most, as products of term ratios.  A
+truncation policy is a stopping rule over those weights.  Downward it stops
+once the skipped head is provably below ``tail_tolerance`` of the largest
+term.  Upward it stops at a fixed cutoff n_max, or adaptively once the terms
+of the m = 2 sum (the slowest to converge) stay below the tolerance of its
+running value for a sustained run.  The policy's hard cap bounds every
+window.  One compensated pass reduces the window to ln S0 and the first two
+moments about its largest term, so the variance is formed without
+cancellation.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ import operator
 import sys
 from collections import namedtuple
 
-from .core import MAX_BLOCK, PotentialParams, factor_block, log_g, log_sum_exp
+from .core import MAX_BLOCK, PotentialParams, factor_block, log_g
 # Not called here, but the benchmark's tracer (bench/tracing.py) wraps
-# ghacs.stats.log_g_increment, so the name stays bound.
-from .core import log_g_increment  # noqa: F401
+# ghacs.stats.log_g_increment and ghacs.stats.log_sum_exp, so the names stay
+# bound.
+from .core import log_g_increment, log_sum_exp  # noqa: F401
 
 __all__ = [
     "TruncationPolicy",
@@ -161,44 +163,44 @@ class WeightDistribution:
     """P_n for n = 0 .. support_bound, normalized over the summed window.
 
     sums are the sums of the walk, convergence record included.  The rows,
-    exp(ln t_n - ln S0), are read off the walk in one pass when first asked
-    for, so that the sums and the support bound can be checked before
-    paying for them.  Below the window the walk grows down only until a
-    row underflows to 0.0: the terms rise up to the walk's anchor, so
-    every row beneath that one is 0.0 too, and those rows cost nothing.
-    At large |z| they are most of the rows: 83,209 of the 105,820 at
-    k = 0.5, |z| = 10.
+    w_n / s with s the sum of the window's weights, are read off the walk
+    in one pass when first asked for, so that the sums and the support
+    bound can be checked before paying for them.  Below the window the walk
+    grows down only until a row underflows to 0.0: the terms rise up to the
+    walk's anchor, so every row beneath that one is 0.0 too, and those rows
+    cost nothing.  At large |z| they are most of the rows: 83,209 of the
+    105,820 at k = 0.5, |z| = 10.  Rows below about 2.2e-308 are subnormal
+    and keep fewer digits.
     """
 
     def __init__(self, walk: LogTermWalk, sums: LogSeriesSums):
         self.sums = sums
         self.support_bound = sums.terms_used - 1
-        # ln S0 relative to the anchor term, summed again rather than taken
-        # as log_s0 - log_anchor, which would cancel digits at large ln S0.
-        self._log_mass = log_sum_exp(walk.window(sums.first_index, self.support_bound))
+        # S0 / t_anchor, summed again rather than taken from log_s0 -
+        # log_anchor, which would cancel digits at large ln S0.
+        self._mass = math.fsum(walk.window(sums.first_index, self.support_bound))
         self._walk = walk
         self._rows = None
 
     def weights(self) -> list[float]:
         """P_0 .. P_N; the same list on every call."""
         if self._rows is None:
-            walk, log_mass, exp = self._walk, self._log_mass, math.exp
+            walk, mass = self._walk, self._mass
             # Down to n = 0, or to the first block whose lowest row
-            # underflows.  Below the anchor r(n - 1) = r(n) - d_n, where
-            # d_n = ln|z|^2 - ln factor_n grows as n falls; where rows
-            # underflow, r is below about -730 and each d_n beneath is
-            # positive, far above its rounding.  So r never rises as n
-            # falls there, and every row beneath that one reads 0.0 too.
-            while walk.lo > 0 and exp(walk.window(walk.lo, walk.lo)[0] - log_mass) != 0.0:
+            # underflows.  Below the anchor w_{n-1} = w_n factor_n / |z|^2,
+            # and factor_n <= |z|^2 up to the peak, so the rounded ratio is
+            # at most 1 and w never rises as n falls: every row beneath
+            # that one reads 0.0 too.
+            while walk.lo > 0 and walk.window(walk.lo, walk.lo)[0] / mass != 0.0:
                 walk.extend_to((walk.lo - 1) // MAX_BLOCK * MAX_BLOCK)
             lo = walk.lo
             rows = [0.0] * lo
             rows += walk.window(lo, self.support_bound)
             # Once the walk is dropped the rows hold its only values, and
-            # each ln t_n is freed as its P_n takes its place.
+            # each w_n is freed as its P_n takes its place.
             self._walk = walk = None
             for n in range(lo, len(rows)):
-                rows[n] = exp(rows[n] - log_mass)
+                rows[n] /= mass
             self._rows = rows
         return self._rows
 
@@ -207,11 +209,12 @@ class WeightDistribution:
 
 
 class LogTermWalk:
-    """r(n) = ln t_n - ln t_anchor over a contiguous span of n around an anchor index.
+    """w_n = t_n / t_anchor over a contiguous span of n around an anchor index.
 
     ln t_anchor = 2 anchor ln|z| - ln g(anchor) comes in closed form
-    (``log_anchor``).  Every other value is one factor away from its
-    neighbour nearer the anchor, r(n) = r(n - 1) + (ln|z|^2 - ln factor_n),
+    (``log_anchor``), since t_anchor itself overflows at large |z|; the
+    weights, about 1 at most, do not.  Every other weight is one term ratio
+    away from its neighbour nearer the anchor, w_n = w_{n-1} |z|^2 / factor_n,
     so a walk extended in steps, up or down, holds exactly the values of one
     extended at once, and every stopping rule and cutoff applied to it reads
     the same numbers.  It is grown by ``extend_to`` and read only by index
@@ -232,8 +235,8 @@ class LogTermWalk:
         self.anchor = anchor
         self.log_anchor = (2.0 * anchor * math.log(abs_z) - log_g(anchor, params)
                            if anchor else 0.0)
-        self._up = [0.0]  # r(anchor), r(anchor + 1), ...
-        self._down = []   # r(anchor - 1), r(anchor - 2), ...
+        self._up = [1.0]  # w(anchor), w(anchor + 1), ...
+        self._down = []   # w(anchor - 1), w(anchor - 2), ...
 
     @property
     def lo(self) -> int:
@@ -244,7 +247,7 @@ class LogTermWalk:
         return self.anchor + len(self._up) - 1
 
     def window(self, lo: int, hi: int) -> list[float]:
-        """A new list of r(lo), ..., r(hi), for lo..hi inside the span (empty when hi < lo)."""
+        """A new list of w(lo), ..., w(hi), for lo..hi inside the span (empty when hi < lo)."""
         a = self.anchor
         if hi < a:
             return self._down[a - 1 - hi:a - lo][::-1]
@@ -260,24 +263,24 @@ class LogTermWalk:
             if n > 0:
                 raise ValueError("the series at |z| = 0 ends at n = 0")
             return
-        log_z2 = 2.0 * math.log(self.abs_z)
+        z2 = self.abs_z * self.abs_z
         while self.hi < n:
-            # r(j) = r(j - 1) + (ln|z|^2 - ln factor_j), for j = hi + 1, ...
+            # w(j) = w(j - 1) (|z|^2 / factor_j), for j = hi + 1, ...
             # to the end of factor hi + 1's block, or to n.
             b, i = divmod(self.hi, MAX_BLOCK)
             factors = factor_block(b, self.params)[i:min(n - b * MAX_BLOCK, MAX_BLOCK)]
             self._up.extend(itertools.islice(itertools.accumulate(
-                map(operator.sub, itertools.repeat(log_z2), factors),
-                initial=self._up[-1]), 1, None))
+                map(operator.truediv, itertools.repeat(z2), factors),
+                operator.mul, initial=self._up[-1]), 1, None))
         while self.lo > n:
-            # r(j - 1) = r(j) - (ln|z|^2 - ln factor_j), for j = lo, lo - 1, ...
+            # w(j - 1) = w(j) (factor_j / |z|^2), for j = lo, lo - 1, ...
             # to the start of factor lo's block, or to n + 1.
             b, i = divmod(self.lo - 1, MAX_BLOCK)
             factors = factor_block(b, self.params)[max(n - b * MAX_BLOCK, 0):i + 1]
             last = self._down[-1] if self._down else self._up[0]
             self._down.extend(itertools.islice(itertools.accumulate(
-                map(operator.sub, itertools.repeat(log_z2), reversed(factors)),
-                operator.sub, initial=last), 1, None))
+                map(operator.truediv, reversed(factors), itertools.repeat(z2)),
+                operator.mul, initial=last), 1, None))
 
 
 def _check_amplitude(abs_z: float) -> None:
@@ -317,32 +320,29 @@ def _stop_head(walk: LogTermWalk, tol: float, cap: int):
 
     The head closes above the largest n with (n + 1) w_n < tol: the terms
     rise up to the anchor, whose weight is 1, so t_0 + ... + t_n is at most
-    (n + 1) t_n and below tol of the largest term.  Reaching ``cap`` window
-    terms first leaves the head open.  The walk grows down one aligned
-    block at a time, and each block is tested at its lowest index only:
-    below the anchor each step down subtracts d_j = ln|z|^2 - ln factor_j
-    >= 0, so (n + 1) w_n never rises as n falls.  (Rounding can make d_j
-    negative only within rounding of 0, next to the peak, where w is about
-    1 and the test fails on both sides for any tol < 1.)  So the block
-    whose lowest index passes holds the largest n that passes, and only
-    that block is searched.
+    (n + 1) t_n and below tol of the largest term.  A window that reaches
+    ``cap`` terms above n = 0 first leaves the head open, holding exactly
+    ``cap`` terms.  The walk grows down one aligned block at a time, and
+    each block is tested at its lowest index only: below the anchor each
+    step down multiplies w by factor_j / |z|^2 <= 1, and n w_{n-1} <=
+    (n + 1) w_n follows, in rounded arithmetic too, since each rounding is
+    monotone.  So (n + 1) w_n never rises as n falls.  (Where the anchor
+    sits a rounding above the peak, the ratio exceeds 1 only next to it,
+    where w is about 1 and the test fails on both sides for any tol < 1.)
+    So the block whose lowest index passes holds the largest n that
+    passes, and only that block is searched.
     """
     top = walk.anchor
     last = max(0, top + 1 - cap)
-    exp = math.exp
     while top > last:
         lo = max(last, (top - 1) // MAX_BLOCK * MAX_BLOCK)
         walk.extend_to(lo)
-        rs = walk.window(lo, top - 1)
-        if (lo + 1) * exp(rs[0]) < tol:
+        ws = walk.window(lo, top - 1)
+        if (lo + 1) * ws[0] < tol:
             return 1 + next(n for n in range(top - 1, lo - 1, -1)
-                            if (n + 1) * exp(rs[n - lo]) < tol), True
+                            if (n + 1) * ws[n - lo] < tol), True
         top = lo
-    # No term passed.  Where the window last..anchor holds ``cap`` terms the
-    # cap ended the walk and the head stays open; a cap of 1 reads no term.
-    if 2 <= cap <= walk.anchor + 1:
-        return last + 1, False
-    return last, True
+    return last, last == 0
 
 
 def _stop_adaptive(walk: LogTermWalk, lo: int, policy: TruncationPolicy):
@@ -358,15 +358,14 @@ def _stop_adaptive(walk: LogTermWalk, lo: int, policy: TruncationPolicy):
     quiet run counts consecutive terms against the running sum.
     """
     tol, quiet_run, hard_cap = policy.tail_tolerance, policy.quiet_run, policy.hard_cap
-    exp = math.exp
-    s2 = math.fsum(n * n * exp(r) for n, r in enumerate(walk.window(lo, walk.anchor), lo))
+    s2 = math.fsum(n * n * w for n, w in enumerate(walk.window(lo, walk.anchor), lo))
     quiet = 0
     top, last = walk.anchor, lo + hard_cap - 1
     while top < last:
         hi = min(last, (top // MAX_BLOCK + 1) * MAX_BLOCK)
         walk.extend_to(hi)
-        for n, r in enumerate(walk.window(top + 1, hi), top + 1):
-            t2 = n * n * exp(r)
+        for n, w in enumerate(walk.window(top + 1, hi), top + 1):
+            t2 = n * n * w
             if t2 > tol * s2:
                 quiet = 0
             else:
@@ -390,7 +389,7 @@ def _reduce(walk: LogTermWalk, lo: int, hi: int, converged: bool,
     """
     origin = walk.anchor
     ds = range(lo - origin, hi + 1 - origin)
-    ws = list(map(math.exp, walk.window(lo, hi)))
+    ws = walk.window(lo, hi)
     wd = list(map(operator.mul, ws, ds))
     s0 = math.fsum(ws)
     return LogSeriesSums(
@@ -407,7 +406,7 @@ def _walk_sums(walk: LogTermWalk, policy: TruncationPolicy, peak: int | None,
     The walk's anchor is the largest term of every window taken here, the
     invariant that the head rule and the reduction rely on.  (Where the
     peak is flat, past n of about 10^14, that holds to rounding: the walk's
-    r and the peak index leave other terms up to a few 1e-15 above it.)
+    w and the peak index leave other terms up to a few 1e-15 above it.)
     ``heads`` holds the head stops made at this amplitude.  A fixed window
     wider than ``hard_cap`` raises ValueError before the walk is extended.
     """
@@ -489,7 +488,7 @@ def stats_from_sums(sums: LogSeriesSums) -> StateStats:
 
 def weight_distribution(abs_z: float, params: PotentialParams,
                         policy: TruncationPolicy) -> WeightDistribution:
-    """Normalized P_n for n = 0 .. N: ln P_n = ln t_n - ln S0.
+    """Normalized P_n = t_n / S0 for n = 0 .. N.
 
     The sums are taken here; the walk is extended down below the summed
     window, toward n = 0, only when the rows are first read.

@@ -22,6 +22,19 @@ def structure_function(n, k, gamma, dps=DPS):
         return g
 
 
+def term_ratio(abs_z, k, gamma, anchor, n, dps=DPS):
+    """t_n / t_anchor as the product of the term ratios |z|^2 / factor_j between them."""
+    with mp.workdps(dps):
+        a = mpf(2) * mpf(k) / (mpf(k) + 2)
+        c = mpf(gamma) / 4
+        z2 = mpf(abs_z) ** 2
+        small = c ** a
+        ratio = mpf(1)
+        for j in range(min(n, anchor) + 1, max(n, anchor) + 1):
+            ratio *= z2 / ((j + c) ** a - small)
+        return ratio if n >= anchor else 1 / ratio
+
+
 def direct_sums(abs_z, k, gamma, n_max, dps=DPS):
     """Raw sums S_m = sum_{n=0}^{n_max} n^m |z|^{2n} / g(n,k) for m = 0, 1, 2."""
     with mp.workdps(dps):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import pytest
@@ -11,7 +12,7 @@ from ghacs.core import (MAX_BLOCK, PotentialParams, factor_block, log_g, log_g_i
                         log_sum_exp)
 from ghacs.stats import LogTermWalk
 
-from oracle import structure_function
+from oracle import structure_function, term_ratio
 
 K15 = PotentialParams(k=1.5, gamma=2.0)
 K05 = PotentialParams(k=0.5, gamma=2.0)
@@ -31,6 +32,11 @@ def walk_to(n, abs_z, params, anchor=0):
     walk = LogTermWalk(abs_z, params, anchor)
     walk.extend_to(n)
     return walk
+
+
+def factor(j, params):
+    """factor_j, read from the aligned block that holds it."""
+    return factor_block((j - 1) // MAX_BLOCK, params)[(j - 1) % MAX_BLOCK]
 
 
 def log_term(n, abs_z, params):
@@ -169,22 +175,22 @@ def block_span(b):
 
 
 class TestLogFactors:
-    """ln factor_j: the kernel, its memoised aligned blocks and log_g_increment."""
+    """factor_j: the kernel, its memoised aligned blocks and log_g_increment."""
 
     @given(params_st, st.integers(min_value=1, max_value=10 ** 9),
            st.integers(min_value=0, max_value=200))
     @example(params=K15, lo=60, length=140)  # across the block edges at 65, 129 and 193
     @settings(max_examples=60)
     def test_block_equals_one_index_calls_bitwise(self, params, lo, length):
-        # A span of the kernel, its one-index calls, and log_g_increment, which
-        # reads memoised aligned blocks, agree bitwise; so does each block
-        # with the kernel over its own span, evaluated fresh.
+        # A span of the kernel, its one-index calls, and the log of
+        # log_g_increment, which reads memoised aligned blocks, agree bitwise;
+        # so does each block with the kernel over its own span, evaluated fresh.
         hi = lo + length
-        span = core._log_factors(lo, hi, params)
-        assert span == [core._log_factors(j, j + 1, params)[0] for j in range(lo, hi)]
-        assert span == [log_g_increment(j, params) for j in range(lo, hi)]
+        span = core._factors(lo, hi, params)
+        assert span == [core._factors(j, j + 1, params)[0] for j in range(lo, hi)]
+        assert list(map(math.log, span)) == [log_g_increment(j, params) for j in range(lo, hi)]
         for b in range((lo - 1) // MAX_BLOCK, (hi - 2) // MAX_BLOCK + 1):
-            assert factor_block(b, params) == tuple(core._log_factors(*block_span(b), params))
+            assert factor_block(b, params) == tuple(core._factors(*block_span(b), params))
 
     def test_block_across_log1p_crossover(self):
         # At k = 100 the old log1p form took over near j = 2.3e8; the one
@@ -192,15 +198,16 @@ class TestLogFactors:
         params = PotentialParams(k=100.0, gamma=2.0)
         x = first_log1p_index(params)
         assert 2e8 < x < 3e8
-        span = core._log_factors(x - 10, x + 10, params)
-        assert span == [core._log_factors(j, j + 1, params)[0] for j in range(x - 10, x + 10)]
-        assert span == [log_g_increment(j, params) for j in range(x - 10, x + 10)]
+        span = core._factors(x - 10, x + 10, params)
+        assert span == [core._factors(j, j + 1, params)[0] for j in range(x - 10, x + 10)]
+        assert list(map(math.log, span)) == [log_g_increment(j, params)
+                                             for j in range(x - 10, x + 10)]
         for b in {(j - 1) // MAX_BLOCK for j in (x - 10, x + 9)}:
-            assert factor_block(b, params) == tuple(core._log_factors(*block_span(b), params))
+            assert factor_block(b, params) == tuple(core._factors(*block_span(b), params))
         with mpmath.workdps(40):
             a = mpmath.mpf(2 * 100.0) / (100.0 + 2)
             c = mpmath.mpf(0.5)
-            for j, value in zip(range(x - 10, x + 10), span):
+            for j, value in zip(range(x - 10, x + 10), map(math.log, span)):
                 expected = float(mpmath.log((j + c) ** a - c ** a))
                 assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
 
@@ -219,12 +226,12 @@ class TestLogFactors:
         x = first_log1p_index(params)
         assume(x < MAX_J)
         j = x + round(u * (MAX_J - x))
-        (value,) = core._log_factors(j, j + 1, params)
+        value = math.log(*core._factors(j, j + 1, params))
         expected = mp_log_factor(j, params)
         assert abs(value - expected) <= 1.5e-16 * abs(expected)
 
     def test_empty_span(self):
-        assert core._log_factors(7, 7, K15) == []
+        assert core._factors(7, 7, K15) == []
 
     def test_blocks_are_memoised_within_a_bound(self):
         # Each aligned block is evaluated once while it stays among the last
@@ -287,20 +294,22 @@ class TestLogG:
     def test_incremental_matches_scratch_bitwise(self, params, anchor, stops):
         # Random steps up and down from the anchor hold exactly the values of
         # one extension to the same span, each one factor from its neighbour.
-        walk = LogTermWalk(1.0, params, anchor)
+        abs_z = 1.0
+        walk = LogTermWalk(abs_z, params, anchor)
         for stop in stops:
             walk.extend_to(stop)
         lo, hi = walk.lo, walk.hi
-        once = walk_to(lo, 1.0, params, anchor)
+        once = walk_to(lo, abs_z, params, anchor)
         once.extend_to(hi)
         assert walk.window(lo, hi) == once.window(lo, hi)
-        scratch = 0.0
+        z2 = abs_z * abs_z
+        scratch = 1.0
         for j in range(anchor + 1, hi + 1):
-            scratch += log_g_increment(j, params)
-            assert walk.window(j, j)[0] == -scratch
-        scratch = 0.0
+            scratch *= z2 / factor(j, params)
+            assert walk.window(j, j)[0] == scratch
+        scratch = 1.0
         for j in range(anchor, lo, -1):
-            scratch += log_g_increment(j, params)
+            scratch *= factor(j, params) / z2
             assert walk.window(j - 1, j - 1)[0] == scratch
 
     def test_direct_factor_budget(self):
@@ -320,7 +329,7 @@ class TestLogG:
 class TestLogTerm:
     def test_zeroth_term_is_unity(self):
         walk = LogTermWalk(3.7, K15)
-        assert walk.window(0, walk.hi) == [0.0]
+        assert walk.window(0, walk.hi) == [1.0]
         assert walk.log_anchor == 0.0
 
     def test_harmonic_unit_amplitude(self):
@@ -347,8 +356,32 @@ class TestLogTerm:
             walk.extend_to(0)
             for n in (0, 1, 7, 30, 60):
                 closed_form = 2 * n * math.log(2.5) - log_g(n, K15)
-                assert walk.log_anchor + walk.window(n, n)[0] == pytest.approx(closed_form,
-                                                                              rel=1e-12)
+                log_weight = math.log(walk.window(n, n)[0])
+                assert walk.log_anchor + log_weight == pytest.approx(closed_form, rel=1e-12)
+
+    @given(k=st.sampled_from([0.5, 1.5, 5.0]), gamma=st.sampled_from([0.1, 2.0, 10.0]),
+           abs_z=st.floats(min_value=0.0, max_value=15.0),
+           u=st.floats(min_value=0.0, max_value=1.0))
+    @example(k=0.5, gamma=2.0, abs_z=15.0, u=0.0)  # the ends of a 24,325-term window
+    @example(k=0.5, gamma=2.0, abs_z=15.0, u=1.0)
+    @example(k=1.5, gamma=10.0, abs_z=0.7, u=1.0)  # the first factors cancel digits
+    @settings(max_examples=30, deadline=None)
+    def test_walk_matches_40_digit_term_ratios(self, k, gamma, abs_z, u):
+        # Each step's ratio carries its factor's rounding (up to 5.3 ulps at
+        # j = 1, k = 1.5, gamma = 10, where (1 + c)^alpha - c^alpha cancels,
+        # and about alpha ln j ulps from alpha's own rounding, 2.7 at k = 0.5
+        # near n = 7.7e5), and half an ulp each for |z|^2, the division and
+        # the product.  So w_n is within 8 ulps per step of t_n / t_anchor,
+        # where that is a normal double: below 2.2e-308 a weight is subnormal
+        # or 0.0 (at |z| near 1e-113, t_2 / t_0 already underflows).
+        params = PotentialParams(k=k, gamma=gamma)
+        walk, sums = next(stats._walks(abs_z, params, (stats.DEFAULT_POLICY,)))
+        n = sums.first_index + round(u * (sums.terms_used - 1 - sums.first_index))
+        expected = term_ratio(abs_z, k, gamma, walk.anchor, n, dps=40)
+        assume(expected >= sys.float_info.min)
+        with mpmath.workdps(40):
+            error = abs(walk.window(n, n)[0] / expected - 1)
+        assert error <= 8 * 2.0 ** -53 * abs(n - walk.anchor)
 
     @pytest.mark.parametrize("abs_z", [-1.0, math.nan, math.inf])
     def test_rejects_amplitude_not_finite_and_nonnegative(self, abs_z):

@@ -207,7 +207,7 @@ class TestSweepReuse:
 
     def test_shared_work_evaluated_once(self, monkeypatch, walks_made):
         blocks, heads = [], []
-        kernel, stop_head = ghacs.core._log_factors, ghacs.stats._stop_head
+        kernel, stop_head = ghacs.core._factors, ghacs.stats._stop_head
 
         def recorded_kernel(lo, hi, params):
             blocks.append((lo, hi, params))
@@ -217,7 +217,7 @@ class TestSweepReuse:
             heads.append((walk, log_tol, cap))
             return stop_head(walk, log_tol, cap)
 
-        monkeypatch.setattr(ghacs.core, "_log_factors", recorded_kernel)
+        monkeypatch.setattr(ghacs.core, "_factors", recorded_kernel)
         monkeypatch.setattr(ghacs.stats, "_stop_head", recorded_head)
         clear_memos()
         spec = SweepSpec(k=1.5, gamma=2.0, z_grid=(0.0, 2.5, 5.0, 10.0, 12.0, 12.1, 15.0),

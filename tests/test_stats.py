@@ -31,47 +31,51 @@ def start_of(abs_z, params, policy):
     return ghacs.stats._start_index(peak, policy)
 
 
+def log_weights(ws):
+    """ln w for each weight, -inf for a weight that underflowed to 0.0."""
+    return [math.log(w) if w else -math.inf for w in ws]
+
+
 def outward(walk, last):
-    """(n, r(n)) for n from the anchor outward to ``last``, the anchor left out,
-    one term at a time: upward when ``last`` lies above the anchor, else
+    """(n, ln w(n)) for n from the anchor outward to ``last``, the anchor left
+    out, one term at a time: upward when ``last`` lies above the anchor, else
     downward.  The walk grows one aligned block at a time, to the block's
     edge or to ``last``, as the stopping rules grow it."""
     n = walk.anchor
     while n < last:
         walk.extend_to(min(last, (n // MAX_BLOCK + 1) * MAX_BLOCK))
         hi = min(last, walk.hi)
-        yield from enumerate(walk.window(n + 1, hi), n + 1)
+        yield from enumerate(log_weights(walk.window(n + 1, hi)), n + 1)
         n = hi
     while n > last:
         walk.extend_to(max(last, (n - 1) // MAX_BLOCK * MAX_BLOCK))
         lo = max(last, walk.lo)
-        yield from zip(range(n - 1, lo - 1, -1), reversed(walk.window(lo, n - 1)))
+        yield from zip(range(n - 1, lo - 1, -1), reversed(log_weights(walk.window(lo, n - 1))))
         n = lo
 
 
 def reference_stop_head(walk, log_tol, cap):
     """The head rule on logarithms, term by term, as it stood before the rules
-    moved to weights and the head rule to one test per block."""
+    moved to weights and the head rule to one test per block.  A head that
+    reaches ``cap`` terms above n = 0 stays open."""
     start = lo = walk.anchor
-    r_max = 0.0  # r(anchor)
+    r_max = 0.0  # ln w(anchor)
     log = math.log
     for n, r in outward(walk, max(0, start + 1 - cap)):
         if log(n + 1) + r < log_tol + r_max:
-            break
-        if start - n + 1 >= cap:
-            return lo, False
+            return lo, True
         lo = n
         if r > r_max:
             r_max = r
-    return lo, True
+    return lo, lo == 0
 
 
 def reference_stop_adaptive(walk, lo, policy):
     """The adaptive rule on a running ln S2, as it stood before the rules moved to weights."""
     tol, quiet_run, hard_cap = policy.tail_tolerance, policy.quiet_run, policy.hard_cap
     log, exp, log1p = math.log, math.exp, math.log1p
-    running_log_s2 = log_sum_exp(r + 2.0 * log(n) if n else -math.inf
-                                 for n, r in enumerate(walk.window(lo, walk.anchor), lo))
+    running_log_s2 = log_sum_exp(r + 2.0 * log(n) if n else -math.inf for n, r in enumerate(
+        log_weights(walk.window(lo, walk.anchor)), lo))
     quiet = 0
     threshold = None
     for n, r in outward(walk, lo + hard_cap - 1):
@@ -116,9 +120,9 @@ def reference_weights(abs_z, params, policy):
     ``WeightDistribution.weights`` read them before the walk stopped at the
     first row that underflows."""
     walk, sums = next(ghacs.stats._walks(abs_z, params, (policy,)))
-    log_mass = log_sum_exp(walk.window(sums.first_index, sums.terms_used - 1))
+    mass = math.fsum(walk.window(sums.first_index, sums.terms_used - 1))
     walk.extend_to(0)
-    return [math.exp(r - log_mass) for r in walk.window(0, sums.terms_used - 1)]
+    return [w / mass for w in walk.window(0, sums.terms_used - 1)]
 
 
 class TestTruncationPolicy:
@@ -205,7 +209,9 @@ class TestAccumulateSums:
     def test_term_that_underflows_against_a_zero_sum_is_quiet(self):
         # t_1 / t_0 underflows to 0 below |z| of about 1e-162, and the m = 2
         # sum over the window 0..0 is 0: n = 1 opens the quiet run.  (The
-        # log-domain rule counted n = 1 as significant: 12 terms, threshold 2.)
+        # log-domain rule counted n = 1, ln 0 against ln 0, as significant,
+        # and its running ln S2 turned NaN, against which every later term is
+        # quiet: 12 terms, threshold 2.)
         sums = accumulate_sums(1e-200, K15, ADAPTIVE)
         assert (sums.terms_used, sums.estimated_threshold, sums.converged) == (11, 1, True)
         assert stats_from_sums(sums).mean == 0.0
@@ -262,10 +268,10 @@ class TestAccumulateSums:
     def test_hard_cap_bounds_the_factors_evaluated(self, factor_reads):
         # The walk reads factors by aligned blocks, clamped where the cap
         # fires: from the peak at n = 1149 down to n = 1050, where the window
-        # would reach 100 terms, i.e. factors 1051..1149 and not one more,
-        # from the two blocks that hold them (1089..1152, then 1025..1088).
+        # holds 100 terms, i.e. factors 1051..1149 and not one more, from the
+        # two blocks that hold them (1089..1152, then 1025..1088).
         sums = accumulate_sums(4.0, PotentialParams(k=0.5), TruncationPolicy.adaptive(hard_cap=100))
-        assert (sums.origin, sums.first_index, sums.converged) == (1149, 1051, False)
+        assert (sums.origin, sums.first_index, sums.converged) == (1149, 1050, False)
         assert sorted(factor_reads.indices) == list(range(1051, 1150))
         assert factor_reads.blocks == [17, 16]
 
@@ -314,13 +320,13 @@ class TestAccumulateSums:
     def test_every_window_tops_at_its_anchor(self, z, k, gamma, policies):
         # The head rule and the reduction take the anchor as the largest
         # term of the window, past 2^52 too, and ties included (k = 2 at
-        # integer |z|^2, where r(anchor - 1) = 0.0).  Where the peak is
-        # flat, past n of about 10^14, the rounded walk and peak index leave
-        # r up to a few 1e-15 above 0: 1.8e-15 at k = 0.153, gamma = 9.79,
-        # |z| = 12, where _peak_index lands 11 above the peak.
+        # integer |z|^2, where a neighbour of the anchor weighs 1.0 too).
+        # Where the peak is flat, past n of about 10^14, the rounded walk and
+        # peak index leave w up to a few 1e-15 above 1: 2.7e-15 at k = 0.153,
+        # gamma = 9.79, |z| = 12, where _peak_index lands 11 above the peak.
         for walk, sums in ghacs.stats._walks(z, PotentialParams(k=k, gamma=gamma), policies):
             assert sums.origin == walk.anchor
-            assert max(walk.window(sums.first_index, sums.terms_used - 1)) <= 1e-12
+            assert max(walk.window(sums.first_index, sums.terms_used - 1)) <= 1 + 1e-12
 
     @given(z=st.one_of(st.floats(min_value=1e-3, max_value=40.0),
                        st.sampled_from([1e10, 1e300])),
@@ -350,8 +356,7 @@ class TestAccumulateSums:
                 event("fixed head wider than the cap")
                 continue
             walk.extend_to(max(0, walk.lo - MAX_BLOCK))
-            v = [(n + 1) * math.exp(r)
-                 for n, r in enumerate(walk.window(walk.lo, walk.anchor - 1), walk.lo)]
+            v = [(n + 1) * w for n, w in enumerate(walk.window(walk.lo, walk.anchor - 1), walk.lo)]
             assert not [n for n, (low, high) in enumerate(zip(v, v[1:]), walk.lo + 1)
                         if high < 1.0 and low > high]
 
@@ -409,6 +414,9 @@ class TestAccumulateSums:
             accumulate_sums(4.0, PotentialParams(k=0.5), TruncationPolicy(n_max=1200, hard_cap=100))
         (walk,) = walks_made
         assert walk.hi < 1200
+        # A cap of 1 above n = 0 holds the anchor alone, with its head untested.
+        with pytest.raises(ValueError, match="hard_cap"):
+            accumulate_sums(5.0, K15, TruncationPolicy(n_max=40, quiet_run=1, hard_cap=1))
 
     def test_fixed_cutoff_at_the_anchor(self, walks_made):
         # A cutoff below the peak (near n = 110) anchors its walk at the
