@@ -110,7 +110,7 @@ def _sink(out: str | None):
         raise UsageError(f"cannot write {name}: {exc.strerror}") from None
 
 
-def _emit(fmt, out, inputs, header, rows, pretty, footers=None):
+def _emit(fmt, out, inputs, header, rows, pretty, footers=None, zeros=0, pretty_zero=""):
     """Write ``rows`` as csv, json or a pretty table, the inputs echoed first.
 
     Lines are written as they are formatted, a chunk at a time, so that no
@@ -120,29 +120,63 @@ def _emit(fmt, out, inputs, header, rows, pretty, footers=None):
     its rows need not be held, and each line is one template built from
     the widths.  ``footers`` maps a format to what follows the rows: csv
     comment lines, extra json keys, table lines.
+
+    ``zeros`` more rows come first, ahead of ``rows`` and of ``pretty()``'s:
+    row n is n, then 0.0 in every other column (``pretty_zero`` in the
+    table).  No value of theirs is formatted: their line is one template
+    whose zero cells are filled in once, applied to up to 4,096 indices per
+    ``%`` and written a block at a time, and the table's width pass reads
+    only their widest cells.
     """
     footers = footers or {}
-    comments = (f"# {key}={value}" for key, value in inputs.items())
+    comments = [f"# {key}={value}" for key, value in inputs.items()]
     if fmt == "json":
+        if zeros:
+            # The last zero row goes with the rows, so that the list's comma
+            # or its end follows it.
+            zeros -= 1
+            rows = itertools.chain([(zeros,) + (0.0,) * (len(header) - 1)], rows)
         lines = _json_lines(inputs, header, rows, footers.get("json", {}))
+        head = 1
+        zero_line = _json_item(header, ["%s"] + [_json_value(0.0)] * (len(header) - 1)) + ",\n"
     elif fmt == "csv":
         template = ",".join(["%s"] * len(header))
         lines = itertools.chain(comments, [",".join(header)],
                                 map(template.__mod__, map(tuple, rows)),
                                 (f"# {c}" for c in footers.get("csv", ())))
+        head = len(comments) + 1
+        zero_line = ",".join(["%s"] + [str(0.0)] * (len(header) - 1)) + "\n"
     else:
         cells = iter(pretty())
         widths = list(map(len, next(cells)))
+        if zeros:
+            widths = list(map(max, widths, [len(str(zeros - 1))]
+                              + [len(pretty_zero)] * (len(widths) - 1)))
         while chunk := list(itertools.islice(cells, 4096)):
             widths = list(map(max, widths, (max(map(len, column)) for column in zip(*chunk))))
         template = "  ".join(f"%-{w}s" for w in widths)
         lines = itertools.chain(comments, map(str.rstrip, map(template.__mod__, map(tuple, pretty()))),
                                 footers.get("table", ()))
+        head = len(comments) + 1
+        # Stripped as the template's lines are: the zero cells are fixed
+        # text, stripped here, and the index is stripped only when no text
+        # follows it.
+        rest = "".join(f"  {pretty_zero:<{w}}" for w in widths[1:]).rstrip()
+        zero_line = (f"%-{widths[0]}s" if rest else "%s") + rest.replace("%", "%%") + "\n"
     with _sink(out) as fh:
-        # A few thousand lines per write: a write call per line costs more
-        # than formatting the line.
-        while chunk := list(itertools.islice(lines, 4096)):
-            fh.write("\n".join(chunk) + "\n")
+        # The zero rows follow the ``head`` lines, which precede the rows.
+        _write_lines(fh, itertools.islice(lines, head))
+        for n in range(0, zeros, 4096):
+            block = range(n, min(n + 4096, zeros))
+            fh.write((zero_line * len(block)) % tuple(block))
+        _write_lines(fh, lines)
+
+
+def _write_lines(fh, lines):
+    """Write ``lines``, each ending in a newline, a few thousand per write
+    call: a call per line costs more than formatting the line."""
+    while chunk := list(itertools.islice(lines, 4096)):
+        fh.write("\n".join(chunk) + "\n")
 
 
 def _json_lines(inputs, header, rows, extra):
@@ -150,8 +184,7 @@ def _json_lines(inputs, header, rows, extra):
 
     The text around the rows is that of the payload with no rows, cut where
     its empty list stands: the only top-level key "rows", two spaces in.
-    Each row is one template: the header names encoded once as its keys,
-    and a slot per value, filled by ``_json_value``.
+    Each row is one template (``_json_item``), filled by ``_json_value``.
     """
     text = json.dumps({"inputs": inputs, "rows": [], **extra}, indent=2, allow_nan=False)
     rows = iter(rows)
@@ -161,13 +194,20 @@ def _json_lines(inputs, header, rows, extra):
         return
     head, tail = text.split('\n  "rows": []', 1)
     yield head + '\n  "rows": ['
-    keys = (encode_basestring_ascii(h).replace("%", "%%") for h in header)
-    template = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
+    template = _json_item(header, ["%s"] * len(header))
     item = template % tuple(map(_json_value, row))
     for row in rows:
         yield item + ","
         item = template % tuple(map(_json_value, row))
     yield item + "\n  ]" + tail
+
+
+def _json_item(header, values):
+    """A json row, laid out as json.dumps(..., indent=2) lays out a row of the
+    list: ``header``'s names, encoded once, as its keys and the text
+    ``values`` as their values, with every "%" in the names doubled."""
+    keys = (encode_basestring_ascii(h).replace("%", "%%") for h in header)
+    return "    {\n" + ",\n".join(f"      {key}: {value}" for key, value in zip(keys, values)) + "\n    }"
 
 
 def _json_value(value) -> str:
@@ -358,18 +398,23 @@ def dist(args) -> int:
               f"more than hard_cap ({policy.hard_cap})", file=sys.stderr)
         return EXIT_UNCONVERGED
 
-    weights = wd.weights()
-    # fsum rounds the exact sum, so the order changes only its speed.  From
-    # n = N down the head's rows come last, falling toward 0.0, and fold
-    # into a few partials; ascending, they keep about twenty alive.
-    total = math.fsum(reversed(weights))
+    weights, zeros = wd.weights(), wd.zero_rows
+
+    def rows():
+        return enumerate(itertools.islice(weights, zeros, None), zeros)
+
+    # The rows below ``zeros`` are 0.0 and add nothing.  fsum rounds the
+    # exact sum, so the order changes only its speed.  From n = N down the
+    # head's rows come last, falling toward 0.0, and fold into a few
+    # partials; ascending, they keep about twenty alive.
+    total = math.fsum(itertools.islice(reversed(weights), len(weights) - zeros))
     header = ["n", "p_n"]
     inputs = {"k": k, "gamma": gamma, "z": z, **_policy_inputs(policy)}
-    _emit(args.fmt, args.out, inputs, header, enumerate(weights), lambda: itertools.chain(
-        [header], ([str(n), f"{w:.6f}"] for n, w in enumerate(weights))), {
+    _emit(args.fmt, args.out, inputs, header, rows(), lambda: itertools.chain(
+        [header], ([str(n), f"{w:.6f}"] for n, w in rows())), {
         "csv": [f"sum={total}"],
         "json": {"weight_sum": total},
-        "table": [f"sum  {total:.10f}"]})
+        "table": [f"sum  {total:.10f}"]}, zeros, f"{0.0:.6f}")
     return 0
 
 

@@ -168,9 +168,10 @@ class WeightDistribution:
     bound can be checked before paying for them.  Below the window the walk
     grows down only until a row underflows to 0.0: the terms rise up to the
     walk's anchor, so every row beneath that one is 0.0 too, and those rows
-    cost nothing.  At large |z| they are most of the rows: 83,209 of the
-    105,820 at k = 0.5, |z| = 10.  Rows below about 2.2e-308 are subnormal
-    and keep fewer digits.
+    cost nothing, and ``zero_rows`` counts them, so that a writer need
+    not look at them either.  At large |z| they are most of the rows:
+    83,209 of the 105,820 at k = 0.5, |z| = 10.  Rows below about 2.2e-308
+    are subnormal and keep fewer digits.
     """
 
     def __init__(self, walk: LogTermWalk, sums: LogSeriesSums):
@@ -178,9 +179,22 @@ class WeightDistribution:
         self.support_bound = sums.terms_used - 1
         # S0 / t_anchor, summed again rather than taken from log_s0 -
         # log_anchor, which would cancel digits at large ln S0.
-        self._mass = math.fsum(walk.window(sums.first_index, self.support_bound))
+        self._mass = math.fsum(walk.outward(sums.first_index, self.support_bound))
         self._walk = walk
         self._rows = None
+        self._zero_rows = None
+
+    @property
+    def zero_rows(self) -> int:
+        """How many leading rows are exactly 0.0: P_n = 0.0 for every n below it.
+
+        It is the lowest row the walk reached when the rows were read, so
+        the rows from it on may begin with a few more 0.0 rows: 83,200 at
+        k = 0.5, |z| = 10, whose first nonzero row is 83,209.  Reads the
+        rows if they are not read yet.
+        """
+        self.weights()
+        return self._zero_rows
 
     def weights(self) -> list[float]:
         """P_0 .. P_N; the same list on every call."""
@@ -193,7 +207,7 @@ class WeightDistribution:
             # that one reads 0.0 too.
             while walk.lo > 0 and walk.window(walk.lo, walk.lo)[0] / mass != 0.0:
                 walk.extend_to((walk.lo - 1) // MAX_BLOCK * MAX_BLOCK)
-            lo = walk.lo
+            self._zero_rows = lo = walk.lo
             rows = [0.0] * lo
             rows += walk.window(lo, self.support_bound)
             # Once the walk is dropped the rows hold its only values, and
@@ -255,6 +269,16 @@ class LogTermWalk:
             return self._up[lo - a:hi - a + 1]
         return self._down[:a - lo][::-1] + self._up[:hi - a + 1]
 
+    def outward(self, lo: int, hi: int) -> list[float]:
+        """A new list of w(anchor), ..., w(hi), then w(anchor - 1), ..., w(lo): the
+        window lo..hi, which holds the anchor, in walk order.
+
+        Each side falls from about 1, so ``math.fsum`` keeps few partials
+        over it; ``_outward`` gives the matching indices.
+        """
+        a = self.anchor
+        return self._up[:hi - a + 1] + self._down[:a - lo]
+
     def extend_to(self, n: int) -> None:
         """Extend the span to include n, one aligned block of factors at a time."""
         if n < 0:
@@ -281,6 +305,11 @@ class LogTermWalk:
             self._down.extend(itertools.islice(itertools.accumulate(
                 map(operator.truediv, reversed(factors), itertools.repeat(z2)),
                 operator.mul, initial=last), 1, None))
+
+
+def _outward(anchor: int, lo: int, hi: int):
+    """anchor, ..., hi, then anchor - 1, ..., lo: the indices of ``LogTermWalk.outward``."""
+    return itertools.chain(range(anchor, hi + 1), range(anchor - 1, lo - 1, -1))
 
 
 def _check_amplitude(abs_z: float) -> None:
@@ -358,7 +387,8 @@ def _stop_adaptive(walk: LogTermWalk, lo: int, policy: TruncationPolicy):
     quiet run counts consecutive terms against the running sum.
     """
     tol, quiet_run, hard_cap = policy.tail_tolerance, policy.quiet_run, policy.hard_cap
-    s2 = math.fsum(n * n * w for n, w in enumerate(walk.window(lo, walk.anchor), lo))
+    s2 = math.fsum(n * n * w for n, w in zip(range(walk.anchor, lo - 1, -1),
+                                              walk.outward(lo, walk.anchor)))
     quiet = 0
     top, last = walk.anchor, lo + hard_cap - 1
     while top < last:
@@ -385,16 +415,16 @@ def _reduce(walk: LogTermWalk, lo: int, hi: int, converged: bool,
 
     The anchor is the window's largest term.  With weights
     w_n = t_n / t_anchor and d = n - anchor, sum w, sum w d and sum w d^2
-    are summed exactly (math.fsum) and give S0, m1 and m2.
+    are summed exactly (math.fsum), in walk order, and give S0, m1 and m2.
     """
     origin = walk.anchor
-    ds = range(lo - origin, hi + 1 - origin)
-    ws = walk.window(lo, hi)
-    wd = list(map(operator.mul, ws, ds))
+    ws = walk.outward(lo, hi)
+    wd = list(map(operator.mul, ws, _outward(0, lo - origin, hi - origin)))
     s0 = math.fsum(ws)
     return LogSeriesSums(
         log_s0=math.fsum((walk.log_anchor, math.log(s0))), origin=origin,
-        m1=math.fsum(wd) / s0, m2=math.fsum(map(operator.mul, wd, ds)) / s0,
+        m1=math.fsum(wd) / s0,
+        m2=math.fsum(map(operator.mul, wd, _outward(0, lo - origin, hi - origin))) / s0,
         terms_used=hi + 1, converged=converged, estimated_threshold=threshold,
         first_index=lo)
 

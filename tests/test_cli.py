@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -11,7 +12,7 @@ import tracemalloc
 from collections import namedtuple
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import ghacs
@@ -698,6 +699,17 @@ class TestDistCommand:
         assert len(json.loads(target.read_text())["rows"]) == 105820
         assert peak <= 0.6 * 28.8e6
 
+    @pytest.mark.parametrize("fmt,digest", [
+        ("csv", "729da96b0bc1fbca519b8a6725984658b930d2c9f47349d11c65cb5720cc4d33"),
+        ("json", "d3037e31c1e0e45b3ddb8d5278c7ed8221d8ec3ed7480126a7a5d663740523b7"),
+        ("table", "f6aa26e345821347bb83fa51ae5bb56b73a4a2525d8d32281ee75ca1a4f31b7e")])
+    def test_zero_rows_print_as_every_row_formatted(self, fmt, digest):
+        # The sha256 of the stdout from when each of the 105,820 rows, the
+        # 83,209 that print 0.0 among them, was formatted on its own.
+        result = invoke(["dist", "--k", "0.5", "--z", "10", "--format", fmt])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("fmt", ["csv", "table"])
     def test_zero_prefix_costs_no_memory_of_its_own(self, tmp_path, fmt):
         # The 83,209 rows that underflow share one 0.0 and are never walked:
@@ -768,6 +780,44 @@ class TestWriter:
         target = tmp_path / "out.txt"
         cli._emit(fmt, str(target), inputs, header, iter(rows), pretty, footers)
         assert target.read_bytes() == expected.encode()
+
+    @given(fmt=st.sampled_from(["csv", "json", "table"]),
+           zeros=st.sampled_from([0, 1, 4095, 4096, 4097, 8193]),
+           width=st.integers(min_value=1, max_value=3),
+           cells=st.lists(cell_values, max_size=12),
+           pretty_zero=st.sampled_from(["0.000000", "", "%s", "a b"]))
+    @example(fmt="json", zeros=1, width=2, cells=[], pretty_zero="0.000000")
+    @example(fmt="table", zeros=4097, width=2, cells=[], pretty_zero="0.000000")
+    @example(fmt="table", zeros=4097, width=1, cells=[], pretty_zero="")
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_zero_rows_equal_the_rows_written_out(self, tmp_path, capsys, fmt, zeros, width,
+                                                  cells, pretty_zero):
+        # Written a block at a time from one template, the leading zero rows
+        # read as the same rows formatted one by one, blocks of 4,096 and
+        # their edges included, and a json list that ends in them.
+        header = ["n", "p_%", "c2"][:width]
+        inputs = {"k": 0.5, "policy": "adaptive"}
+        rows = [cells[i:i + width] for i in range(0, len(cells) - width + 1, width)]
+        footers = {"csv": ["sum=1.0"], "json": {"weight_sum": 1.0},
+                   "table": ["sum  1.0000000000"]}
+
+        def pretty():
+            return [header] + [[str(v) for v in row] for row in rows]
+
+        expected = joined_emit(
+            fmt, inputs, header, [[n] + [0.0] * (width - 1) for n in range(zeros)] + rows,
+            lambda: pretty()[:1] + [[str(n)] + [pretty_zero] * (width - 1)
+                                    for n in range(zeros)] + pretty()[1:], footers)
+        capsys.readouterr()
+        cli._emit(fmt, None, inputs, header, iter(rows), pretty, footers, zeros, pretty_zero)
+        # Compared line by line: pytest names the first line that differs,
+        # where a diff of the whole text would take minutes.
+        assert capsys.readouterr().out.splitlines(True) == expected.splitlines(True)
+        target = tmp_path / "out.txt"
+        cli._emit(fmt, str(target), inputs, header, iter(rows), pretty, footers, zeros,
+                  pretty_zero)
+        assert target.read_bytes().splitlines(True) == expected.encode().splitlines(True)
 
     def test_json_rejects_non_finite_numbers(self):
         with pytest.raises(ValueError):

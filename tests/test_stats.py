@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -80,13 +81,20 @@ def reference_stop_adaptive(walk, lo, policy):
     threshold = None
     for n, r in outward(walk, lo + hard_cap - 1):
         lt2 = r + 2.0 * log(n)
-        # The log-domain comparison decides first: exp of the difference
-        # overflows once a term dwarfs the running sum (|z| near 1e300).
-        significant = lt2 >= running_log_s2 or exp(lt2 - running_log_s2) >= tol
-        if lt2 > running_log_s2:
-            running_log_s2 = lt2 + log1p(exp(running_log_s2 - lt2))
+        if lt2 == running_log_s2 == -math.inf:
+            # A term that underflows to 0 against a sum still 0 is quiet,
+            # and leaves the sum 0.
+            significant = False
         else:
-            running_log_s2 += log1p(exp(lt2 - running_log_s2))
+            # The log-domain comparison decides first: exp of the difference
+            # overflows once a term dwarfs the running sum (|z| near 1e300).
+            significant = lt2 >= running_log_s2 or exp(lt2 - running_log_s2) >= tol
+            if lt2 > running_log_s2:
+                running_log_s2 = lt2 + log1p(exp(running_log_s2 - lt2))
+            else:
+                running_log_s2 += log1p(exp(lt2 - running_log_s2))
+        if math.isnan(running_log_s2):
+            raise ArithmeticError(f"the running ln S2 turned NaN at n = {n}")
         if significant:
             quiet = 0
             threshold = None
@@ -208,14 +216,12 @@ class TestAccumulateSums:
 
     def test_term_that_underflows_against_a_zero_sum_is_quiet(self):
         # t_1 / t_0 underflows to 0 below |z| of about 1e-162, and the m = 2
-        # sum over the window 0..0 is 0: n = 1 opens the quiet run.  (The
-        # log-domain rule counted n = 1, ln 0 against ln 0, as significant,
-        # and its running ln S2 turned NaN, against which every later term is
-        # quiet: 12 terms, threshold 2.)
+        # sum over the window 0..0 is 0: n = 1 opens the quiet run, in the
+        # log-domain reference too, ln 0 against ln 0.
         sums = accumulate_sums(1e-200, K15, ADAPTIVE)
         assert (sums.terms_used, sums.estimated_threshold, sums.converged) == (11, 1, True)
         assert stats_from_sums(sums).mean == 0.0
-        assert reference_window(1e-200, K15, ADAPTIVE) == (0, 12, True, 2)
+        assert reference_window(1e-200, K15, ADAPTIVE) == (0, 11, True, 1)
 
     @given(z=st.floats(min_value=1e-3, max_value=40.0),
            k=st.floats(min_value=0.1, max_value=100.0),
@@ -325,8 +331,13 @@ class TestAccumulateSums:
         # peak index leave w up to a few 1e-15 above 1: 2.7e-15 at k = 0.153,
         # gamma = 9.79, |z| = 12, where _peak_index lands 11 above the peak.
         for walk, sums in ghacs.stats._walks(z, PotentialParams(k=k, gamma=gamma), policies):
+            lo, hi = sums.first_index, sums.terms_used - 1
+            ws = walk.window(lo, hi)
             assert sums.origin == walk.anchor
-            assert max(walk.window(sums.first_index, sums.terms_used - 1)) <= 1 + 1e-12
+            assert max(ws) <= 1 + 1e-12
+            # The reduction reads the window in walk order, anchor first.
+            assert walk.outward(lo, hi) == [
+                ws[n - lo] for n in ghacs.stats._outward(walk.anchor, lo, hi)]
 
     @given(z=st.one_of(st.floats(min_value=1e-3, max_value=40.0),
                        st.sampled_from([1e10, 1e300])),
@@ -574,9 +585,22 @@ class TestWeightDistribution:
         assume(start_of(z, params, policy) <= 3 * 10 ** 5)
         wd = weight_distribution(z, params, policy)
         assume(wd.support_bound <= 3 * 10 ** 5)
-        weights = wd.weights()
+        weights, zeros = wd.weights(), wd.zero_rows
         event("zero prefix" if weights[0] == 0.0 else "no zero prefix")
         assert list(map(float.hex, weights)) == list(map(float.hex, reference_weights(
             z, params, policy)))
-        # fsum rounds the exact sum: the footer's order cannot change it.
-        assert math.fsum(reversed(weights)) == math.fsum(weights)
+        assert not any(weights[:zeros])
+        # fsum rounds the exact sum: the footer's order, and the zero rows
+        # it leaves out, cannot change it.
+        assert math.fsum(itertools.islice(reversed(weights), len(weights) - zeros)) == math.fsum(
+            weights)
+
+    def test_zero_rows_are_the_walks_lowest_row(self):
+        # At k = 0.5, |z| = 10 the walk down stops in the block of factors
+        # 83201..83264, whose lowest row, 83200, underflows; the first row
+        # that does not is 83209.
+        wd = weight_distribution(10.0, PotentialParams(k=0.5), ADAPTIVE)
+        assert wd.zero_rows == 83200
+        weights = wd.weights()
+        assert not any(weights[:83209])
+        assert weights[83209] > 0.0
