@@ -398,16 +398,16 @@ def dist(args) -> int:
               f"more than hard_cap ({policy.hard_cap})", file=sys.stderr)
         return EXIT_UNCONVERGED
 
-    weights, zeros = wd.weights(), wd.zero_rows
+    weights, zeros = wd.rows(), wd.zero_rows
 
     def rows():
-        return enumerate(itertools.islice(weights, zeros, None), zeros)
+        return enumerate(weights, zeros)
 
     # The rows below ``zeros`` are 0.0 and add nothing.  fsum rounds the
     # exact sum, so the order changes only its speed.  From n = N down the
     # head's rows come last, falling toward 0.0, and fold into a few
     # partials; ascending, they keep about twenty alive.
-    total = math.fsum(itertools.islice(reversed(weights), len(weights) - zeros))
+    total = math.fsum(reversed(weights))
     header = ["n", "p_n"]
     inputs = {"k": k, "gamma": gamma, "z": z, **_policy_inputs(policy)}
     _emit(args.fmt, args.out, inputs, header, rows(), lambda: itertools.chain(

@@ -10,9 +10,11 @@ which replaces n! of the harmonic-oscillator case (k = 2 gives alpha = 1
 and g = n! exactly).  Terms |z|^{2n} / g(n, k) overflow native floats long
 before the series converges for large |z|, so a term is known here only by
 its logarithm.  This module gives the factors g(j) / g(j - 1), an aligned
-block of consecutive indices per call, and ln g(n, k) itself in closed form,
-at a cost independent of n, so that the term walk in ``stats`` can start at
-any index (the largest term) and step outward from it by ratios of terms.
+block of consecutive indices per call, ln g(n, k) itself in closed form, at
+a cost independent of n, so that the term walk in ``stats`` can start at
+any index (the largest term) and step outward from it by ratios of terms,
+and ln g(a + d) - ln g(a) at a cost independent of d, so that ``stats`` can
+read a wide peak's terms a stride apart.
 Both are pure functions of their arguments, kept in small bounded memos, so
 that the walks of a sweep evaluate each factor and each anchor's ln g once.
 A factor has one formula, (j + c)^alpha - c^alpha with c = gamma/4,
@@ -30,6 +32,7 @@ __all__ = [
     "PotentialParams",
     "factor_block",
     "log_g",
+    "log_g_delta",
     "log_g_increment",
     "log_sum_exp",
 ]
@@ -179,19 +182,64 @@ def log_g(n: int, params: PotentialParams) -> float:
     if n == m:
         return direct
     gamma_part = a * (math.lgamma(n + c + 1.0) - math.lgamma(m + c + 1.0))
-    return math.fsum((direct, gamma_part, _log1p_tail(m + 1 + c, n + c, a, c)))
+    xa, xb = m + 1 + c, n + c
+    return math.fsum((direct, gamma_part, _log1p_tail(xa, xb, math.log(xb / xa), a, c)))
 
 
-def _log1p_tail(xa: float, xb: float, a: float, c: float) -> float:
-    """sum over x = xa, xa + 1, ..., xb of log1p(-(c/x)^a), for xa > c.
+def log_g_delta(a: int, d: int, params: PotentialParams, log_z2: float = 0.0) -> float:
+    """ln g(a + d) - ln g(a) - d log_z2, for a + d >= 0, at a cost independent of d.
+
+    With x = a + c + 1 and t = d / x, ln g(a + d) - ln g(a) is
+
+        alpha [d ln x + x phi(t) - log1p(t) / 2 + S(x + d) - S(x)]
+        + sum_{j} log1p(-(c / (j + c))^alpha),    phi(t) = (1 + t) log1p(t) - t,
+
+    over the factors j between a and a + d: Stirling's series for
+    lnGamma(x + d) - lnGamma(x), with S its 1/x tail, and the corrections
+    summed by ``_log1p_tail``.  The terms linear in d are one product,
+    d (alpha ln x - log_z2), so that the rounding of that slope tilts the
+    result by a multiple of d, which moves a mean by a few ulps and leaves
+    a variance alone; phi is summed as its power series while |t| <= 0.1,
+    where the closed form cancels.  From a + d and a of 1000 on, the result
+    measured within 1e-13 + 8 eps |d| ln x of 40-digit values.  With
+    log_z2 = ln |z|^2 it is ln(t_a / t_(a + d)).
+    """
+    if min(a, a + d) < 0:
+        raise ValueError(f"no factor below n = 0: a = {a}, d = {d}")
+    if d == 0:
+        return 0.0
+    al, c = params.alpha, params.offset
+    x = a + c + 1.0
+    y = x + d
+    t = d / x
+    if d > 0:
+        tail = _log1p_tail(x, y - 1.0, math.log1p((d - 1) / x), al, c)
+    else:
+        tail = -_log1p_tail(y, x - 1.0, math.log1p((-d - 1) / y), al, c)
+    if abs(t) > 0.1:
+        phi = (1.0 + t) * math.log1p(t) - t
+    else:
+        # sum_{m >= 2} (-t)^m / (m (m - 1)), from its largest term down.
+        power, phi, m = t * t, 0.5 * t * t, 2
+        while abs(power) > 2.0 ** -56 * m * m * phi:
+            m += 1
+            power *= -t
+            phi += power / (m * (m - 1))
+    stirling = -t / (12.0 * y) - (y ** -3 - x ** -3) / 360.0 + (y ** -5 - x ** -5) / 1260.0
+    return d * (al * math.log(x) - log_z2) + al * (x * phi - 0.5 * math.log1p(t) + stirling) + tail
+
+
+def _log1p_tail(xa: float, xb: float, span: float, a: float, c: float) -> float:
+    """sum over x = xa, xa + 1, ..., xb of log1p(-(c/x)^a), for xa > c, with
+    span = ln(xb / xa).
 
     log1p(-u) = -sum_p u^p / p, and for s = a p each sum over x of
     f(x) = (c/x)^s is its integral, the end-point half weights and the
     Euler-Maclaurin corrections, whose derivatives are
     f^(2i-1)(x) = -(s)_(2i-1) f(x) / x^(2i-1).  The integral is written
-    through expm1 so that it stays exact as s passes 1.
+    through expm1 so that it stays exact as s passes 1, and takes the span
+    from the caller, who can form it without cancellation when xb is near xa.
     """
-    span = math.log(xb / xa)
     ua, ub = (c / xa) ** a, (c / xb) ** a
     fa = fb = 1.0
     terms = []

@@ -19,6 +19,15 @@ running value for a sustained run.  The policy's hard cap bounds every
 window.  One compensated pass reduces the window to ln S0 and the first two
 moments about its largest term, so the variance is formed without
 cancellation.
+
+An adaptive run on a peak wider than ``_STRIDE_SIGMA`` terms, at a tail
+tolerance of at most ``_STRIDE_TOLERANCE``, is not walked
+(``_strided_sums``, ``lattice``): it reads about a hundred terms a stride
+of sigma/4 apart, each in closed form (``core.log_g_delta``), whose
+trapezoid sums are the whole series' S0, S1 and S2, finds the walk's window
+by bisection, and takes off the short stride-1 walks beyond it.  Its cost barely grows
+with the peak's width: 4 ms at |z| = 15 and 30 ms at |z| = 50 for k = 0.5,
+where the walk takes 14 and 320 ms.
 """
 
 from __future__ import annotations
@@ -57,6 +66,17 @@ _VARIANCE_FLOOR = -1e-9
 # a double.  An adaptive walk whose peak lies further out starts at the top
 # of its hard cap, or just below this index, where the terms still rise.
 _MAX_START = 2 ** 52
+
+# An adaptive run whose peak is at least this wide, sigma in terms, is summed
+# on a lattice a stride apart (``_strided_sums``) rather than walked: there
+# a pass costs about 3.5 ms either way at k = 0.5 (2.8 ms at k = 1.5, where
+# the two meet near sigma = 175), on a 2-core Xeon, and the walk's cost
+# grows as 15 sigma us while the lattice's barely grows.
+_STRIDE_SIGMA = 250.0
+# ... and whose tail tolerance is at most this: looser, the stride-1 walks
+# beyond its window outgrow the window itself (at k = 0.5, |z| = 15 the two
+# paths cost the same near 1e-7).
+_STRIDE_TOLERANCE = 1e-8
 
 
 class VarianceConsistencyError(RuntimeError):
@@ -130,6 +150,9 @@ class LogSeriesSums(namedtuple("LogSeriesSums", "log_s0 origin m1 m2 terms_used 
     sum to less than the tail tolerance times the largest term.  converged
     is True only for adaptive runs whose quiet-run criterion fired before
     the hard cap; estimated_threshold is the first index of that quiet run.
+    The sums are the walk's over that window, or, for a wide peak, the
+    lattice's over the same window (``lattice.strided_sums``), which agree with
+    them to within about 1e-13 in Q and a few ulps in the mean.
     """
 
     __slots__ = ()
@@ -167,11 +190,11 @@ class WeightDistribution:
     in one pass when first asked for, so that the sums and the support
     bound can be checked before paying for them.  Below the window the walk
     grows down only until a row underflows to 0.0: the terms rise up to the
-    walk's anchor, so every row beneath that one is 0.0 too, and those rows
-    cost nothing, and ``zero_rows`` counts them, so that a writer need
-    not look at them either.  At large |z| they are most of the rows:
-    83,209 of the 105,820 at k = 0.5, |z| = 10.  Rows below about 2.2e-308
-    are subnormal and keep fewer digits.
+    walk's anchor, so every row beneath that one is 0.0 too.  Those rows
+    cost nothing and are not stored: ``zero_rows`` counts them, ``rows``
+    holds the rest, and a writer need look at no more.  At large |z| they
+    are most of the rows: 83,209 of the 105,820 at k = 0.5, |z| = 10.  Rows
+    below about 2.2e-308 are subnormal and keep fewer digits.
     """
 
     def __init__(self, walk: LogTermWalk, sums: LogSeriesSums):
@@ -193,11 +216,11 @@ class WeightDistribution:
         k = 0.5, |z| = 10, whose first nonzero row is 83,209.  Reads the
         rows if they are not read yet.
         """
-        self.weights()
+        self.rows()
         return self._zero_rows
 
-    def weights(self) -> list[float]:
-        """P_0 .. P_N; the same list on every call."""
+    def rows(self) -> list[float]:
+        """P_n for n = zero_rows .. N, the rows stored; the same list on every call."""
         if self._rows is None:
             walk, mass = self._walk, self._mass
             # Down to n = 0, or to the first block whose lowest row
@@ -207,19 +230,24 @@ class WeightDistribution:
             # that one reads 0.0 too.
             while walk.lo > 0 and walk.window(walk.lo, walk.lo)[0] / mass != 0.0:
                 walk.extend_to((walk.lo - 1) // MAX_BLOCK * MAX_BLOCK)
-            self._zero_rows = lo = walk.lo
-            rows = [0.0] * lo
-            rows += walk.window(lo, self.support_bound)
+            self._zero_rows = walk.lo
+            rows = walk.window(walk.lo, self.support_bound)
             # Once the walk is dropped the rows hold its only values, and
             # each w_n is freed as its P_n takes its place.
             self._walk = walk = None
-            for n in range(lo, len(rows)):
-                rows[n] /= mass
+            for i, w in enumerate(rows):
+                rows[i] = w / mass
             self._rows = rows
         return self._rows
 
+    def weights(self) -> list[float]:
+        """P_0 .. P_N, as a new list: ``zero_rows`` rows of 0.0, then ``rows``."""
+        rows = self.rows()
+        return [0.0] * self._zero_rows + rows
+
     def weight(self, n: int) -> float:
-        return self.weights()[n] if 0 <= n <= self.support_bound else 0.0
+        rows, zeros = self.rows(), self._zero_rows
+        return rows[n - zeros] if zeros <= n <= self.support_bound else 0.0
 
 
 class LogTermWalk:
@@ -247,8 +275,7 @@ class LogTermWalk:
         self.abs_z = abs_z
         self.params = params
         self.anchor = anchor
-        self.log_anchor = (2.0 * anchor * math.log(abs_z) - log_g(anchor, params)
-                           if anchor else 0.0)
+        self.log_anchor = _log_term(anchor, abs_z, params)
         self._up = [1.0]  # w(anchor), w(anchor + 1), ...
         self._down = []   # w(anchor - 1), w(anchor - 2), ...
 
@@ -310,6 +337,11 @@ class LogTermWalk:
 def _outward(anchor: int, lo: int, hi: int):
     """anchor, ..., hi, then anchor - 1, ..., lo: the indices of ``LogTermWalk.outward``."""
     return itertools.chain(range(anchor, hi + 1), range(anchor - 1, lo - 1, -1))
+
+
+def _log_term(n: int, abs_z: float, params: PotentialParams) -> float:
+    """ln t_n = 2 n ln|z| - ln g(n), in closed form."""
+    return 2.0 * n * math.log(abs_z) - log_g(n, params) if n else 0.0
 
 
 def _check_amplitude(abs_z: float) -> None:
@@ -462,12 +494,39 @@ def _walk_sums(walk: LogTermWalk, policy: TruncationPolicy, peak: int | None,
     return _reduce(walk, lo, hi, converged, threshold)
 
 
-def _walks(abs_z: float, params: PotentialParams, policies):
-    """(walk, sums) of each policy in turn; see ``policy_sums``."""
+def _strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolicy,
+                  peak: int | None) -> LogSeriesSums | None:
+    """The sums of an adaptive run read off a lattice of terms
+    (``lattice.strided_sums``), or None where the run stays on the walk.
+
+    The lattice serves a run whose peak is at least ``_STRIDE_SIGMA`` wide,
+    with sigma^-2 = alpha (n* + c)^(alpha - 1) / f_(n*) the curvature of
+    ln t there, at a tail tolerance of at most ``_STRIDE_TOLERANCE``, and
+    leaves it to the walk where its head stays open or reaches n = 0, or
+    where its window would pass the hard cap.
+    """
+    if policy.n_max is not None or not peak or policy.tail_tolerance > _STRIDE_TOLERANCE:
+        return None
+    a, c = params.alpha, params.offset
+    var = (peak + c - c ** a * (peak + c) ** (1.0 - a)) / a
+    if var < _STRIDE_SIGMA * _STRIDE_SIGMA:
+        return None
+    # Imported here, so that only a process that sums a wide peak compiles it.
+    from .lattice import strided_sums
+    return strided_sums(abs_z, params, policy, peak, var)
+
+
+def _walks(abs_z: float, params: PotentialParams, policies, stride: bool = False):
+    """(walk, sums) of each policy in turn; see ``policy_sums``.  With
+    ``stride``, a run that ``_strided_sums`` serves comes with no walk."""
     _check_amplitude(abs_z)
     peak = _peak_index(abs_z, params) if abs_z > 0.0 else 0
     walks, heads = {}, {}
     for policy in policies:
+        sums = _strided_sums(abs_z, params, policy, peak) if stride else None
+        if sums is not None:
+            yield None, sums
+            continue
         start = _start_index(peak, policy)
         if start not in walks:
             walks[start] = LogTermWalk(abs_z, params, start)
@@ -480,8 +539,10 @@ def policy_sums(abs_z: float, params: PotentialParams, policies):
     Each walk starts at the largest term of the range it sums, and serves
     every policy that starts there (the peak, for the adaptive rule and every
     cutoff above it), sharing a head stop between equal tolerances and caps.
+    An adaptive run on a wide peak reads a lattice of terms instead
+    (``_strided_sums``), in the window its walk would sum.
     """
-    return (sums for _, sums in _walks(abs_z, params, policies))
+    return (sums for _, sums in _walks(abs_z, params, policies, stride=True))
 
 
 def accumulate_sums(abs_z: float, params: PotentialParams,

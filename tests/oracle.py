@@ -2,11 +2,13 @@
 
 Everything here is computed by direct summation in mpmath (default 60
 significant digits): the structure function as an explicit product, the
-series term-by-term without any log-domain tricks.  It deliberately shares
-no code with the package under test.
+series term-by-term without any log-domain tricks.  The one exception,
+``log_g_shift``, spans up to millions of factors and sums them through
+lnGamma and the Hurwitz zeta function instead.  It deliberately shares no
+code with the package under test.
 """
 
-from mpmath import mp, mpf, log
+from mpmath import digamma, loggamma, mp, mpf, log, zeta
 
 DPS = 60
 
@@ -81,3 +83,31 @@ def direct_weights(abs_z, k, gamma, n_max, dps=DPS):
             terms.append(term)
         s0 = sum(terms)
         return [float(t / s0) for t in terms]
+
+
+def log_g_shift(a, d, k, gamma, dps=DPS):
+    """ln g(a + d) - ln g(a), as the sum of the factor logs between a and a + d.
+
+    ln factor_j = alpha ln(j + c) + ln(1 - u_j), u_j = (c / (j + c))^alpha,
+    and -ln(1 - u) = sum_p u^p / p: the first part sums to a lnGamma
+    difference, each power p to a difference of Hurwitz zeta values at
+    s = alpha p (of digamma values where s = 1).
+    """
+    if d == 0:
+        return mpf(0)
+    with mp.workdps(dps):
+        a_, c = mpf(2) * mpf(k) / (mpf(k) + 2), mpf(gamma) / 4
+        lo, hi = min(a, a + d), max(a, a + d)  # factors lo + 1 .. hi
+        total = a_ * (loggamma(hi + c + 1) - loggamma(lo + c + 1))
+        p = 0
+        while True:
+            p += 1
+            s = a_ * p
+            if s == 1:
+                part = digamma(hi + c + 1) - digamma(lo + c + 1)
+            else:
+                part = zeta(s, lo + c + 1) - zeta(s, hi + c + 1)
+            term = c ** s * part / p
+            total -= term
+            if abs(term) < mpf(10) ** -(dps + 5) * abs(total):
+                return total if d >= 0 else -total

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 import ghacs
 from ghacs import core, lab, stats
-from ghacs.core import (MAX_BLOCK, PotentialParams, factor_block, log_g, log_g_increment,
-                        log_sum_exp)
+from ghacs.core import (MAX_BLOCK, PotentialParams, factor_block, log_g, log_g_delta,
+                        log_g_increment, log_sum_exp)
 from ghacs.stats import LogTermWalk
 
-from oracle import structure_function, term_ratio
+from oracle import log_g_shift, structure_function, term_ratio
 
 K15 = PotentialParams(k=1.5, gamma=2.0)
 K05 = PotentialParams(k=0.5, gamma=2.0)
@@ -324,6 +324,63 @@ class TestLogG:
         # increments exceed 1 from small j on, so the cumulative sum grows
         values = [log_g(n, K15) for n in range(2, 40)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def shift_bound(a, d, params):
+    """The kernel's error bound: 1e-13, plus the rounding of its slope, which
+    is linear in d and so only tilts ln g."""
+    return 1e-13 + 8 * 2.0 ** -52 * abs(d) * math.log(a + params.offset + 1)
+
+
+def peak_width(a, params):
+    """sigma at a peak on index a: sigma^-2 = alpha (a + c)^(alpha - 1) / factor_a."""
+    al, c = params.alpha, params.offset
+    return math.sqrt((a + c - c ** al * (a + c) ** (1 - al)) / al)
+
+
+class TestLogGDelta:
+    @given(k=st.floats(min_value=0.3, max_value=2.0), gamma=st.floats(min_value=0.1, max_value=10.0),
+           log_a=st.floats(min_value=3.0, max_value=9.0), u=st.floats(min_value=-1.0, max_value=1.0))
+    @example(k=0.5, gamma=2.0, log_a=math.log10(765785), u=-0.9)  # the deep-tail peak
+    @example(k=2.0, gamma=2.0, log_a=3.0, u=1.0)  # alpha = 1: a digamma term in the oracle
+    @example(k=0.3, gamma=10.0, log_a=3.0, u=-1.0)  # down to n = 1000
+    @settings(max_examples=40, deadline=None)
+    def test_matches_40_digit_sums(self, k, gamma, log_a, u):
+        # |d| up to 20 sigma of a peak at a, and a + d >= 1000.
+        params = PotentialParams(k=k, gamma=gamma)
+        a = round(10.0 ** log_a)
+        d = max(round(u * 20 * peak_width(a, params)), 1000 - a)
+        expected = log_g_shift(a, d, k, gamma, dps=40)
+        with mpmath.workdps(40):
+            error = abs(log_g_delta(a, d, params) - expected)
+        assert error <= shift_bound(a, d, params)
+
+    @given(k=st.floats(min_value=0.3, max_value=2.0), gamma=st.floats(min_value=0.1, max_value=10.0),
+           log_a=st.floats(min_value=3.0, max_value=7.0),
+           d=st.integers(min_value=-5 * 10 ** 4, max_value=5 * 10 ** 4))
+    @example(k=0.5, gamma=2.0, log_a=math.log10(765785), d=-12000)
+    @example(k=1.5, gamma=2.0, log_a=4.0, d=1)
+    @example(k=1.5, gamma=2.0, log_a=4.0, d=-1)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_factor_blocks(self, k, gamma, log_a, d):
+        params = PotentialParams(k=k, gamma=gamma)
+        a = round(10.0 ** log_a)
+        d = max(d, 1000 - a)
+        lo, hi = min(a, a + d), max(a, a + d)
+        logs = math.fsum(math.log(factor(j, params)) for j in range(lo + 1, hi + 1))
+        assert abs(log_g_delta(a, d, params) - (logs if d > 0 else -logs)) <= shift_bound(a, d, params)
+
+    def test_slope_is_the_log_term_ratio(self):
+        # With log_z2 = ln |z|^2 the kernel is ln(t_a / t_(a + d)).
+        params, z = PotentialParams(k=0.5), 15.0
+        a = 765785
+        for d in (-9000, -1, 0, 1, 9000):
+            direct = log_g(a + d, params) - log_g(a, params) - 2 * d * math.log(z)
+            assert log_g_delta(a, d, params, math.log(z * z)) == pytest.approx(direct, abs=1e-8)
+
+    def test_rejects_indices_below_zero(self):
+        with pytest.raises(ValueError):
+            log_g_delta(10, -11, K15)
 
 
 class TestLogTerm:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import ghacs.core
 import ghacs.stats
 from ghacs.core import MAX_BLOCK, PotentialParams, log_sum_exp
+from ghacs.lab import SweepSpec, run_sweep
 from ghacs.stats import (DEFAULT_POLICY, LogSeriesSums, LogTermWalk, TruncationPolicy,
                          VarianceConsistencyError, accumulate_sums, policy_sums,
                          state_stats, stats_from_sums, weight_distribution)
@@ -285,10 +286,11 @@ class TestAccumulateSums:
         # Each side of the walk grows a whole aligned block at a time, so the
         # memo sees one lookup per block it spans on that side, and one more
         # for the 64 factors ln g of the anchor sums directly: 383 here,
-        # where growth by unaligned spans made 765.
+        # where growth by unaligned spans made 765.  The distribution's sums
+        # walk the window that ``accumulate_sums`` reads off a lattice.
         ghacs.core.factor_block.cache_clear()
         ghacs.core.log_g.cache_clear()
-        accumulate_sums(15.0, PotentialParams(k=0.5), ADAPTIVE)
+        weight_distribution(15.0, PotentialParams(k=0.5), ADAPTIVE)
         (walk,) = walks_made
         assert factor_reads.blocks == factor_reads.spanned(walk)
         info = ghacs.core.factor_block.cache_info()
@@ -462,6 +464,90 @@ class TestAccumulateSums:
         assert st_.mandel_q == pytest.approx(q, abs=1e-10)
 
 
+def amplitude_of_width(sigma, params):
+    """The |z| whose peak has width sigma: sigma^2 = f(n*) (n* + c)^(1 - alpha) / alpha."""
+    a, c = params.alpha, params.offset
+    n = a * sigma * sigma
+    for _ in range(60):
+        n *= sigma * sigma * a / (n + c - c ** a * (n + c) ** (1 - a))
+    return math.sqrt((n + c) ** a - c ** a)
+
+
+def walked(abs_z, params, policy):
+    """The sums of the walk over its window, as ``weight_distribution`` takes them."""
+    return next(ghacs.stats._walks(abs_z, params, (policy,)))[1]
+
+
+def window_of(sums):
+    return sums.first_index, sums.terms_used, sums.estimated_threshold, sums.converged
+
+
+class TestStridedSums:
+    @given(k=st.floats(min_value=0.3, max_value=2.0), gamma=st.floats(min_value=0.1, max_value=10.0),
+           log_sigma=st.floats(min_value=math.log10(ghacs.stats._STRIDE_SIGMA),
+                               max_value=math.log10(3000.0)),
+           log_tol=st.floats(min_value=-300.0, max_value=math.log10(0.5)),
+           quiet_run=st.integers(min_value=1, max_value=64))
+    @example(k=0.5, gamma=2.0, log_sigma=math.log10(1381.0), log_tol=-300.0, quiet_run=10)
+    @example(k=0.5, gamma=2.0, log_sigma=math.log10(1381.0), log_tol=-8.0, quiet_run=1)
+    @example(k=2.0, gamma=0.1, log_sigma=math.log10(ghacs.stats._STRIDE_SIGMA), log_tol=-16.0,
+             quiet_run=64)
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_matches_the_walk(self, k, gamma, log_sigma, log_tol, quiet_run):
+        # The same window, threshold and convergence as the walk; Q within
+        # 1e-12 and the mean within a relative 1e-14.
+        params = PotentialParams(k=k, gamma=gamma)
+        z = amplitude_of_width(10.0 ** log_sigma, params)
+        policy = TruncationPolicy.adaptive(tail_tolerance=10.0 ** log_tol, quiet_run=quiet_run)
+        sums = ghacs.stats._strided_sums(z, params, policy, ghacs.stats._peak_index(z, params))
+        event("walked" if sums is None else "strided")
+        assume(sums is not None)
+        assert_same_run(sums, walked(z, params, policy))
+        assert accumulate_sums(z, params, policy) == sums
+
+    @pytest.mark.parametrize("z", [14.97, 15.0, 15.03, 20.0])
+    def test_deep_tail_points(self, z):
+        params = PotentialParams(k=0.5)
+        sums = accumulate_sums(z, params, ADAPTIVE)
+        assert sums == ghacs.stats._strided_sums(z, params, ADAPTIVE, ghacs.stats._peak_index(z, params))
+        assert_same_run(sums, walked(z, params, ADAPTIVE))
+
+    def test_sweep_across_the_break_even(self):
+        # sigma passes 250 near |z| = 7.55; each row equals its standalone runs.
+        params, cutoffs = PotentialParams(k=0.5), (30000, 40000)
+        spec = SweepSpec(k=0.5, gamma=2.0, z_grid=(7.0, 7.5, 8.0, 8.5), cutoffs=cutoffs)
+        rows = run_sweep(spec, ADAPTIVE).rows
+        widths = [ghacs.stats._strided_sums(z, params, ADAPTIVE, ghacs.stats._peak_index(z, params))
+                  is not None for z in spec.z_grid]
+        assert widths == [False, False, True, True]
+        for row in rows:
+            assert row.adaptive_stats.sums == accumulate_sums(row.abs_z, params, ADAPTIVE)
+            for c in cutoffs:
+                assert row.fixed_stats[c].sums == accumulate_sums(
+                    row.abs_z, params, TruncationPolicy.fixed(c))
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy.fixed(780000),
+                                        TruncationPolicy.adaptive(tail_tolerance=1e-6),
+                                        TruncationPolicy.adaptive(hard_cap=20000)])
+    def test_runs_that_stay_on_the_walk(self, policy):
+        # Fixed cutoffs, loose tolerances and windows past the hard cap walk.
+        params = PotentialParams(k=0.5)
+        assert ghacs.stats._strided_sums(15.0, params, policy, 765785) is None
+        assert accumulate_sums(15.0, params, policy) == walked(15.0, params, policy)
+
+    def test_wide_peak_converges_in_a_lattice_pass(self):
+        # The walk's window at |z| = 50 spans 497,292 terms.
+        sums = accumulate_sums(50.0, PotentialParams(k=0.5), ADAPTIVE)
+        assert window_of(sums) == (312440002, 312937294, 312937284, True)
+
+
+def assert_same_run(sums, walk):
+    assert window_of(sums) == window_of(walk)
+    got, want = stats_from_sums(sums), stats_from_sums(walk)
+    assert abs(got.mandel_q - want.mandel_q) <= 1e-12 * max(1.0, abs(want.mandel_q))
+    assert got.mean == pytest.approx(want.mean, rel=1e-14, abs=0)
+
+
 class TestStateStats:
     def test_zero_amplitude_q_undefined(self):
         st_ = state_stats(0.0, K15, ADAPTIVE)
@@ -604,3 +690,7 @@ class TestWeightDistribution:
         weights = wd.weights()
         assert not any(weights[:83209])
         assert weights[83209] > 0.0
+        # Only the rows from zero_rows on are stored.
+        assert wd.rows() == weights[83200:] and len(wd.rows()) == wd.support_bound + 1 - 83200
+        assert [wd.weight(n) for n in (0, 83199, 83209, wd.support_bound)] == [
+            weights[n] for n in (0, 83199, 83209, wd.support_bound)]
