@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -110,7 +111,7 @@ def _sink(out: str | None):
         raise UsageError(f"cannot write {name}: {exc.strerror}") from None
 
 
-def _emit(fmt, out, inputs, header, rows, pretty, footers=None, zeros=0, pretty_zero=""):
+def _emit(fmt, out, inputs, header, rows, pretty, footers=None):
     """Write ``rows`` as csv, json or a pretty table, the inputs echoed first.
 
     Lines are written as they are formatted, a chunk at a time, so that no
@@ -120,55 +121,25 @@ def _emit(fmt, out, inputs, header, rows, pretty, footers=None, zeros=0, pretty_
     its rows need not be held, and each line is one template built from
     the widths.  ``footers`` maps a format to what follows the rows: csv
     comment lines, extra json keys, table lines.
-
-    ``zeros`` more rows come first, ahead of ``rows`` and of ``pretty()``'s:
-    row n is n, then 0.0 in every other column (``pretty_zero`` in the
-    table).  No value of theirs is formatted: their line is one template
-    whose zero cells are filled in once, applied to up to 4,096 indices per
-    ``%`` and written a block at a time, and the table's width pass reads
-    only their widest cells.
     """
     footers = footers or {}
     comments = [f"# {key}={value}" for key, value in inputs.items()]
     if fmt == "json":
-        if zeros:
-            # The last zero row goes with the rows, so that the list's comma
-            # or its end follows it.
-            zeros -= 1
-            rows = itertools.chain([(zeros,) + (0.0,) * (len(header) - 1)], rows)
         lines = _json_lines(inputs, header, rows, footers.get("json", {}))
-        head = 1
-        zero_line = _json_item(header, ["%s"] + [_json_value(0.0)] * (len(header) - 1)) + ",\n"
     elif fmt == "csv":
         template = ",".join(["%s"] * len(header))
         lines = itertools.chain(comments, [",".join(header)],
                                 map(template.__mod__, map(tuple, rows)),
                                 (f"# {c}" for c in footers.get("csv", ())))
-        head = len(comments) + 1
-        zero_line = ",".join(["%s"] + [str(0.0)] * (len(header) - 1)) + "\n"
     else:
         cells = iter(pretty())
         widths = list(map(len, next(cells)))
-        if zeros:
-            widths = list(map(max, widths, [len(str(zeros - 1))]
-                              + [len(pretty_zero)] * (len(widths) - 1)))
         while chunk := list(itertools.islice(cells, 4096)):
             widths = list(map(max, widths, (max(map(len, column)) for column in zip(*chunk))))
         template = "  ".join(f"%-{w}s" for w in widths)
         lines = itertools.chain(comments, map(str.rstrip, map(template.__mod__, map(tuple, pretty()))),
                                 footers.get("table", ()))
-        head = len(comments) + 1
-        # Stripped as the template's lines are: the zero cells are fixed
-        # text, stripped here, and the index is stripped only when no text
-        # follows it.
-        rest = "".join(f"  {pretty_zero:<{w}}" for w in widths[1:]).rstrip()
-        zero_line = (f"%-{widths[0]}s" if rest else "%s") + rest.replace("%", "%%") + "\n"
     with _sink(out) as fh:
-        # The zero rows follow the ``head`` lines, which precede the rows.
-        _write_lines(fh, itertools.islice(lines, head))
-        for n in range(0, zeros, 4096):
-            block = range(n, min(n + 4096, zeros))
-            fh.write((zero_line * len(block)) % tuple(block))
         _write_lines(fh, lines)
 
 
@@ -179,20 +150,78 @@ def _write_lines(fh, lines):
         fh.write("\n".join(chunk) + "\n")
 
 
+# dist writes its rows in blocks of this many indices, a power of ten: past
+# block 0, a block's indices are its number followed by three digits each.
+_BLOCK = 1000
+
+
+@functools.lru_cache(maxsize=16)
+def _block_lines(line, width, first):
+    """The ``_BLOCK`` lines of a block of rows, and their text joined:
+    ``line`` with its "#" replaced by each row's index text, left-justified
+    to ``width``.
+
+    In block 0 (``first``) the text is the index j itself; in every later
+    block it is "@" and j's three digits, "@" standing for the block number.
+    """
+    lines = tuple(line.replace("#", (str(j) if first else f"@{j:03d}").ljust(width))
+                  for j in range(_BLOCK))
+    return lines, "".join(lines)
+
+
+def _row_blocks(zeros, rows, line, zero_line, width, cut):
+    """The text of rows 0 .. zeros + len(rows) - 1, a string per block of ``_BLOCK``.
+
+    Row n is ``zero_line`` below ``zeros`` and ``line`` filled with
+    ``rows[n - zeros]`` from there, each with its index in place of "#",
+    left-justified to ``width``.  A block's template is its runs of those
+    two lines, cut from ``_block_lines``, with the block number put in; its
+    stored rows are one ``%`` over it, and ``zero_line`` holds no "%".
+    The last block loses its last ``cut`` characters.
+    """
+    end = zeros + len(rows)
+    for lo in range(0, end, _BLOCK):
+        hi = min(lo + _BLOCK, end)
+        mid = min(max(zeros, lo), hi)  # the first stored row in the block
+        number = str(lo // _BLOCK) if lo else ""
+        # Past block 0, "@" stands for the number's digits.
+        key = (max(width + 1 - len(number), 0), False) if lo else (width, True)
+        template = ""
+        for run_line, start, stop in ((zero_line, lo, mid), (line, mid, hi)):
+            if start < stop:
+                lines, whole = _block_lines(run_line, *key)
+                if stop - start < _BLOCK:
+                    whole = "".join(lines[start - lo:stop - lo])
+                template += whole
+        text = template.replace("@", number)
+        if mid < hi:
+            text %= tuple(rows[mid - zeros:hi - zeros])
+        yield text[:len(text) - cut] if hi == end else text
+
+
+def _json_frame(inputs, extra):
+    """The text of json.dumps({"inputs": inputs, "rows": [], **extra},
+    indent=2, allow_nan=False) before and after its empty list of rows.
+
+    The payload is cut where that list stands: the only top-level key
+    "rows", two spaces in.
+    """
+    text = json.dumps({"inputs": inputs, "rows": [], **extra}, indent=2, allow_nan=False)
+    return text.split('\n  "rows": []', 1)
+
+
 def _json_lines(inputs, header, rows, extra):
     """json.dumps({"inputs": inputs, "rows": rows, **extra}, indent=2), in lines.
 
-    The text around the rows is that of the payload with no rows, cut where
-    its empty list stands: the only top-level key "rows", two spaces in.
-    Each row is one template (``_json_item``), filled by ``_json_value``.
+    The text around the rows is ``_json_frame``'s.  Each row is one
+    template (``_json_item``), filled by ``_json_value``.
     """
-    text = json.dumps({"inputs": inputs, "rows": [], **extra}, indent=2, allow_nan=False)
+    head, tail = _json_frame(inputs, extra)
     rows = iter(rows)
     row = next(rows, None)
     if row is None:
-        yield text
+        yield head + '\n  "rows": []' + tail
         return
-    head, tail = text.split('\n  "rows": []', 1)
     yield head + '\n  "rows": ['
     template = _json_item(header, ["%s"] * len(header))
     item = template % tuple(map(_json_value, row))
@@ -398,23 +427,37 @@ def dist(args) -> int:
               f"more than hard_cap ({policy.hard_cap})", file=sys.stderr)
         return EXIT_UNCONVERGED
 
-    weights, zeros = wd.rows(), wd.zero_rows
-
-    def rows():
-        return enumerate(weights, zeros)
-
+    rows, zeros = wd.rows(), wd.zero_rows
     # The rows below ``zeros`` are 0.0 and add nothing.  fsum rounds the
     # exact sum, so the order changes only its speed.  From n = N down the
     # head's rows come last, falling toward 0.0, and fold into a few
     # partials; ascending, they keep about twenty alive.
-    total = math.fsum(reversed(weights))
-    header = ["n", "p_n"]
+    total = math.fsum(reversed(rows))
     inputs = {"k": k, "gamma": gamma, "z": z, **_policy_inputs(policy)}
-    _emit(args.fmt, args.out, inputs, header, rows(), lambda: itertools.chain(
-        [header], ([str(n), f"{w:.6f}"] for n, w in rows())), {
-        "csv": [f"sum={total}"],
-        "json": {"weight_sum": total},
-        "table": [f"sum  {total:.10f}"]}, zeros, f"{0.0:.6f}")
+    comments = "".join(f"# {key}={value}\n" for key, value in inputs.items())
+    # Each row is one line template, its index in "#" and its P_n in
+    # ``slot``; the rows below ``zeros`` have ``zero`` there instead.
+    slot, zero, width, cut = "%s", str(0.0), 0, 0
+    if args.fmt == "json":
+        # Encoded, and a non-finite sum refused, before a byte is written.
+        head, tail = _json_frame(inputs, {"weight_sum": total})
+        head, tail = head + '\n  "rows": [\n', "\n  ]" + tail + "\n"
+        # The last row's comma is cut.
+        line, cut = _json_item(["n", "p_n"], ["#", slot]) + ",\n", 2
+    elif args.fmt == "csv":
+        head, tail = comments + "n,p_n\n", f"# sum={total}\n"
+        line = f"#,{slot}\n"
+    else:
+        # The widest index is the last.  P_n's column is the last one, and
+        # a line ends where its text does, so its width never shows.
+        slot, zero, width = "%.6f", f"{0.0:.6f}", len(str(wd.support_bound))
+        head, tail = comments + "n".ljust(width) + "  p_n\n", f"sum  {total:.10f}\n"
+        line = f"#  {slot}\n"
+    with _sink(args.out) as fh:
+        fh.write(head)
+        for text in _row_blocks(zeros, rows, line, line.replace(slot, zero), width, cut):
+            fh.write(text)
+        fh.write(tail)
     return 0
 
 

@@ -233,10 +233,10 @@ class WeightDistribution:
             self._zero_rows = walk.lo
             rows = walk.window(walk.lo, self.support_bound)
             # Once the walk is dropped the rows hold its only values, and
-            # each w_n is freed as its P_n takes its place.
+            # each slice of w_n is freed as its P_n takes its place.
             self._walk = walk = None
-            for i, w in enumerate(rows):
-                rows[i] = w / mass
+            for i in range(0, len(rows), 4096):
+                rows[i:i + 4096] = map(operator.truediv, rows[i:i + 4096], itertools.repeat(mass))
             self._rows = rows
         return self._rows
 

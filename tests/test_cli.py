@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from collections import namedtuple
 
 import pytest
@@ -710,6 +711,23 @@ class TestDistCommand:
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("args,fmt,digest", [
+        # 896 rows never walked and 17 more that print 0.0, inside block 0;
+        # rows through n = 3,278.
+        ("1.5 30", "csv", "0cddcc346f66fc38f4ddced0c7a73a3724337e1601e56cf6250a3959df89bccd"),
+        ("1.5 30", "json", "c6e953bf491fcb1d302e0fe1df5de7210ca262117177ae24dea71f7c5a237716"),
+        ("1.5 30", "table", "a8ad5afd426b33fae9df67ec68ac23049199dcd513b597ac2d82e149d67eed09"),
+        # No zero rows; rows through n = 1,607, across 999 -> 1,000.
+        ("0.5 4", "csv", "2fc11c4337f37a88f3c3b033df175d69e6ac560b50d668a6b237e76d95509478"),
+        ("0.5 4", "json", "a58b998311783eaa2d46ad46cd7ebbc0a6260e547549e63ec5c5b7c6168400f3"),
+        ("0.5 4", "table", "8460948c007925d86c8327bfb08100ae0afc7029db7679cdd9595646aaa3844c")])
+    def test_rows_print_as_every_row_formatted(self, args, fmt, digest):
+        # The sha256 of the stdout from when each row was formatted on its own.
+        k, z = args.split()
+        result = invoke(["dist", "--k", k, "--z", z, "--format", fmt])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("fmt", ["csv", "table"])
     def test_zero_prefix_costs_no_memory_of_its_own(self, tmp_path, fmt):
         # The 83,209 rows that underflow share one 0.0 and are never walked:
@@ -763,6 +781,48 @@ cell_values = st.one_of(
     st.none(), st.sampled_from(["undefined", "unconverged"]))
 
 
+# Row counts on and beside the edges of dist's blocks of 1,000 indices and
+# of the index's changes of length.
+block_edges = st.sampled_from([0, 1, 999, 1000, 1001, 1999, 2000, 9999, 10000, 10001,
+                               99999, 100000])
+
+
+class StoredRows:
+    """What dist reads of a weight distribution: ``zeros`` rows of 0.0 not
+    stored, then the rows ``stored``."""
+
+    def __init__(self, zeros, stored):
+        self.zero_rows, self._stored = zeros, stored
+        self.support_bound = zeros + len(stored) - 1
+        self.sums = types.SimpleNamespace(converged=True)
+
+    def rows(self):
+        return self._stored
+
+
+class Cells:
+    """The rows ``make()`` yields, as a sequence made again on each pass, not held."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __iter__(self):
+        return iter(self.make())
+
+    def __getitem__(self, i):
+        return next(itertools.islice(self.make(), i, None))
+
+
+def assert_same_lines(text, expected):
+    """Assert ``text`` == ``expected``, naming the first line that differs:
+    pytest's diff of the whole text would take minutes."""
+    if text != expected:
+        lines, wants = text.splitlines(True), expected.splitlines(True)
+        number = next(i for i, pair in enumerate(itertools.zip_longest(lines, wants))
+                      if pair[0] != pair[1])
+        assert lines[number:number + 1] == wants[number:number + 1], f"line {number}"
+
+
 class TestWriter:
     @given(fmt=st.sampled_from(["csv", "json", "table"]),
            inputs=st.dictionaries(st.sampled_from(["k", "gamma", "z", "policy", "hard_cap"]),
@@ -792,42 +852,49 @@ class TestWriter:
         assert target.read_bytes() == expected.encode()
 
     @given(fmt=st.sampled_from(["csv", "json", "table"]),
-           zeros=st.sampled_from([0, 1, 4095, 4096, 4097, 8193]),
-           width=st.integers(min_value=1, max_value=3),
-           cells=st.lists(cell_values, max_size=12),
-           pretty_zero=st.sampled_from(["0.000000", "", "%s", "a b"]))
-    @example(fmt="json", zeros=1, width=2, cells=[], pretty_zero="0.000000")
-    @example(fmt="table", zeros=4097, width=2, cells=[], pretty_zero="0.000000")
-    @example(fmt="table", zeros=4097, width=1, cells=[], pretty_zero="")
-    @settings(max_examples=60, deadline=None,
+           bounds=st.lists(block_edges, min_size=3, max_size=3),
+           first=st.floats(min_value=5e-324, max_value=1.0),
+           rest=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4))
+    @example(fmt="csv", bounds=[999_999, 1_000_000, 1_000_001], first=0.5, rest=[])
+    @example(fmt="json", bounds=[1000, 2000, 2000], first=1.0, rest=[])
+    @example(fmt="table", bounds=[999, 1000, 10001], first=1.0, rest=[0.0, 5e-7])
+    @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_zero_rows_equal_the_rows_written_out(self, tmp_path, capsys, fmt, zeros, width,
-                                                  cells, pretty_zero):
-        # Written a block at a time from one template, the leading zero rows
-        # read as the same rows formatted one by one, blocks of 4,096 and
-        # their edges included, and a json list that ends in them.
-        header = ["n", "p_%", "c2"][:width]
-        inputs = {"k": 0.5, "policy": "adaptive"}
-        rows = [cells[i:i + width] for i in range(0, len(cells) - width + 1, width)]
-        footers = {"csv": ["sum=1.0"], "json": {"weight_sum": 1.0},
-                   "table": ["sum  1.0000000000"]}
+    def test_zero_rows_equal_the_rows_written_out(self, monkeypatch, tmp_path, fmt, bounds,
+                                                  first, rest):
+        # dist writes its rows, those it never stored and those it did, a
+        # block of 1,000 indices at a time from templates; they read as the
+        # same rows formatted one by one.  The bounds fall on and beside the
+        # block edges and the index's changes of length: rows below the
+        # first of them are not stored, rows from it to the second are
+        # stored 0.0, and from there to the third P_n cycles through
+        # ``first`` and ``rest``.
+        zeros, nonzero, count = sorted(bounds)
+        count = max(count, 1)
+        stored = [0.0] * (nonzero - zeros) + list(
+            itertools.islice(itertools.cycle([first] + rest), count - nonzero))
+        monkeypatch.setattr(cli, "weight_distribution",
+                            lambda z, params, policy: StoredRows(zeros, stored))
+        policy = TruncationPolicy.adaptive(hard_cap=2_000_000)
+        inputs = {"k": 0.5, "gamma": 2.0, "z": 1.0, **cli._policy_inputs(policy)}
+        total = math.fsum(stored)
 
-        def pretty():
-            return [header] + [[str(v) for v in row] for row in rows]
+        def rows():
+            return enumerate(itertools.chain(itertools.repeat(0.0, zeros), stored))
 
         expected = joined_emit(
-            fmt, inputs, header, [[n] + [0.0] * (width - 1) for n in range(zeros)] + rows,
-            lambda: pretty()[:1] + [[str(n)] + [pretty_zero] * (width - 1)
-                                    for n in range(zeros)] + pretty()[1:], footers)
-        capsys.readouterr()
-        cli._emit(fmt, None, inputs, header, iter(rows), pretty, footers, zeros, pretty_zero)
-        # Compared line by line: pytest names the first line that differs,
-        # where a diff of the whole text would take minutes.
-        assert capsys.readouterr().out.splitlines(True) == expected.splitlines(True)
+            fmt, inputs, ["n", "p_n"], ([n, p] for n, p in rows()),
+            lambda: Cells(lambda: itertools.chain(
+                [["n", "p_n"]], ([str(n), f"{p:.6f}"] for n, p in rows()))),
+            {"csv": [f"sum={total}"], "json": {"weight_sum": total},
+             "table": [f"sum  {total:.10f}"]})
+        args = ["dist", "--k", "0.5", "--z", "1", "--hard-cap", "2000000", "--format", fmt]
+        result = invoke(args)
+        assert result.exit_code == 0
+        assert_same_lines(result.stdout, expected)
         target = tmp_path / "out.txt"
-        cli._emit(fmt, str(target), inputs, header, iter(rows), pretty, footers, zeros,
-                  pretty_zero)
-        assert target.read_bytes().splitlines(True) == expected.encode().splitlines(True)
+        assert invoke(args + ["--out", str(target)]).exit_code == 0
+        assert_same_lines(target.read_bytes().decode(), expected)
 
     def test_json_rejects_non_finite_numbers(self):
         with pytest.raises(ValueError):
