@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -111,43 +110,35 @@ def _sink(out: str | None):
         raise UsageError(f"cannot write {name}: {exc.strerror}") from None
 
 
-def _emit(fmt, out, inputs, header, rows, pretty, footers=None):
+def _emit(fmt, out, inputs, header, rows, cells, footers=None):
     """Write ``rows`` as csv, json or a pretty table, the inputs echoed first.
 
-    Lines are written as they are formatted, a chunk at a time, so that no
-    copy of the whole output is held; each csv or json row is one template.
-    ``pretty()`` returns the table format's rows of strings, header row
-    first; it runs only for that format, twice (widths, then lines), so that
-    its rows need not be held, and each line is one template built from
-    the widths.  ``footers`` maps a format to what follows the rows: csv
-    comment lines, extra json keys, table lines.
+    The whole text is built, then written at once: these outputs run to a
+    few thousand rows at most.  Each csv or json row is one template.
+    ``cells`` is the table format's rows of strings, header row first; each
+    line is one template built from the column widths.  ``footers`` maps a
+    format to what follows the rows: csv comment lines, extra json keys,
+    table lines.
     """
     footers = footers or {}
     comments = [f"# {key}={value}" for key, value in inputs.items()]
     if fmt == "json":
-        lines = _json_lines(inputs, header, rows, footers.get("json", {}))
+        head, tail = _json_frame(inputs, footers.get("json", {}))
+        template = _json_item(header, ["%s"] * len(header))
+        items = ",\n".join([template % tuple(map(_json_value, row)) for row in rows])
+        listed = f"[\n{items}\n  ]" if items else "[]"
+        lines = [f'{head}\n  "rows": {listed}{tail}']
     elif fmt == "csv":
         template = ",".join(["%s"] * len(header))
-        lines = itertools.chain(comments, [",".join(header)],
-                                map(template.__mod__, map(tuple, rows)),
-                                (f"# {c}" for c in footers.get("csv", ())))
+        lines = [*comments, ",".join(header), *map(template.__mod__, map(tuple, rows)),
+                 *(f"# {c}" for c in footers.get("csv", ()))]
     else:
-        cells = iter(pretty())
-        widths = list(map(len, next(cells)))
-        while chunk := list(itertools.islice(cells, 4096)):
-            widths = list(map(max, widths, (max(map(len, column)) for column in zip(*chunk))))
+        widths = [max(map(len, column)) for column in zip(*cells)]
         template = "  ".join(f"%-{w}s" for w in widths)
-        lines = itertools.chain(comments, map(str.rstrip, map(template.__mod__, map(tuple, pretty()))),
-                                footers.get("table", ()))
+        lines = [*comments, *[(template % tuple(row)).rstrip() for row in cells],
+                 *footers.get("table", ())]
     with _sink(out) as fh:
-        _write_lines(fh, lines)
-
-
-def _write_lines(fh, lines):
-    """Write ``lines``, each ending in a newline, a few thousand per write
-    call: a call per line costs more than formatting the line."""
-    while chunk := list(itertools.islice(lines, 4096)):
-        fh.write("\n".join(chunk) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 # dist writes its rows in blocks of this many indices, a power of ten: past
@@ -210,27 +201,6 @@ def _json_frame(inputs, extra):
     return text.split('\n  "rows": []', 1)
 
 
-def _json_lines(inputs, header, rows, extra):
-    """json.dumps({"inputs": inputs, "rows": rows, **extra}, indent=2), in lines.
-
-    The text around the rows is ``_json_frame``'s.  Each row is one
-    template (``_json_item``), filled by ``_json_value``.
-    """
-    head, tail = _json_frame(inputs, extra)
-    rows = iter(rows)
-    row = next(rows, None)
-    if row is None:
-        yield head + '\n  "rows": []' + tail
-        return
-    yield head + '\n  "rows": ['
-    template = _json_item(header, ["%s"] * len(header))
-    item = template % tuple(map(_json_value, row))
-    for row in rows:
-        yield item + ","
-        item = template % tuple(map(_json_value, row))
-    yield item + "\n  ]" + tail
-
-
 def _json_item(header, values):
     """A json row, laid out as json.dumps(..., indent=2) lays out a row of the
     list: ``header``'s names, encoded once, as its keys and the text
@@ -254,10 +224,6 @@ def _json_value(value) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _fmt2(x) -> str:
-    return "undefined" if x is None else f"{x:.2f}"
 
 
 def _fmt3(x) -> str:
@@ -313,10 +279,10 @@ def stats(args) -> int:
               "terms_used", "converged", "threshold"]
     row = [st.mean, st.variance, _q_value(st), st.normalization,
            st.sums.terms_used, st.sums.converged, st.sums.estimated_threshold]
-    _emit(args.fmt, args.out, inputs, header, [row], lambda: [
+    _emit(args.fmt, args.out, inputs, header, [row], [
         ["quantity", "value"],
-        ["mean", _fmt2(st.mean)],
-        ["variance", _fmt2(st.variance)],
+        ["mean", f"{st.mean:.2f}"],
+        ["variance", f"{st.variance:.2f}"],
         ["mandel_q", _fmt3(st.mandel_q)],
         ["normalization", f"{st.normalization:.6g}"],
         ["terms_used", str(st.sums.terms_used)],
@@ -349,9 +315,9 @@ def table(args) -> int:
              a.sums.estimated_threshold, fixed_nmax] for z, a, f in pairs]
     inputs = {"k": k, "gamma": gamma, **_policy_inputs(adaptive_policy),
               "fixed_nmax": fixed_nmax}
-    _emit(args.fmt, args.out, inputs, header, rows, lambda: [header] + [
-        [f"{z:g}", _fmt2(a.mean), _fmt2(a.variance), _fmt3(a.mandel_q),
-         _fmt2(f.mean), _fmt2(f.variance), _fmt3(f.mandel_q),
+    _emit(args.fmt, args.out, inputs, header, rows, [header] + [
+        [f"{z:g}", f"{a.mean:.2f}", f"{a.variance:.2f}", _fmt3(a.mandel_q),
+         f"{f.mean:.2f}", f"{f.variance:.2f}", _fmt3(f.mandel_q),
          str(a.sums.estimated_threshold), str(fixed_nmax)] for z, a, f in pairs])
     return 0
 
@@ -385,7 +351,7 @@ def sweep(args) -> int:
     onsets = {c: collapse_onset(report, c) for c in cut}
 
     header = ["z", "cutoff", "mandel_q", "status"]
-    rows = []
+    rows, cells = [], [header]
     for row in report.rows:
         labelled = [("adaptive", row.adaptive_stats)]
         labelled += [(str(n_max), row.fixed_stats[n_max]) for n_max in cut]
@@ -397,6 +363,8 @@ def sweep(args) -> int:
             else:
                 status = "ok"
             rows.append([row.abs_z, label, _q_value(st), status])
+            if args.fmt == "table":
+                cells.append([f"{row.abs_z:g}", label, _fmt3(st.mandel_q), status])
 
     inputs = {"k": k, "gamma": gamma, **_policy_inputs(policy),
               "z_min": args.z_min, "z_max": args.z_max, "z_step": args.z_step,
@@ -406,9 +374,7 @@ def sweep(args) -> int:
         "json": {"onsets": {str(c): z for c, z in onsets.items()}} if cut else {},
         "table": [f"onset_{c}  {'None' if z is None else f'{z:g}'}" for c, z in onsets.items()],
     }
-    _emit(args.fmt, args.out, inputs, header, rows, lambda: [header] + [
-        [f"{r[0]:g}", r[1], _fmt3(r[2]) if r[2] != "undefined" else r[2], r[3]]
-        for r in rows], footers)
+    _emit(args.fmt, args.out, inputs, header, rows, cells, footers)
     return 0
 
 

@@ -163,12 +163,17 @@ def test_stdout_closed_early_is_usage_error_without_traceback():
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_out_onto_a_full_device_is_usage_error():
-    result = invoke(["stats", "--k", "1.5", "--z", "2.5", "--out", "/dev/full"])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert result.stdout == ""
-    assert [line for line in result.stderr.splitlines() if "error:" in line] == [
-        "ghacs stats: error: cannot write --out '/dev/full': No space left on device"]
+    for args in (["stats", "--k", "1.5", "--z", "2.5"],
+                 ["table", "--k", "1.5", "--z-list", "2.5,5", "--format", "json"],
+                 ["sweep", "--k", "1.5", "--z-min", "1", "--z-max", "3", "--z-step", "1",
+                  "--cutoffs", "50", "--format", "json"]):
+        result = invoke(args + ["--out", "/dev/full"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert [line for line in result.stderr.splitlines() if "error:" in line] == [
+            f"ghacs {args[0]}: error: cannot write --out '/dev/full': No space left on device"]
 
 
 def test_click_style_entry_point_returns_the_exit_code(capsys):
@@ -570,6 +575,9 @@ class TestSweepCommand:
         assert result.exit_code == 2
 
 
+REFERENCE_SWEEP = "sweep --k 1.5 --z-min 0.1 --z-max 15 --z-step 0.1 --cutoffs 50,100,200,300"
+
+
 class TestDistCommand:
     def test_poisson_rows(self):
         result = invoke(["dist", "--k", "2", "--z", "1",
@@ -728,6 +736,40 @@ class TestDistCommand:
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("args,fmt,digest", [
+        ("stats --k 1.5 --z 2.5", "csv",
+         "ccde1f2af0d2b71500d3a7f8189611a0322de80777ab2483de7921ed66b10023"),
+        ("stats --k 1.5 --z 2.5", "json",
+         "711e58bbf30012ec1456dc0ebe148fd2e2b301e059e2d15cdd786545213a576e"),
+        ("stats --k 1.5 --z 2.5", "table",
+         "010a6170bc74e7a1ddfb4560ae15475da1a0a085211d4c6d18447d64eaf2668e"),
+        # Q is undefined at |z| = 0.
+        ("stats --k 1.5 --z 0", "csv",
+         "8e4b233baa397d92d2285acff30556657e751a56de75046a0c90d775dc318cee"),
+        ("stats --k 1.5 --z 0", "json",
+         "97b74c8bcb5871bb474768b4b0106f128e95ea36f742d2528ab80f00a3e20c78"),
+        ("stats --k 1.5 --z 0", "table",
+         "76787628306f6a744f03f0d118d03878a27f6e2396fd3d3e849e89972f0500ef"),
+        ("table --k 1.5 --z-list 2.5,5,7.5,10,12.5,15", "csv",
+         "83d0fd62afdf8c31ad41f63f03b647f1d28d3ec8c035f11aa0b823bcce548752"),
+        ("table --k 1.5 --z-list 2.5,5,7.5,10,12.5,15", "json",
+         "5944883ad38d3a9c69ea27ecf4677bc27fe98e7c732675c6466ea37c411028d2"),
+        ("table --k 1.5 --z-list 2.5,5,7.5,10,12.5,15", "table",
+         "29f7d264bb11afb605cd2ec83461606954c4126364168f418fa4f43b0eb06ff0"),
+        # The reference sweep: 750 rows and four onset footers.
+        (REFERENCE_SWEEP, "csv",
+         "798b86922cde4c5c6f72f7565c06d04d18269a545493c913b4ffc7761a389559"),
+        (REFERENCE_SWEEP, "json",
+         "10381c9c711e56ecf2cdeb3c192dbbad3e83864709480587b1a1c88eb2759933"),
+        (REFERENCE_SWEEP, "table",
+         "70af5588bbd6c5ce186e604430714beca76d9c1fe426f8b53973c7e2fcd4b6c8")])
+    def test_small_commands_print_as_pinned(self, args, fmt, digest):
+        # The sha256 of the stdout of stats, table and sweep, from when the
+        # table's cells were built in two passes and every output streamed.
+        result = invoke(args.split() + ["--format", fmt])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("fmt", ["csv", "table"])
     def test_zero_prefix_costs_no_memory_of_its_own(self, tmp_path, fmt):
         # The 83,209 rows that underflow share one 0.0 and are never walked:
@@ -845,10 +887,10 @@ class TestWriter:
 
         expected = joined_emit(fmt, inputs, header, rows, pretty, footers)
         capsys.readouterr()
-        cli._emit(fmt, None, inputs, header, iter(rows), pretty, footers)
+        cli._emit(fmt, None, inputs, header, iter(rows), pretty(), footers)
         assert capsys.readouterr().out == expected
         target = tmp_path / "out.txt"
-        cli._emit(fmt, str(target), inputs, header, iter(rows), pretty, footers)
+        cli._emit(fmt, str(target), inputs, header, iter(rows), pretty(), footers)
         assert target.read_bytes() == expected.encode()
 
     @given(fmt=st.sampled_from(["csv", "json", "table"]),
