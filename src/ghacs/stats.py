@@ -24,10 +24,10 @@ An adaptive run on a peak wider than ``_STRIDE_SIGMA`` terms, at a tail
 tolerance of at most ``_STRIDE_TOLERANCE``, is not walked
 (``_strided_sums``, ``lattice``): it reads about a hundred terms a stride
 of sigma/4 apart, each in closed form (``core.log_g_delta``), whose
-trapezoid sums are the whole series' S0, S1 and S2, finds the walk's window
-by bisection, and takes off the short stride-1 walks beyond it.  Its cost barely grows
-with the peak's width: 4 ms at |z| = 15 and 30 ms at |z| = 50 for k = 0.5,
-where the walk takes 14 and 320 ms.
+trapezoid sums are the whole series' S0, S1 and S2, and it returns those
+sums, with the walk's window found by bisection.  Its cost does not grow
+with the peak's width: about 2.5 ms from |z| = 8 to 50 for k = 0.5, where
+the walk takes 14 ms at |z| = 15 and 320 ms at |z| = 50.
 """
 
 from __future__ import annotations
@@ -69,13 +69,16 @@ _MAX_START = 2 ** 52
 
 # An adaptive run whose peak is at least this wide, sigma in terms, is summed
 # on a lattice a stride apart (``_strided_sums``) rather than walked: there
-# a pass costs about 3.5 ms either way at k = 0.5 (2.8 ms at k = 1.5, where
-# the two meet near sigma = 175), on a 2-core Xeon, and the walk's cost
-# grows as 15 sigma us while the lattice's barely grows.
+# a pass costs about 2.6 ms on the walk and 2.2 ms on the lattice at k = 0.5
+# (2.6 and 1.4 ms at k = 1.5), on a 2-core Xeon; the walk's cost grows as
+# about 10 sigma us, and the lattice's does not grow.  The two meet near
+# sigma = 200 at k = 0.5 and below 150 at k = 1.5.
 _STRIDE_SIGMA = 250.0
-# ... and whose tail tolerance is at most this: looser, the stride-1 walks
-# beyond its window outgrow the window itself (at k = 0.5, |z| = 15 the two
-# paths cost the same near 1e-7).
+# ... and whose tail tolerance is at most this: the lattice tests the quiet
+# run against the whole S2, the walk against its running sum, and looser the
+# two part.  At k = 0.5 the windows agree at |z| = 8 and 15 up to 1e-6, first
+# differ at 1e-5 (|z| = 15 ends at 769385 against the walk's 769388), and at
+# 1e-3 the lattice ends |z| = 8 at 33994 against 34050 and refuses |z| = 15.
 _STRIDE_TOLERANCE = 1e-8
 
 
@@ -151,8 +154,10 @@ class LogSeriesSums(namedtuple("LogSeriesSums", "log_s0 origin m1 m2 terms_used 
     is True only for adaptive runs whose quiet-run criterion fired before
     the hard cap; estimated_threshold is the first index of that quiet run.
     The sums are the walk's over that window, or, for a wide peak, the
-    lattice's over the same window (``lattice.strided_sums``), which agree with
-    them to within about 1e-13 in Q and a few ulps in the mean.
+    lattice's sums of the whole series (``lattice.strided_sums``), with the
+    walk's window as the record; those differ from the walk's by the tail
+    its quiet-run rule leaves out (2.4e-12 in Q at k = 0.5, |z| = 15), and
+    lie within about 1e-15 of the converged series.
     """
 
     __slots__ = ()
@@ -540,7 +545,8 @@ def policy_sums(abs_z: float, params: PotentialParams, policies):
     every policy that starts there (the peak, for the adaptive rule and every
     cutoff above it), sharing a head stop between equal tolerances and caps.
     An adaptive run on a wide peak reads a lattice of terms instead
-    (``_strided_sums``), in the window its walk would sum.
+    (``_strided_sums``): the whole series' sums, with the window its walk
+    would sum.
     """
     return (sums for _, sums in _walks(abs_z, params, policies, stride=True))
 

@@ -21,10 +21,19 @@ ADAPTIVE = TruncationPolicy.adaptive()
 
 # 60-digit direct summation at z=5, k=1.5, gamma=2, n_max=200 (oracle.py).
 ORACLE_LOG_SUMS_Z5 = (38.377429848722890, 42.148685839618742, 45.946129665911731)
-# 40-digit mpmath moments over terms 0..776287 at k=0.5, gamma=2, |z|=15:
-# oracle.direct_stats(15, 0.5, 2.0, 776287, dps=40), about 40 s.
-DEEP_TAIL_MEAN_Z15 = 765785.83938257258882
-DEEP_TAIL_Q_Z15 = 1.49160681816661
+# 40-digit mpmath moments of the whole series at k=0.5, gamma=2, |z|=15,
+# summed over terms 0..800000 (the adaptive window ends at 776287; the terms
+# past 800000 move neither value in 40 digits), from the repository root:
+#   python -c "import sys; sys.path.insert(0, 'tests'); import oracle;
+#              print(oracle.direct_stats(15, 0.5, 2.0, 800000, dps=40))"
+# about 40 s.
+DEEP_TAIL_MEAN_Z15 = 765785.83938257276547
+DEEP_TAIL_Q_Z15 = 1.4916068181690362638
+# (k, |z|, Q) of the whole series at gamma=2, in 40-digit mpmath summed
+# outward from the peak; bench/checks.peak_window_stats(|z|, k, 2.0, None)
+# sums them the same way in 30 digits and gives the same doubles.
+CONVERGED_Q = [(0.5, 8.0, 1.4707252084859065534), (0.5, 20.0, 1.4952721504828614904),
+               (0.5, 30.0, 1.4978965837393712751), (1.0, 40.0, 0.49941550188184114747)]
 
 
 def start_of(abs_z, params, policy):
@@ -495,14 +504,14 @@ class TestStridedSums:
     @settings(max_examples=60, deadline=None)
     def test_lattice_matches_the_walk(self, k, gamma, log_sigma, log_tol, quiet_run):
         # The same window, threshold and convergence as the walk; Q within
-        # 1e-12 and the mean within a relative 1e-14.
+        # 1e-13 and the mean within a relative 1e-14 of the whole series.
         params = PotentialParams(k=k, gamma=gamma)
         z = amplitude_of_width(10.0 ** log_sigma, params)
         policy = TruncationPolicy.adaptive(tail_tolerance=10.0 ** log_tol, quiet_run=quiet_run)
         sums = ghacs.stats._strided_sums(z, params, policy, ghacs.stats._peak_index(z, params))
         event("walked" if sums is None else "strided")
         assume(sums is not None)
-        assert_same_run(sums, walked(z, params, policy))
+        assert_same_run(sums, walked(z, params, policy), z, params)
         assert accumulate_sums(z, params, policy) == sums
 
     @pytest.mark.parametrize("z", [14.97, 15.0, 15.03, 20.0])
@@ -510,7 +519,7 @@ class TestStridedSums:
         params = PotentialParams(k=0.5)
         sums = accumulate_sums(z, params, ADAPTIVE)
         assert sums == ghacs.stats._strided_sums(z, params, ADAPTIVE, ghacs.stats._peak_index(z, params))
-        assert_same_run(sums, walked(z, params, ADAPTIVE))
+        assert_same_run(sums, walked(z, params, ADAPTIVE), z, params)
 
     def test_sweep_across_the_break_even(self):
         # sigma passes 250 near |z| = 7.55; each row equals its standalone runs.
@@ -535,16 +544,29 @@ class TestStridedSums:
         assert ghacs.stats._strided_sums(15.0, params, policy, 765785) is None
         assert accumulate_sums(15.0, params, policy) == walked(15.0, params, policy)
 
+    @pytest.mark.parametrize("k,z,q", CONVERGED_Q)
+    def test_q_of_the_whole_series(self, k, z, q):
+        # The walk's window leaves out 4.0e-13 of Q at k = 0.5, |z| = 8, and
+        # 5.1e-12 at |z| = 20.
+        got = state_stats(z, PotentialParams(k=k), ADAPTIVE).mandel_q
+        assert abs(got - q) <= 4e-15 * max(1.0, abs(q))
+
     def test_wide_peak_converges_in_a_lattice_pass(self):
         # The walk's window at |z| = 50 spans 497,292 terms.
         sums = accumulate_sums(50.0, PotentialParams(k=0.5), ADAPTIVE)
         assert window_of(sums) == (312440002, 312937294, 312937284, True)
 
 
-def assert_same_run(sums, walk):
+def assert_same_run(sums, walk, abs_z, params):
+    """The walk's window, threshold and convergence, with the moments of the
+    whole series: those of a fixed walk 40 sigma past the window, its head
+    taken down to 1e-300 of the peak."""
     assert window_of(sums) == window_of(walk)
-    got, want = stats_from_sums(sums), stats_from_sums(walk)
-    assert abs(got.mandel_q - want.mandel_q) <= 1e-12 * max(1.0, abs(want.mandel_q))
+    sigma = math.sqrt(stats_from_sums(walk).variance)
+    whole = TruncationPolicy(n_max=walk.terms_used + math.ceil(40.0 * sigma),
+                             tail_tolerance=1e-300, hard_cap=10 ** 7)
+    got, want = stats_from_sums(sums), state_stats(abs_z, params, whole)
+    assert abs(got.mandel_q - want.mandel_q) <= 1e-13 * max(1.0, abs(want.mandel_q))
     assert got.mean == pytest.approx(want.mean, rel=1e-14, abs=0)
 
 
