@@ -13,8 +13,10 @@ is within about 1e-15 of the converged series from |z| = 8 to 30, where the
 walk's window, cut by its quiet-run rule, leaves out 2.4e-12 of it at
 |z| = 15 and 1.4e-11 at |z| = 30.  The window reported is still the walk's:
 its first index and its quiet-run threshold come from bisection with the
-closed form on the monotone flanks, each test made as the walk makes it,
-and it ends quiet_run - 1 terms past the threshold.  ``stats`` decides
+closed form on the monotone flanks, and it ends quiet_run - 1 terms past
+the threshold.  The head test is the walk's; the quiet-run test is made
+against the whole S2, and a threshold that the walk, testing against its
+running sum, might not find quiet is left to the walk.  ``stats`` decides
 which runs come here, and imports this module only for them.
 """
 
@@ -57,8 +59,9 @@ def strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolicy
     floor(sigma / 4) around the peak, with sigma^2 = var, and the window,
     threshold and convergence of the adaptive run's walk; None where the run
     stays on the walk: its head stays open or reaches n = 0, its window would
-    pass the hard cap, or its lattice would reach below n = 1000, where
-    ``log_g_delta`` is not checked.
+    pass the hard cap, its threshold lies too near the edge of the quiet-run
+    rule to be surely the walk's, or its lattice would reach below n = 1000,
+    where ``log_g_delta`` is not checked.
     """
     a, c = params.alpha, params.offset
     h = int(math.sqrt(var) / 4.0)
@@ -92,13 +95,17 @@ def strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolicy
     parts = [_moments([h * math.exp(lw) for lw in up], 0, h),
              _moments([h * math.exp(lw) for lw in down], -h, -h)]
     s0, s1, s2 = map(math.fsum, zip(*parts))
-    # S2 of the whole series, above every partial sum the walk's quiet-run
-    # rule compares with; the two part only where a term lies within about
-    # the tolerance of the rule's edge.
-    log_s2 = math.log(math.fsum((peak * peak * s0, 2 * peak * s1, s2)))
+    # S2 of the whole series, which the quiet-run tests below are made
+    # against; the walk makes them against its running sum, smaller by the
+    # head below lo and by the tail from the term tested on.
+    s2_whole = math.fsum((peak * peak * s0, 2 * peak * s1, s2))
+    log_s2 = math.log(s2_whole)
+
+    def log_t2(n):
+        return 2.0 * math.log(n) + log_w(n)
 
     def quiet(n):
-        return 2.0 * math.log(n) + log_w(n) <= log_tol + log_s2
+        return log_t2(n) <= log_tol + log_s2
 
     # n^2 w_n peaks within 2 sigma^2 / n* above the anchor and falls after.
     start = peak + 3 + 4 * math.ceil(var / peak)
@@ -119,6 +126,17 @@ def strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolicy
     threshold = _bisect(quiet, loud + 1, n)
     terms_used = threshold + policy.quiet_run
     if terms_used - 1 > top:
+        return None
+    # A term quiet for the walk is quiet here; the threshold must be quiet
+    # for the walk too.  Its running sum there is above S2 less lo^2 tol,
+    # a bound on the head by the head rule, and less the tail's first term
+    # over 1 - r, r the ratio of consecutive terms, which falls past the
+    # peak.  (At k = 0.5, tol = 1e-8 this leaves |z| = 60 to the walk: the
+    # threshold against S2 lies 2 terms early there.)
+    lt2 = log_t2(threshold)
+    fall = -math.expm1(log_t2(threshold + 1) - lt2)
+    room = s2_whole - lo * lo * policy.tail_tolerance - math.exp(lt2) / fall if fall > 0.0 else 0.0
+    if room <= 0.0 or lt2 > log_tol + math.log(room):
         return None
     return LogSeriesSums(
         log_s0=math.fsum((_log_term(peak, abs_z, params), math.log(s0))), origin=peak,

@@ -74,11 +74,14 @@ _MAX_START = 2 ** 52
 # about 10 sigma us, and the lattice's does not grow.  The two meet near
 # sigma = 200 at k = 0.5 and below 150 at k = 1.5.
 _STRIDE_SIGMA = 250.0
-# ... and whose tail tolerance is at most this: the lattice tests the quiet
-# run against the whole S2, the walk against its running sum, and looser the
-# two part.  At k = 0.5 the windows agree at |z| = 8 and 15 up to 1e-6, first
-# differ at 1e-5 (|z| = 15 ends at 769385 against the walk's 769388), and at
-# 1e-3 the lattice ends |z| = 8 at 33994 against 34050 and refuses |z| = 15.
+# ... and whose tail tolerance is at most this, a choice of cost and scope
+# rather than a bound on the window.  The lattice tests the quiet run against
+# the whole S2 and hands a threshold that the walk, testing against its
+# running sum, might not share back to the walk, which then costs a lattice
+# pass on top.  That band is about tol sigma^2 / x^2 terms wide, x the
+# threshold's distance from the peak in sigma: at k = 0.5 and 1e-8 it sends
+# back 4 of 40 runs near |z| = 30, 26 of 40 near 50 and all near 60; at 1e-6,
+# 35 of 40 near |z| = 20; at 1e-10 and below, none up to |z| = 60.
 _STRIDE_TOLERANCE = 1e-8
 
 
@@ -507,8 +510,9 @@ def _strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolic
     The lattice serves a run whose peak is at least ``_STRIDE_SIGMA`` wide,
     with sigma^-2 = alpha (n* + c)^(alpha - 1) / f_(n*) the curvature of
     ln t there, at a tail tolerance of at most ``_STRIDE_TOLERANCE``, and
-    leaves it to the walk where its head stays open or reaches n = 0, or
-    where its window would pass the hard cap.
+    leaves it to the walk where its head stays open or reaches n = 0, where
+    its window would pass the hard cap, or where its threshold lies too
+    near the edge of the quiet-run rule to be surely the walk's.
     """
     if policy.n_max is not None or not peak or policy.tail_tolerance > _STRIDE_TOLERANCE:
         return None

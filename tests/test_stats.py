@@ -494,13 +494,16 @@ def window_of(sums):
 class TestStridedSums:
     @given(k=st.floats(min_value=0.3, max_value=2.0), gamma=st.floats(min_value=0.1, max_value=10.0),
            log_sigma=st.floats(min_value=math.log10(ghacs.stats._STRIDE_SIGMA),
-                               max_value=math.log10(3000.0)),
+                               max_value=math.log10(6000.0)),
            log_tol=st.floats(min_value=-300.0, max_value=math.log10(0.5)),
            quiet_run=st.integers(min_value=1, max_value=64))
     @example(k=0.5, gamma=2.0, log_sigma=math.log10(1381.0), log_tol=-300.0, quiet_run=10)
     @example(k=0.5, gamma=2.0, log_sigma=math.log10(1381.0), log_tol=-8.0, quiet_run=1)
     @example(k=2.0, gamma=0.1, log_sigma=math.log10(ghacs.stats._STRIDE_SIGMA), log_tol=-16.0,
              quiet_run=64)
+    # Against the whole S2 the threshold lies a term early here; the lattice
+    # leaves the run to the walk.
+    @example(k=0.5, gamma=2.0, log_sigma=math.log10(40000.0), log_tol=-8.0, quiet_run=10)
     @settings(max_examples=60, deadline=None)
     def test_lattice_matches_the_walk(self, k, gamma, log_sigma, log_tol, quiet_run):
         # The same window, threshold and convergence as the walk; Q within
@@ -543,6 +546,13 @@ class TestStridedSums:
         params = PotentialParams(k=0.5)
         assert ghacs.stats._strided_sums(15.0, params, policy, 765785) is None
         assert accumulate_sums(15.0, params, policy) == walked(15.0, params, policy)
+
+    def test_threshold_the_walk_might_not_share_walks(self):
+        # Against the whole S2 the threshold is 778172033, two terms before
+        # the walk's.
+        params, policy = PotentialParams(k=0.5), TruncationPolicy.adaptive(tail_tolerance=1e-8)
+        assert ghacs.stats._strided_sums(60.0, params, policy, ghacs.stats._peak_index(60.0, params)) is None
+        assert window_of(accumulate_sums(60.0, params, policy)) == (777620416, 778172045, 778172035, True)
 
     @pytest.mark.parametrize("k,z,q", CONVERGED_Q)
     def test_q_of_the_whole_series(self, k, z, q):
