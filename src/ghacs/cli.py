@@ -106,7 +106,9 @@ def _sink(out: str | None):
                 yield fh
     except OSError as exc:
         if out is None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         raise UsageError(f"cannot write {name}: {exc.strerror}") from None
 
 

@@ -9,7 +9,6 @@ the cutoff, the variance collapses and Mandel Q plunges spuriously toward
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 
@@ -111,7 +110,12 @@ def sweep_row(abs_z: float, params: PotentialParams, policy: TruncationPolicy,
     each result equals a standalone run.
     """
     cutoffs = tuple(cutoffs)
-    policies = itertools.chain([policy], map(TruncationPolicy.fixed, cutoffs))
+    return _sweep_row(abs_z, params, (policy, *map(TruncationPolicy.fixed, cutoffs)), cutoffs)
+
+
+def _sweep_row(abs_z: float, params: PotentialParams, policies: tuple[TruncationPolicy, ...],
+               cutoffs: tuple[int, ...]) -> SweepRow:
+    """``sweep_row`` over ready-made policies: the adaptive one, then one per cutoff."""
     adaptive, *fixed = map(stats_from_sums, policy_sums(abs_z, params, policies))
     return SweepRow(abs_z=abs_z, adaptive_stats=adaptive, fixed_stats=dict(zip(cutoffs, fixed)))
 
@@ -121,11 +125,12 @@ def run_sweep(spec: SweepSpec, policy_defaults: TruncationPolicy) -> TruncationR
 
     Rows are independent and emitted in grid order; a row whose adaptive
     run fails to converge is flagged in place rather than aborting the
-    sweep.  Identical inputs produce an identical report.
+    sweep.  Identical inputs produce an identical report.  The policies
+    are built once, for every row.
     """
-    params = spec.params
-    rows = tuple(sweep_row(abs_z, params, policy_defaults, spec.cutoffs)
-                 for abs_z in spec.z_grid)
+    params, cutoffs = spec.params, spec.cutoffs
+    policies = (policy_defaults, *map(TruncationPolicy.fixed, cutoffs))
+    rows = tuple(_sweep_row(abs_z, params, policies, cutoffs) for abs_z in spec.z_grid)
     return TruncationReport(spec=spec, rows=rows)
 
 

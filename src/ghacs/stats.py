@@ -18,7 +18,11 @@ of the m = 2 sum (the slowest to converge) stay below the tolerance of its
 running value for a sustained run.  The policy's hard cap bounds every
 window.  One compensated pass reduces the window to ln S0 and the first two
 moments about its largest term, so the variance is formed without
-cancellation.
+cancellation.  Past the peak the terms fall at least geometrically, so a
+tail bound (``_tail_bound``; Knopp, sections 14-16) can prove that no term
+past an index m changes a rounded sum: the fixed cutoffs of a sweep that
+lie past the end of its adaptive walk then share one reduction, to that
+end, and are not walked.
 
 An adaptive run on a peak wider than ``_STRIDE_SIGMA`` terms, at a tail
 tolerance of at most ``_STRIDE_TOLERANCE``, is not walked
@@ -83,6 +87,15 @@ _STRIDE_SIGMA = 250.0
 # back 4 of 40 runs near |z| = 30, 26 of 40 near 50 and all near 60; at 1e-6,
 # 35 of 40 near |z| = 20; at 1e-10 and below, none up to |z| = 60.
 _STRIDE_TOLERANCE = 1e-8
+
+# A certified reduction (``_tail_bound``) serves cutoffs less than
+# _TAIL_SPAN terms past the anchor.  Then fewer than 2^53 terms of a window
+# lie past the certified end, and those whose weight is below 2^-1000, where
+# a rounding is no longer relative, are each below 2^-1000 (2^53)^2 = 2^-894
+# as a product w d^2, its roundings included: together they stay below
+# _TAIL_FLOOR, which the bound adds.
+_TAIL_SPAN = 2 ** 53
+_TAIL_FLOOR = 2.0 ** -840
 
 
 class VarianceConsistencyError(RuntimeError):
@@ -160,7 +173,9 @@ class LogSeriesSums(namedtuple("LogSeriesSums", "log_s0 origin m1 m2 terms_used 
     lattice's sums of the whole series (``lattice.strided_sums``), with the
     walk's window as the record; those differ from the walk's by the tail
     its quiet-run rule leaves out (2.4e-12 in Q at k = 0.5, |z| = 15), and
-    lie within about 1e-15 of the converged series.
+    lie within about 1e-15 of the converged series.  A fixed window that
+    shares a reduction of a shorter window (``policy_sums``) has that
+    window's sums, certified equal to its own.
     """
 
     __slots__ = ()
@@ -449,36 +464,94 @@ def _stop_adaptive(walk: LogTermWalk, lo: int, policy: TruncationPolicy):
     return last, False, None
 
 
+def _tail_bound(walk: LogTermWalk, m: int):
+    """(T_0, T_1, T_2), each at least the sum of the walk's own w_n d^p, d = n -
+    anchor, over n > m, as the reduction rounds them; None where the walk's
+    ratio at m + 1 is not below 1, or where m lies too far out to know that
+    it never rises.  m lies at or past the anchor, on the peak, and the
+    bound holds for the terms less than ``_TAIL_SPAN`` past the anchor.
+
+    Past the peak the walk's ratio q_n = fl(|z|^2 / f_n) never rises, since
+    the factors it reads do not fall: up to x = m + 2 + c of 2^48 alpha,
+    x^alpha rises by more than 8 ulps from one index to the next, so a pow
+    within an ulp, as C libraries give it, keeps every factor past m + 1
+    at least f_(m+1).  So the walk's w_(m+j) is at most w_m rho^j with
+    rho = q_(m+1) (1 + 2^-52), which covers each step's rounding while w
+    stays above 2^-1000, and with d = m - anchor (Knopp, Theory and
+    Application of Infinite Series, sections 14-16),
+
+        sum_(n>m) w_n (n - anchor)^p <= w_m G_p,      G_0 = rho / (1 - rho),
+        G_1 = d G_0 + rho / (1 - rho)^2,
+        G_2 = d^2 G_0 + 2 d rho / (1 - rho)^2 + rho (1 + rho) / (1 - rho)^3.
+
+    w_m G_p is inflated by 2^-44 of itself, for the rounding of the products
+    w d and w d^2 and of the bound itself (about a dozen roundings), and
+    ``_TAIL_FLOOR`` is added for the terms below 2^-1000, where a rounding
+    is no longer relative.
+    """
+    if m + 2 + walk.params.offset >= 2.0 ** 48 * walk.params.alpha:
+        return None
+    b, i = divmod(m, MAX_BLOCK)
+    rho = walk.abs_z * walk.abs_z / factor_block(b, walk.params)[i] * (1.0 + 2.0 ** -52)
+    if not rho < 1.0:
+        return None
+    d, g = float(m - walk.anchor), 1.0 / (1.0 - rho)
+    g0, h = rho * g, rho * g * g
+    w = walk.window(m, m)[0] * (1.0 + 2.0 ** -44)
+    return (w * g0 + _TAIL_FLOOR, w * (d * g0 + h) + _TAIL_FLOOR,
+            w * (d * d * g0 + 2.0 * d * h + rho * (1.0 + rho) * g * g * g) + _TAIL_FLOOR)
+
+
 def _reduce(walk: LogTermWalk, lo: int, hi: int, converged: bool,
-            threshold: int | None) -> LogSeriesSums:
+            threshold: int | None, certify: bool = False) -> LogSeriesSums | None:
     """ln S0 and the moments about the anchor, over the window lo..hi, in one pass.
 
     The anchor is the window's largest term.  With weights
     w_n = t_n / t_anchor and d = n - anchor, sum w, sum w d and sum w d^2
     are summed exactly (math.fsum), in walk order, and give S0, m1 and m2.
+
+    With ``certify`` the sums hold for every window lo..n_max past hi too,
+    or the result is None: each sum must be unchanged by its tail bound
+    (``_tail_bound``) added to its terms.  Past the anchor every term is at
+    least 0 and rounding to nearest is monotone, so a sum that the bound
+    leaves unchanged is unchanged by any part of that tail.
     """
     origin = walk.anchor
     ws = walk.outward(lo, hi)
     wd = list(map(operator.mul, ws, _outward(0, lo - origin, hi - origin)))
-    s0 = math.fsum(ws)
+
+    def wd2(*tail):
+        return itertools.chain(map(operator.mul, wd, _outward(0, lo - origin, hi - origin)), tail)
+
+    s0, s1, s2 = math.fsum(ws), math.fsum(wd), math.fsum(wd2())
+    if certify:
+        bounds = _tail_bound(walk, hi)
+        if bounds is None or (math.fsum(ws + [bounds[0]]), math.fsum(wd + [bounds[1]]),
+                              math.fsum(wd2(bounds[2]))) != (s0, s1, s2):
+            return None
     return LogSeriesSums(
         log_s0=math.fsum((walk.log_anchor, math.log(s0))), origin=origin,
-        m1=math.fsum(wd) / s0,
-        m2=math.fsum(map(operator.mul, wd, _outward(0, lo - origin, hi - origin))) / s0,
-        terms_used=hi + 1, converged=converged, estimated_threshold=threshold,
-        first_index=lo)
+        m1=s1 / s0, m2=s2 / s0, terms_used=hi + 1, converged=converged,
+        estimated_threshold=threshold, first_index=lo)
 
 
 def _walk_sums(walk: LogTermWalk, policy: TruncationPolicy, peak: int | None,
-               heads: dict) -> LogSeriesSums:
+               heads: dict, tails: dict) -> LogSeriesSums:
     """The sums of one policy over its walk, extending it only as far as the policy needs.
 
     The walk's anchor is the largest term of every window taken here, the
     invariant that the head rule and the reduction rely on.  (Where the
     peak is flat, past n of about 10^14, that holds to rounding: the walk's
     w and the peak index leave other terms up to a few 1e-15 above it.)
-    ``heads`` holds the head stops made at this amplitude.  A fixed window
-    wider than ``hard_cap`` raises ValueError before the walk is extended.
+    ``heads`` holds the head stops made at this amplitude, and ``tails``
+    the certified reductions of the peak's walk, by first index, once an
+    adaptive rule has grown it past its anchor.  A fixed cutoff past the
+    end of that walk, m, reduces lo..m once, and if the tail bound
+    certifies the sums (``_reduce``), takes them, and every later such
+    cutoff too, without extending the walk: they are the sums of its own
+    window.  A failed certificate leaves the cutoff to extend the walk.  A
+    fixed window wider than ``hard_cap`` raises ValueError before the walk
+    is extended.
     """
     adaptive = policy.n_max is None
     if walk.abs_z == 0.0:
@@ -489,16 +562,25 @@ def _walk_sums(walk: LogTermWalk, policy: TruncationPolicy, peak: int | None,
         heads[head] = _stop_head(walk, policy.tail_tolerance, policy.hard_cap)
     lo, closed = heads[head]
     if not adaptive:
-        if not closed or policy.n_max + 1 - lo > policy.hard_cap:
-            raise ValueError(f"fixed cutoff n_max = {policy.n_max} would sum more than "
+        n_max = policy.n_max
+        if not closed or n_max + 1 - lo > policy.hard_cap:
+            raise ValueError(f"fixed cutoff n_max = {n_max} would sum more than "
                              f"hard_cap ({policy.hard_cap}) terms")
-        walk.extend_to(policy.n_max)
-        return _reduce(walk, lo, policy.n_max, False, None)
+        certified = tails.get(walk.anchor)
+        if certified is not None and n_max > walk.hi and lo not in certified:
+            certified[lo] = _reduce(walk, lo, walk.hi, False, None, certify=True)
+        sums = certified.get(lo) if certified else None
+        if sums is not None and sums.terms_used <= n_max < walk.anchor + _TAIL_SPAN:
+            return sums._replace(terms_used=n_max + 1)
+        walk.extend_to(n_max)
+        return _reduce(walk, lo, n_max, False, None)
     if not closed or peak is None:
         # An open head, or a peak beyond 2^52, whose walk starts as high
         # as a window may reach: the run ends at the anchor, unconverged.
         return _reduce(walk, lo, walk.anchor, False, None)
     hi, converged, threshold = _stop_adaptive(walk, lo, policy)
+    if walk.hi > walk.anchor:
+        tails.setdefault(walk.anchor, {})
     return _reduce(walk, lo, hi, converged, threshold)
 
 
@@ -527,10 +609,13 @@ def _strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolic
 
 def _walks(abs_z: float, params: PotentialParams, policies, stride: bool = False):
     """(walk, sums) of each policy in turn; see ``policy_sums``.  With
-    ``stride``, a run that ``_strided_sums`` serves comes with no walk."""
+    ``stride``, a run that ``_strided_sums`` serves comes with no walk.
+
+    A fixed window served by a certified reduction (``_walk_sums``) may
+    end past its walk's span."""
     _check_amplitude(abs_z)
     peak = _peak_index(abs_z, params) if abs_z > 0.0 else 0
-    walks, heads = {}, {}
+    walks, heads, tails = {}, {}, {}
     for policy in policies:
         sums = _strided_sums(abs_z, params, policy, peak) if stride else None
         if sums is not None:
@@ -539,7 +624,7 @@ def _walks(abs_z: float, params: PotentialParams, policies, stride: bool = False
         start = _start_index(peak, policy)
         if start not in walks:
             walks[start] = LogTermWalk(abs_z, params, start)
-        yield walks[start], _walk_sums(walks[start], policy, peak, heads)
+        yield walks[start], _walk_sums(walks[start], policy, peak, heads, tails)
 
 
 def policy_sums(abs_z: float, params: PotentialParams, policies):
@@ -548,7 +633,10 @@ def policy_sums(abs_z: float, params: PotentialParams, policies):
     Each walk starts at the largest term of the range it sums, and serves
     every policy that starts there (the peak, for the adaptive rule and every
     cutoff above it), sharing a head stop between equal tolerances and caps.
-    An adaptive run on a wide peak reads a lattice of terms instead
+    Once an adaptive rule has grown the peak's walk, a cutoff past its end
+    takes the one reduction to that end that a tail bound certifies equal
+    to its own window's sums (``_walk_sums``), and is not walked.  An
+    adaptive run on a wide peak reads a lattice of terms instead
     (``_strided_sums``): the whole series' sums, with the window its walk
     would sum.
     """

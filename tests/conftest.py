@@ -11,18 +11,19 @@ def factor_reads(monkeypatch):
     """Record what the term walk reads of ``core.factor_block``.
 
     ``blocks`` lists the block index of each lookup, in order; ``indices``
-    lists each factor index j that the walk slices out of a block, once per
-    read.  The values returned are unchanged.  ``spanned(walk)`` gives the
-    blocks that hold a walk's factors, each once per side: those of
-    j = anchor, anchor - 1, ..., lo + 1 going down, then of j = anchor + 1,
-    ..., hi going up.
+    lists each factor index j read out of a block, by a slice or by an
+    index, once per read.  The values returned are unchanged.
+    ``spanned(walk)`` gives the blocks that hold a walk's factors, each
+    once per side: those of j = anchor, anchor - 1, ..., lo + 1 going down,
+    then of j = anchor + 1, ..., hi going up.
     """
     reads = types.SimpleNamespace(blocks=[], indices=[], spanned=_spanned)
     lookup = ghacs.stats.factor_block
 
     class Block(tuple):
         def __getitem__(self, key):
-            reads.indices.extend(self.indices[key])
+            read = self.indices[key]
+            reads.indices.extend(read if isinstance(key, slice) else (read,))
             return tuple.__getitem__(self, key)
 
     def recorded(b, params):

@@ -161,6 +161,20 @@ def test_stdout_closed_early_is_usage_error_without_traceback():
     assert err.splitlines()[-1] == "ghacs dist: error: cannot write stdout: Broken pipe"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_stdout_on_a_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    # The failed write points fd 1's stand-in at the null device, and the
+    # descriptor it opened for that is closed again.
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        before = len(os.listdir("/proc/self/fd"))
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["stats", "--k", "1.5", "--z", "2.5"]) == 2
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_out_onto_a_full_device_is_usage_error():
     for args in (["stats", "--k", "1.5", "--z", "2.5"],

@@ -136,15 +136,20 @@ class TestRunSweep:
            st.sampled_from([10, 50, 1000, 10 ** 6]))
     @example(z_grid=[0.0, 0.5, 3.0], cutoffs=[1, 40, 300], k=1.5, log_tol=-16.0, hard_cap=10 ** 6)
     @example(z_grid=[0.0, 1e300], cutoffs=[1, 40, 300], k=1.5, log_tol=-16.0, hard_cap=50)
+    @example(z_grid=[0.1, 2.0, 4.5], cutoffs=[50, 100, 200, 300], k=1.5, log_tol=-16.0,
+             hard_cap=10 ** 6)
+    @example(z_grid=[0.1, 2.0, 4.5], cutoffs=[50, 100, 200, 300], k=1.5, log_tol=-8.0,
+             hard_cap=1000)
     @settings(max_examples=30, deadline=None)
     def test_shared_walk_equals_standalone_runs(self, z_grid, cutoffs, k, log_tol, hard_cap):
-        # |z| = 0 keeps one term under every policy; cutoffs above the
-        # adaptive stopping index extend the shared walk past it, and where
-        # the adaptive tolerance or cap differs from the cutoffs' defaults,
-        # two head stops share that walk.  At |z| = 1e300 the peak lies
-        # beyond 2^52.  Once with the factor-block and ln g memos cleared
-        # before every run, so that each result is computed afresh, and once
-        # with them left warm.
+        # |z| = 0 keeps one term under every policy; cutoffs past the end of
+        # the adaptive walk take its certified reduction, or extend the
+        # shared walk where the certificate fails (at |z| = 0.1, 2 and 4.5
+        # it holds), and where the adaptive tolerance or cap differs from
+        # the cutoffs' defaults, two head stops share that walk.  At
+        # |z| = 1e300 the peak lies beyond 2^52.  Once with the factor-block
+        # and ln g memos cleared before every run, so that each result is
+        # computed afresh, and once with them left warm.
         spec = SweepSpec(k=k, gamma=2.0, z_grid=sorted(z_grid), cutoffs=sorted(cutoffs))
         policy = TruncationPolicy.adaptive(tail_tolerance=10.0 ** log_tol, hard_cap=hard_cap)
         for fresh in (clear_memos, lambda: None):
@@ -165,20 +170,31 @@ class TestRunSweep:
                    for r in report.rows]
         assert longest[0] == 1 and longest[1] == 401 and longest[2] > 401
         # One walk per start index (the peak, or a cutoff below it), and each
-        # spans every window read from it.
+        # spans every window read from it, but a fixed window served by a
+        # certified reduction of the peak's walk, which ends past the span.
         spans = {(w.abs_z, w.anchor): (w.lo, w.hi) for w in walks_made}
         assert len(spans) == len(walks_made) == 1 + 1 + 4
+        served = []
         for row in report.rows:
             policies = [(policy, row.adaptive_stats)] + [
                 (TruncationPolicy.fixed(c), row.fixed_stats[c]) for c in spec.cutoffs]
             peak = ghacs.stats._peak_index(row.abs_z, spec.params) if row.abs_z else 0
             for p, st_ in policies:
                 lo, hi = spans[row.abs_z, ghacs.stats._start_index(peak, p)]
-                assert lo <= st_.sums.first_index and st_.sums.terms_used - 1 <= hi
+                assert lo <= st_.sums.first_index
+                if st_.sums.terms_used - 1 > hi:
+                    served.append((row.abs_z, p.n_max, hi))
+        assert [(z, c) for z, c, _ in served] == [(2.5, 150), (2.5, 400)]
         # Each walk evaluates each factor index of its span once: index j
-        # steps between terms j - 1 and j.
+        # steps between terms j - 1 and j.  The tail bound reads the factor
+        # past the span it certifies, once.
         expected = [j for lo, hi in spans.values() for j in range(lo + 1, hi + 1)]
-        assert sorted(factor_reads.indices) == sorted(expected)
+        assert sorted(factor_reads.indices) == sorted(expected + [served[0][2] + 1])
+        # A served window's sums are those of the window that ends with the
+        # span, as a standalone run gives them.
+        for z, c, hi in served:
+            alone = state_stats(z, spec.params, TruncationPolicy.fixed(hi)).sums
+            assert report.rows[1].fixed_stats[c].sums == alone._replace(terms_used=c + 1)
 
     def test_sweep_row_reads_cutoffs_from_any_iterable(self):
         row = sweep_row(7.5, K15, TruncationPolicy.adaptive(), iter([50, 400]))
@@ -200,6 +216,28 @@ class TestRunSweep:
                          cutoffs=(50, 100, 200, 300))
         run_sweep(spec, TruncationPolicy.adaptive())
         assert calls == list(spec.z_grid) and len(calls) == 150
+
+    def test_cutoffs_past_a_certified_tail_share_one_reduction(self, monkeypatch, walks_made):
+        # Walking each fixed window of the reference sweep to its cutoff
+        # takes 750 reductions, over walks of 72,636 terms.  A cutoff past
+        # the end of the adaptive walk takes the reduction its tail bound
+        # certified instead, without walking further.
+        reductions, reduce_ = [], ghacs.stats._reduce
+
+        def counted(*args, **kwargs):
+            reductions.append(reduce_(*args, **kwargs))
+            return reductions[-1]
+
+        monkeypatch.setattr(ghacs.stats, "_reduce", counted)
+        spec = SweepSpec(k=1.5, gamma=2.0, z_grid=_z_grid(0.1, 15.0, 0.1),
+                         cutoffs=(50, 100, 200, 300))
+        report = run_sweep(spec, TruncationPolicy.adaptive())
+        ends = {(w.abs_z, w.anchor): w.hi for w in walks_made}
+        served = [c for row in report.rows for c, st_ in row.fixed_stats.items()
+                  if st_.sums.terms_used - 1 > ends[row.abs_z, st_.sums.origin]]
+        assert None not in reductions  # every certificate held
+        assert len(reductions) < 750 and len(served) >= 150
+        assert sum(w.hi - w.lo + 1 for w in walks_made) < 72636
 
 
 class TestSweepReuse:

@@ -341,8 +341,12 @@ class TestAccumulateSums:
         # Where the peak is flat, past n of about 10^14, the rounded walk and
         # peak index leave w up to a few 1e-15 above 1: 2.7e-15 at k = 0.153,
         # gamma = 9.79, |z| = 12, where _peak_index lands 11 above the peak.
-        for walk, sums in ghacs.stats._walks(z, PotentialParams(k=k, gamma=gamma), policies):
+        # A fixed window served by a certified reduction ends past its walk,
+        # so each walk is extended to the end of each window once every
+        # policy has run; extended in steps, it holds the same values.
+        for walk, sums in list(ghacs.stats._walks(z, PotentialParams(k=k, gamma=gamma), policies)):
             lo, hi = sums.first_index, sums.terms_used - 1
+            walk.extend_to(hi)
             ws = walk.window(lo, hi)
             assert sums.origin == walk.anchor
             assert max(ws) <= 1 + 1e-12
@@ -381,6 +385,56 @@ class TestAccumulateSums:
             v = [(n + 1) * w for n, w in enumerate(walk.window(walk.lo, walk.anchor - 1), walk.lo)]
             assert not [n for n, (low, high) in enumerate(zip(v, v[1:]), walk.lo + 1)
                         if high < 1.0 and low > high]
+
+    @given(k=st.floats(min_value=0.8, max_value=10.0), gamma=st.sampled_from([0.1, 2.0, 10.0]),
+           z=st.floats(min_value=1e-3, max_value=30.0), past=st.floats(min_value=0.0, max_value=40.0))
+    @example(k=0.8, gamma=0.1, z=30.0, past=40.0)
+    @settings(max_examples=40, deadline=None)
+    def test_tail_bound_covers_the_walks_own_tail(self, k, gamma, z, past):
+        # T_p bounds the sum of the walk's own products w_n d^p past m, as
+        # the reduction forms them, out to the first weight that is 0.0,
+        # for m from the peak to 40 sigma past it.  At k = 0.8, |z| = 30 the
+        # weights stall at the smallest subnormal for about 3e5 terms,
+        # which the bound's floor covers.
+        params = PotentialParams(k=k, gamma=gamma)
+        peak = ghacs.stats._peak_index(z, params)
+        a, c = params.alpha, params.offset
+        sigma = math.sqrt(max(0.0, (peak + c - c ** a * (peak + c) ** (1.0 - a)) / a))
+        m = peak + int(past * sigma)
+        walk = LogTermWalk(z, params, peak)
+        walk.extend_to(m)
+        while walk.window(walk.hi, walk.hi)[0] != 0.0:
+            walk.extend_to(walk.hi + 16 * MAX_BLOCK)
+        bounds = ghacs.stats._tail_bound(walk, m)
+        if bounds is None:
+            event("ratio at m + 1 not below 1")
+            return
+        ds = range(m + 1 - peak, walk.hi + 1 - peak)
+        w = walk.window(m + 1, walk.hi)
+        wd = [x * d for x, d in zip(w, ds)]
+        wd2 = [x * d for x, d in zip(wd, ds)]
+        for bound, tail in zip(bounds, (w, wd, wd2)):
+            assert math.fsum(tail) <= bound
+
+    def test_failed_certificate_walks_each_cutoff(self, monkeypatch):
+        # A bound that no sum absorbs fails the certificate: each cutoff past
+        # the adaptive walk's end extends the walk to itself and reduces its
+        # own window, with the sums of a standalone run.  The certificate is
+        # tried once.
+        bounds = []
+
+        def too_large(walk, m):
+            bounds.append(m)
+            return (1e300,) * 3
+
+        monkeypatch.setattr(ghacs.stats, "_tail_bound", too_large)
+        cutoffs = (50, 100, 200, 300)
+        runs = list(ghacs.stats._walks(4.5, K15, [ADAPTIVE, *map(TruncationPolicy.fixed, cutoffs)]))
+        walk = runs[0][0]
+        assert all(w is walk for w, _ in runs) and walk.hi == 300
+        assert len(bounds) == 1 and bounds[0] < 200
+        for c, (_, sums) in zip(cutoffs, runs[1:]):
+            assert sums == accumulate_sums(4.5, K15, TruncationPolicy.fixed(c))
 
     def test_deep_tail_matches_frozen_oracle(self):
         sums = accumulate_sums(15.0, PotentialParams(k=0.5), ADAPTIVE)
