@@ -18,11 +18,9 @@ of the m = 2 sum (the slowest to converge) stay below the tolerance of its
 running value for a sustained run.  The policy's hard cap bounds every
 window.  One compensated pass reduces the window to ln S0 and the first two
 moments about its largest term, so the variance is formed without
-cancellation.  Past the peak the terms fall at least geometrically, so a
-tail bound (``_tail_bound``; Knopp, sections 14-16) can prove that no term
-past an index m changes a rounded sum: the fixed cutoffs of a sweep that
-lie past the end of its adaptive walk then share one reduction, to that
-end, and are not walked.
+cancellation.  A sweep's fixed cutoffs past the end of its adaptive walk
+share one reduction, to that end, where a tail bound certifies it
+(``_tail_bound``).
 
 An adaptive run on a peak wider than ``_STRIDE_SIGMA`` terms, at a tail
 tolerance of at most ``_STRIDE_TOLERANCE``, is not walked
@@ -88,12 +86,8 @@ _STRIDE_SIGMA = 250.0
 # 35 of 40 near |z| = 20; at 1e-10 and below, none up to |z| = 60.
 _STRIDE_TOLERANCE = 1e-8
 
-# A certified reduction (``_tail_bound``) serves cutoffs less than
-# _TAIL_SPAN terms past the anchor.  Then fewer than 2^53 terms of a window
-# lie past the certified end, and those whose weight is below 2^-1000, where
-# a rounding is no longer relative, are each below 2^-1000 (2^53)^2 = 2^-894
-# as a product w d^2, its roundings included: together they stay below
-# _TAIL_FLOOR, which the bound adds.
+# How far past the anchor a certified reduction serves, and the floor its
+# tail bound adds (``_tail_bound``).
 _TAIL_SPAN = 2 ** 53
 _TAIL_FLOOR = 2.0 ** -840
 
@@ -173,9 +167,9 @@ class LogSeriesSums(namedtuple("LogSeriesSums", "log_s0 origin m1 m2 terms_used 
     lattice's sums of the whole series (``lattice.strided_sums``), with the
     walk's window as the record; those differ from the walk's by the tail
     its quiet-run rule leaves out (2.4e-12 in Q at k = 0.5, |z| = 15), and
-    lie within about 1e-15 of the converged series.  A fixed window that
-    shares a reduction of a shorter window (``policy_sums``) has that
-    window's sums, certified equal to its own.
+    lie within about 1e-15 of the converged series.  A fixed window may
+    take a shorter window's sums, certified equal to its own
+    (``_tail_bound``).
     """
 
     __slots__ = ()
@@ -487,7 +481,15 @@ def _tail_bound(walk: LogTermWalk, m: int):
     w_m G_p is inflated by 2^-44 of itself, for the rounding of the products
     w d and w d^2 and of the bound itself (about a dozen roundings), and
     ``_TAIL_FLOOR`` is added for the terms below 2^-1000, where a rounding
-    is no longer relative.
+    is no longer relative: fewer than 2^53 of them lie within
+    ``_TAIL_SPAN`` of the anchor, each below 2^-1000 (2^53)^2 = 2^-894 as a
+    product w d^2, roundings included.
+
+    A reduction of lo..m is certified where each of its three sums stays
+    the same double with its T_p added (``_reduce``): past the anchor every
+    term is at least 0 and rounding to nearest is monotone, so each window
+    lo..c with c >= m has exactly those sums.  A sweep's fixed cutoffs past
+    the end of its adaptive walk take them (``_walk_sums``).
     """
     if m + 2 + walk.params.offset >= 2.0 ** 48 * walk.params.alpha:
         return None
@@ -503,55 +505,62 @@ def _tail_bound(walk: LogTermWalk, m: int):
 
 
 def _reduce(walk: LogTermWalk, lo: int, hi: int, converged: bool,
-            threshold: int | None, certify: bool = False) -> LogSeriesSums | None:
+            threshold: int | None, tail=None) -> LogSeriesSums | None:
     """ln S0 and the moments about the anchor, over the window lo..hi, in one pass.
 
     The anchor is the window's largest term.  With weights
     w_n = t_n / t_anchor and d = n - anchor, sum w, sum w d and sum w d^2
     are summed exactly (math.fsum), in walk order, and give S0, m1 and m2.
-
-    With ``certify`` the sums hold for every window lo..n_max past hi too,
-    or the result is None: each sum must be unchanged by its tail bound
-    (``_tail_bound``) added to its terms.  Past the anchor every term is at
-    least 0 and rounding to nearest is monotone, so a sum that the bound
-    leaves unchanged is unchanged by any part of that tail.
+    Given ``tail``, the bounds past hi of ``_tail_bound``, it returns None
+    unless they certify the sums as those of every longer window.
     """
+    # S0 <= hi - lo + 1, as w <= 1 to rounding, and no sum absorbs a bound
+    # above an ulp of it.
+    if tail and tail[0] > (hi - lo + 1) * 2.0 ** -51:
+        return None
     origin = walk.anchor
     ws = walk.outward(lo, hi)
+    s0 = math.fsum(ws)
+    if tail and not _absorbs(ws, s0, tail[0]):
+        return None
     wd = list(map(operator.mul, ws, _outward(0, lo - origin, hi - origin)))
-
-    def wd2(*tail):
-        return itertools.chain(map(operator.mul, wd, _outward(0, lo - origin, hi - origin)), tail)
-
-    s0, s1, s2 = math.fsum(ws), math.fsum(wd), math.fsum(wd2())
-    if certify:
-        bounds = _tail_bound(walk, hi)
-        if bounds is None or (math.fsum(ws + [bounds[0]]), math.fsum(wd + [bounds[1]]),
-                              math.fsum(wd2(bounds[2]))) != (s0, s1, s2):
-            return None
+    s1 = math.fsum(wd)
+    if tail and not _absorbs(wd, s1, tail[1]):
+        return None
+    wd2 = map(operator.mul, wd, _outward(0, lo - origin, hi - origin))
+    if tail:
+        wd2 = list(wd2)
+    s2 = math.fsum(wd2)
+    if tail and not _absorbs(wd2, s2, tail[2]):
+        return None
     return LogSeriesSums(
         log_s0=math.fsum((walk.log_anchor, math.log(s0))), origin=origin,
         m1=s1 / s0, m2=s2 / s0, terms_used=hi + 1, converged=converged,
         estimated_threshold=threshold, first_index=lo)
 
 
+def _absorbs(terms: list, total: float, bound: float) -> bool:
+    """Whether ``total``, the fsum of ``terms``, is still their fsum with ``bound`` added."""
+    terms.append(bound)
+    same = math.fsum(terms) == total
+    terms.pop()
+    return same
+
+
 def _walk_sums(walk: LogTermWalk, policy: TruncationPolicy, peak: int | None,
-               heads: dict, tails: dict) -> LogSeriesSums:
+               heads: dict, tails: dict | None) -> LogSeriesSums:
     """The sums of one policy over its walk, extending it only as far as the policy needs.
 
     The walk's anchor is the largest term of every window taken here, the
     invariant that the head rule and the reduction rely on.  (Where the
     peak is flat, past n of about 10^14, that holds to rounding: the walk's
     w and the peak index leave other terms up to a few 1e-15 above it.)
-    ``heads`` holds the head stops made at this amplitude, and ``tails``
-    the certified reductions of the peak's walk, by first index, once an
-    adaptive rule has grown it past its anchor.  A fixed cutoff past the
-    end of that walk, m, reduces lo..m once, and if the tail bound
-    certifies the sums (``_reduce``), takes them, and every later such
-    cutoff too, without extending the walk: they are the sums of its own
-    window.  A failed certificate leaves the cutoff to extend the walk.  A
-    fixed window wider than ``hard_cap`` raises ValueError before the walk
-    is extended.
+    ``heads`` holds the head stops made at this amplitude, and ``tails``,
+    once an adaptive run has grown the peak's walk, one certified reduction
+    to its end per head (``_tail_bound``), or None where that failed: the
+    first fixed cutoff past the end tries it, and it serves every such
+    cutoff.  A fixed window wider than ``hard_cap`` raises ValueError
+    before the walk is extended.
     """
     adaptive = policy.n_max is None
     if walk.abs_z == 0.0:
@@ -566,12 +575,12 @@ def _walk_sums(walk: LogTermWalk, policy: TruncationPolicy, peak: int | None,
         if not closed or n_max + 1 - lo > policy.hard_cap:
             raise ValueError(f"fixed cutoff n_max = {n_max} would sum more than "
                              f"hard_cap ({policy.hard_cap}) terms")
-        certified = tails.get(walk.anchor)
-        if certified is not None and n_max > walk.hi and lo not in certified:
-            certified[lo] = _reduce(walk, lo, walk.hi, False, None, certify=True)
-        sums = certified.get(lo) if certified else None
-        if sums is not None and sums.terms_used <= n_max < walk.anchor + _TAIL_SPAN:
-            return sums._replace(terms_used=n_max + 1)
+        if tails is not None and n_max > walk.hi > walk.anchor:
+            if head not in tails:
+                tail = _tail_bound(walk, walk.hi)
+                tails[head] = tail and _reduce(walk, lo, walk.hi, False, None, tail)
+            if tails[head] and n_max < walk.anchor + _TAIL_SPAN:
+                return tails[head]._replace(terms_used=n_max + 1)
         walk.extend_to(n_max)
         return _reduce(walk, lo, n_max, False, None)
     if not closed or peak is None:
@@ -579,8 +588,6 @@ def _walk_sums(walk: LogTermWalk, policy: TruncationPolicy, peak: int | None,
         # as a window may reach: the run ends at the anchor, unconverged.
         return _reduce(walk, lo, walk.anchor, False, None)
     hi, converged, threshold = _stop_adaptive(walk, lo, policy)
-    if walk.hi > walk.anchor:
-        tails.setdefault(walk.anchor, {})
     return _reduce(walk, lo, hi, converged, threshold)
 
 
@@ -609,13 +616,11 @@ def _strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolic
 
 def _walks(abs_z: float, params: PotentialParams, policies, stride: bool = False):
     """(walk, sums) of each policy in turn; see ``policy_sums``.  With
-    ``stride``, a run that ``_strided_sums`` serves comes with no walk.
-
-    A fixed window served by a certified reduction (``_walk_sums``) may
-    end past its walk's span."""
+    ``stride``, a run that ``_strided_sums`` serves comes with no walk,
+    and a fixed one served by a certified reduction may end past its walk."""
     _check_amplitude(abs_z)
     peak = _peak_index(abs_z, params) if abs_z > 0.0 else 0
-    walks, heads, tails = {}, {}, {}
+    walks, heads, tails = {}, {}, None
     for policy in policies:
         sums = _strided_sums(abs_z, params, policy, peak) if stride else None
         if sums is not None:
@@ -625,6 +630,8 @@ def _walks(abs_z: float, params: PotentialParams, policies, stride: bool = False
         if start not in walks:
             walks[start] = LogTermWalk(abs_z, params, start)
         yield walks[start], _walk_sums(walks[start], policy, peak, heads, tails)
+        if tails is None and policy.n_max is None:
+            tails = {}  # an adaptive run has grown the walk (``_walk_sums``)
 
 
 def policy_sums(abs_z: float, params: PotentialParams, policies):
@@ -633,12 +640,10 @@ def policy_sums(abs_z: float, params: PotentialParams, policies):
     Each walk starts at the largest term of the range it sums, and serves
     every policy that starts there (the peak, for the adaptive rule and every
     cutoff above it), sharing a head stop between equal tolerances and caps.
-    Once an adaptive rule has grown the peak's walk, a cutoff past its end
-    takes the one reduction to that end that a tail bound certifies equal
-    to its own window's sums (``_walk_sums``), and is not walked.  An
-    adaptive run on a wide peak reads a lattice of terms instead
-    (``_strided_sums``): the whole series' sums, with the window its walk
-    would sum.
+    A cutoff past the end of the adaptive walk may share a certified
+    reduction to that end (``_walk_sums``).  An adaptive run on a wide peak
+    reads a lattice of terms instead (``_strided_sums``): the whole series'
+    sums, with the window its walk would sum.
     """
     return (sums for _, sums in _walks(abs_z, params, policies, stride=True))
 

@@ -389,13 +389,16 @@ class TestAccumulateSums:
     @given(k=st.floats(min_value=0.8, max_value=10.0), gamma=st.sampled_from([0.1, 2.0, 10.0]),
            z=st.floats(min_value=1e-3, max_value=30.0), past=st.floats(min_value=0.0, max_value=40.0))
     @example(k=0.8, gamma=0.1, z=30.0, past=40.0)
+    @example(k=0.5, gamma=2.0, z=4.0, past=0.0)
+    @example(k=0.5, gamma=2.0, z=4.0, past=40.0)
     @settings(max_examples=40, deadline=None)
     def test_tail_bound_covers_the_walks_own_tail(self, k, gamma, z, past):
         # T_p bounds the sum of the walk's own products w_n d^p past m, as
         # the reduction forms them, out to the first weight that is 0.0,
         # for m from the peak to 40 sigma past it.  At k = 0.8, |z| = 30 the
         # weights stall at the smallest subnormal for about 3e5 terms,
-        # which the bound's floor covers.
+        # which the bound's floor covers.  k = 0.5 is the paper's deep-tail
+        # case, where alpha is small and the ratio falls slowest.
         params = PotentialParams(k=k, gamma=gamma)
         peak = ghacs.stats._peak_index(z, params)
         a, c = params.alpha, params.offset
@@ -416,16 +419,36 @@ class TestAccumulateSums:
         for bound, tail in zip(bounds, (w, wd, wd2)):
             assert math.fsum(tail) <= bound
 
-    def test_failed_certificate_walks_each_cutoff(self, monkeypatch):
-        # A bound that no sum absorbs fails the certificate: each cutoff past
-        # the adaptive walk's end extends the walk to itself and reduces its
-        # own window, with the sums of a standalone run.  The certificate is
-        # tried once.
+    @given(k=st.floats(min_value=0.8, max_value=10.0), z=st.floats(min_value=1e-3, max_value=30.0))
+    @settings(max_examples=40, deadline=None)
+    def test_early_refusal_only_where_s0_cannot_absorb(self, k, z):
+        # _reduce refuses, before it sums, a T_0 above (m - lo + 1) 2^-51,
+        # more than an ulp of S0, which S0 would not absorb; a T_0 that S0
+        # absorbs goes on to the sums.
+        walk, sums = next(ghacs.stats._walks(z, PotentialParams(k=k), [ADAPTIVE]))
+        lo, m = sums.first_index, walk.hi
+        ws = walk.outward(lo, m)
+        s0 = math.fsum(ws)
+        absorbed = [t for t in (math.ulp(s0) * f for f in (1.0, 0.5, 0.25, 2.0 ** -10))
+                    if math.fsum(ws + [t]) == s0]
+        assume(absorbed)  # none where the exact S0 lies just below a rounding midpoint
+        assert (ghacs.stats._reduce(walk, lo, m, False, None, (absorbed[0], 0.0, 0.0))
+                == ghacs.stats._reduce(walk, lo, m, False, None))
+        assert math.fsum(ws + [math.nextafter((m - lo + 1) * 2.0 ** -51, math.inf)]) != s0
+
+    @pytest.mark.parametrize("tail", [(1e300,) * 3, (0.0, 0.0, 1e300)],
+                             ids=["refused-before-summing", "fails-on-s2"])
+    def test_failed_certificate_walks_each_cutoff(self, monkeypatch, tail):
+        # A bound that a sum does not absorb fails the certificate, before
+        # any sum is formed where T_0 is too large for S0, or after all
+        # three: each cutoff past the adaptive walk's end extends the walk
+        # to itself and reduces its own window, with the sums of a
+        # standalone run.  The certificate is tried once.
         bounds = []
 
         def too_large(walk, m):
             bounds.append(m)
-            return (1e300,) * 3
+            return tail
 
         monkeypatch.setattr(ghacs.stats, "_tail_bound", too_large)
         cutoffs = (50, 100, 200, 300)
