@@ -8,10 +8,12 @@ h sum_i t_(anchor + i h) is the whole series to within about
 exp(-2 pi^2 sigma^2 / h^2) (the trapezoid rule; Trefethen and Weideman,
 SIAM Rev. 56 (2014) 385-458), far below rounding at this stride, so the
 lattice out to negligible weights, about a hundred terms, gives S0, S1 and
-S2 of the whole series, and those are the sums returned: at k = 0.5 their Q
-is within about 1e-15 of the converged series from |z| = 8 to 30, where the
-walk's window, cut by its quiet-run rule, leaves out 2.4e-12 of it at
-|z| = 15 and 1.4e-11 at |z| = 30.  The window reported is still the walk's:
+S2 of the whole series, each one exact sum over every node, up from the
+anchor and then down, by the walk's kernel (``stats._moments``) at offsets
+a stride apart.  Those are the sums returned: at k = 0.5 their Q is within
+about 1e-15 of the converged series from |z| = 8 to 30, where the walk's
+window, cut by its quiet-run rule, leaves out 2.4e-12 of it at |z| = 15
+and 1.4e-11 at |z| = 30.  The window reported is still the walk's:
 its first index and its quiet-run threshold come from bisection with the
 closed form on the monotone flanks, and it ends quiet_run - 1 terms past
 the threshold.  The head test is the walk's; the quiet-run test is made
@@ -22,11 +24,11 @@ which runs come here, and imports this module only for them.
 
 from __future__ import annotations
 
+import bisect
 import math
-import operator
 
 from .core import PotentialParams, log_g_delta
-from .stats import LogSeriesSums, TruncationPolicy, _log_term
+from .stats import TruncationPolicy, _moments
 
 # The lattice stops on each side at the first weight below this (the anchor's
 # is 1): what it leaves out of the whole series is below 1e-17 of S0 and of
@@ -34,34 +36,16 @@ from .stats import LogSeriesSums, TruncationPolicy, _log_term
 _NEGLIGIBLE = 2.0 ** -60
 
 
-def _bisect(pred, lo: int, hi: int) -> int:
-    """The least n in lo..hi with pred(n), for pred false and then true over
-    the range, and true at hi, which it does not test."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _moments(ws, d: int, step: int) -> list[float]:
-    """[sum w, sum w d, sum w d^2] over weights at d, d + step, d + 2 step, ..."""
-    ds = range(d, d + step * len(ws), step)
-    wd = list(map(operator.mul, ws, ds))
-    return [math.fsum(ws), math.fsum(wd), math.fsum(map(operator.mul, wd, ds))]
-
-
 def strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolicy,
-                 peak: int, var: float) -> LogSeriesSums | None:
-    """The sums of the whole series, off the lattice of stride
-    floor(sigma / 4) around the peak, with sigma^2 = var, and the window,
-    threshold and convergence of the adaptive run's walk; None where the run
-    stays on the walk: its head stays open or reaches n = 0, its window would
-    pass the hard cap, its threshold lies too near the edge of the quiet-run
-    rule to be surely the walk's, or its lattice would reach below n = 1000,
-    where ``log_g_delta`` is not checked.
+                 peak: int, var: float) -> tuple | None:
+    """(moments, lo, hi, threshold): the ``_moments`` of the whole series
+    about the peak, off the lattice of stride floor(sigma / 4) around it,
+    with sigma^2 = var, and the window lo..hi and threshold of the adaptive
+    run's walk, which converges; None where the run stays on the walk: its
+    head stays open or reaches n = 0, its window would pass the hard cap,
+    its threshold lies too near the edge of the quiet-run rule to be surely
+    the walk's, or its lattice would reach below n = 1000, where
+    ``log_g_delta`` is not checked.
     """
     a, c = params.alpha, params.offset
     h = int(math.sqrt(var) / 4.0)
@@ -89,12 +73,14 @@ def strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolicy
         down.append(log_w(n))
         if passed is None and math.log(n + 1) + down[-1] < log_tol:
             passed = n
-    lo = _bisect(head_open, max(passed + 1, last), min(passed + h, peak))
+    # The head's first index, bisected: below it the head test passes, and
+    # from it on, up to the end of the range, which is not tested, it fails.
+    first = max(passed + 1, last)
+    lo = first + bisect.bisect_left(range(first, min(passed + h, peak)), True, key=head_open)
     if lo <= last:
         return None
-    parts = [_moments([h * math.exp(lw) for lw in up], 0, h),
-             _moments([h * math.exp(lw) for lw in down], -h, -h)]
-    s0, s1, s2 = map(math.fsum, zip(*parts))
+    # The nodes in walk order, up from the peak and then down.
+    s0, s1, s2 = moments = _moments([h * math.exp(lw) for lw in up + down], len(up), h)
     # S2 of the whole series, which the quiet-run tests below are made
     # against; the walk makes them against its running sum, smaller by the
     # head below lo and by the tail from the term tested on.
@@ -123,7 +109,7 @@ def strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolicy
         return None
     # Every term from the first quiet one on is quiet: the quiet run starts
     # there and ends quiet_run - 1 terms on.
-    threshold = _bisect(quiet, loud + 1, n)
+    threshold = loud + 1 + bisect.bisect_left(range(loud + 1, n), True, key=quiet)
     terms_used = threshold + policy.quiet_run
     if terms_used - 1 > top:
         return None
@@ -138,7 +124,4 @@ def strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolicy
     room = s2_whole - lo * lo * policy.tail_tolerance - math.exp(lt2) / fall if fall > 0.0 else 0.0
     if room <= 0.0 or lt2 > log_tol + math.log(room):
         return None
-    return LogSeriesSums(
-        log_s0=math.fsum((_log_term(peak, abs_z, params), math.log(s0))), origin=peak,
-        m1=s1 / s0, m2=s2 / s0, terms_used=terms_used, converged=True,
-        estimated_threshold=threshold, first_index=lo)
+    return moments, lo, terms_used - 1, threshold

@@ -16,20 +16,21 @@ once the skipped head is provably below ``tail_tolerance`` of the largest
 term.  Upward it stops at a fixed cutoff n_max, or adaptively once the terms
 of the m = 2 sum (the slowest to converge) stay below the tolerance of its
 running value for a sustained run.  The policy's hard cap bounds every
-window.  One compensated pass reduces the window to ln S0 and the first two
-moments about its largest term, so the variance is formed without
-cancellation.  A sweep's fixed cutoffs past the end of its adaptive walk
-share one reduction, to that end, where a tail bound certifies it
-(``_tail_bound``).
+window.  One kernel (``_moments``) reduces the window, in walk order, to
+three exact sums, which give ln S0 and the first two moments about its
+largest term, so the variance is formed without cancellation.  A sweep's
+fixed cutoffs past the end of its adaptive walk share one reduction, to
+that end, where a tail bound certifies it (``_tail_bound``).
 
 An adaptive run on a peak wider than ``_STRIDE_SIGMA`` terms, at a tail
 tolerance of at most ``_STRIDE_TOLERANCE``, is not walked
 (``_strided_sums``, ``lattice``): it reads about a hundred terms a stride
 of sigma/4 apart, each in closed form (``core.log_g_delta``), whose
-trapezoid sums are the whole series' S0, S1 and S2, and it returns those
-sums, with the walk's window found by bisection.  Its cost does not grow
-with the peak's width: about 2.5 ms from |z| = 8 to 50 for k = 0.5, where
-the walk takes 14 ms at |z| = 15 and 320 ms at |z| = 50.
+trapezoid sums, taken by the same kernel, are the whole series' S0, S1
+and S2, and it returns those sums, with the walk's window found by
+bisection.  Its cost does not grow with the peak's width: about 2.5 ms
+from |z| = 8 to 50 for k = 0.5, where the walk takes 14 ms at |z| = 15
+and 320 ms at |z| = 50.
 """
 
 from __future__ import annotations
@@ -257,11 +258,6 @@ class WeightDistribution:
             self._rows = rows
         return self._rows
 
-    def weights(self) -> list[float]:
-        """P_0 .. P_N, as a new list: ``zero_rows`` rows of 0.0, then ``rows``."""
-        rows = self.rows()
-        return [0.0] * self._zero_rows + rows
-
     def weight(self, n: int) -> float:
         rows, zeros = self.rows(), self._zero_rows
         return rows[n - zeros] if zeros <= n <= self.support_bound else 0.0
@@ -318,7 +314,7 @@ class LogTermWalk:
         window lo..hi, which holds the anchor, in walk order.
 
         Each side falls from about 1, so ``math.fsum`` keeps few partials
-        over it; ``_outward`` gives the matching indices.
+        over it; ``_moments`` takes its offsets in this order.
         """
         a = self.anchor
         return self._up[:hi - a + 1] + self._down[:a - lo]
@@ -349,11 +345,6 @@ class LogTermWalk:
             self._down.extend(itertools.islice(itertools.accumulate(
                 map(operator.truediv, reversed(factors), itertools.repeat(z2)),
                 operator.mul, initial=last), 1, None))
-
-
-def _outward(anchor: int, lo: int, hi: int):
-    """anchor, ..., hi, then anchor - 1, ..., lo: the indices of ``LogTermWalk.outward``."""
-    return itertools.chain(range(anchor, hi + 1), range(anchor - 1, lo - 1, -1))
 
 
 def _log_term(n: int, abs_z: float, params: PotentialParams) -> float:
@@ -486,7 +477,7 @@ def _tail_bound(walk: LogTermWalk, m: int):
     product w d^2, roundings included.
 
     A reduction of lo..m is certified where each of its three sums stays
-    the same double with its T_p added (``_reduce``): past the anchor every
+    the same double with its T_p added (``_moments``): past the anchor every
     term is at least 0 and rounding to nearest is monotone, so each window
     lo..c with c >= m has exactly those sums.  A sweep's fixed cutoffs past
     the end of its adaptive walk take them (``_walk_sums``).
@@ -504,39 +495,50 @@ def _tail_bound(walk: LogTermWalk, m: int):
             w * (d * d * g0 + 2.0 * d * h + rho * (1.0 + rho) * g * g * g) + _TAIL_FLOOR)
 
 
-def _reduce(walk: LogTermWalk, lo: int, hi: int, converged: bool,
-            threshold: int | None, tail=None) -> LogSeriesSums | None:
-    """ln S0 and the moments about the anchor, over the window lo..hi, in one pass.
-
-    The anchor is the window's largest term.  With weights
-    w_n = t_n / t_anchor and d = n - anchor, sum w, sum w d and sum w d^2
-    are summed exactly (math.fsum), in walk order, and give S0, m1 and m2.
-    Given ``tail``, the bounds past hi of ``_tail_bound``, it returns None
-    unless they certify the sums as those of every longer window.
+def _moments(ws: list[float], up: int, step: int = 1, tail=None):
+    """(sum w, sum w d, sum w d^2), each exact (math.fsum), over weights in
+    walk order: the first ``up`` at d = 0, step, 2 step, ..., the rest at
+    d = -step, -2 step, ....  Given ``tail``, the bounds past the last
+    upward weight (``_tail_bound``), None unless they certify the sums as
+    those of every longer window.
     """
-    # S0 <= hi - lo + 1, as w <= 1 to rounding, and no sum absorbs a bound
-    # above an ulp of it.
-    if tail and tail[0] > (hi - lo + 1) * 2.0 ** -51:
+    # A walk's weights are at most 1 to rounding, so S0 <= len(ws), and no
+    # sum absorbs a bound above an ulp of it.
+    if tail and tail[0] > len(ws) * 2.0 ** -51:
         return None
-    origin = walk.anchor
-    ws = walk.outward(lo, hi)
+    ds = range(0, up * step, step), range(-step, (up - len(ws) - 1) * step, -step)
     s0 = math.fsum(ws)
     if tail and not _absorbs(ws, s0, tail[0]):
         return None
-    wd = list(map(operator.mul, ws, _outward(0, lo - origin, hi - origin)))
+    wd = list(map(operator.mul, ws, itertools.chain(*ds)))
     s1 = math.fsum(wd)
     if tail and not _absorbs(wd, s1, tail[1]):
         return None
-    wd2 = map(operator.mul, wd, _outward(0, lo - origin, hi - origin))
+    wd2 = map(operator.mul, wd, itertools.chain(*ds))
     if tail:
         wd2 = list(wd2)
     s2 = math.fsum(wd2)
     if tail and not _absorbs(wd2, s2, tail[2]):
         return None
+    return s0, s1, s2
+
+
+def _record(log_anchor: float, origin: int, converged: bool, moments, lo: int, hi: int,
+            threshold: int | None) -> LogSeriesSums:
+    """The sums of the window lo..hi from ``_moments`` about ``origin``, of ln t ``log_anchor``."""
+    s0, s1, s2 = moments
     return LogSeriesSums(
-        log_s0=math.fsum((walk.log_anchor, math.log(s0))), origin=origin,
+        log_s0=math.fsum((log_anchor, math.log(s0))), origin=origin,
         m1=s1 / s0, m2=s2 / s0, terms_used=hi + 1, converged=converged,
         estimated_threshold=threshold, first_index=lo)
+
+
+def _reduce(walk: LogTermWalk, lo: int, hi: int, converged: bool,
+            threshold: int | None, tail=None) -> LogSeriesSums | None:
+    """The sums of the window lo..hi about the walk's anchor, its largest
+    term; None where ``tail`` does not certify them (``_moments``)."""
+    moments = _moments(walk.outward(lo, hi), hi - walk.anchor + 1, tail=tail)
+    return moments and _record(walk.log_anchor, walk.anchor, converged, moments, lo, hi, threshold)
 
 
 def _absorbs(terms: list, total: float, bound: float) -> bool:
@@ -611,7 +613,8 @@ def _strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolic
         return None
     # Imported here, so that only a process that sums a wide peak compiles it.
     from .lattice import strided_sums
-    return strided_sums(abs_z, params, policy, peak, var)
+    found = strided_sums(abs_z, params, policy, peak, var)
+    return found and _record(_log_term(peak, abs_z, params), peak, True, *found)
 
 
 def _walks(abs_z: float, params: PotentialParams, policies, stride: bool = False):

@@ -1,4 +1,3 @@
-import itertools
 import math
 import sys
 
@@ -134,9 +133,9 @@ def reference_window(abs_z, params, policy):
 
 
 def reference_weights(abs_z, params, policy):
-    """P_0 .. P_N off a walk extended all the way down to n = 0, as
-    ``WeightDistribution.weights`` read them before the walk stopped at the
-    first row that underflows."""
+    """P_0 .. P_N off a walk extended all the way down to n = 0, as read
+    before the distribution's walk stopped at the first row that
+    underflows."""
     walk, sums = next(ghacs.stats._walks(abs_z, params, (policy,)))
     mass = math.fsum(walk.window(sums.first_index, sums.terms_used - 1))
     walk.extend_to(0)
@@ -350,9 +349,13 @@ class TestAccumulateSums:
             ws = walk.window(lo, hi)
             assert sums.origin == walk.anchor
             assert max(ws) <= 1 + 1e-12
-            # The reduction reads the window in walk order, anchor first.
-            assert walk.outward(lo, hi) == [
-                ws[n - lo] for n in ghacs.stats._outward(walk.anchor, lo, hi)]
+            # The reduction reads the window in walk order, anchor first,
+            # and the kernel's offsets pair each weight with its n - anchor.
+            assert sorted(walk.outward(lo, hi)) == sorted(ws)
+            ds = [n - walk.anchor for n in range(lo, hi + 1)]
+            assert ghacs.stats._moments(walk.outward(lo, hi), hi - walk.anchor + 1) == (
+                math.fsum(ws), math.fsum(w * d for w, d in zip(ws, ds)),
+                math.fsum(w * d * d for w, d in zip(ws, ds)))
 
     @given(z=st.one_of(st.floats(min_value=1e-3, max_value=40.0),
                        st.sampled_from([1e10, 1e300])),
@@ -559,6 +562,37 @@ def amplitude_of_width(sigma, params):
     return math.sqrt((n + c) ** a - c ** a)
 
 
+class Unread(list):
+    """Weights that fail the test if anything iterates over them."""
+
+    def __iter__(self):
+        raise AssertionError("the weights were read")
+
+
+class TestMoments:
+    @given(ws=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200),
+           step=st.sampled_from([1, 2, 7, 64]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_sums_at_the_stated_offsets(self, ws, step, data):
+        # The first `up` weights sit at 0, step, 2 step, ..., the rest at
+        # -step, -2 step, ...: a walk's window (step 1) or a lattice's nodes.
+        up = data.draw(st.integers(min_value=1, max_value=len(ws)))
+        ds = [i * step for i in range(up)] + [-i * step for i in range(1, len(ws) - up + 1)]
+        want = (math.fsum(ws), math.fsum(w * d for w, d in zip(ws, ds)),
+                math.fsum(w * d * d for w, d in zip(ws, ds)))
+        kept = list(ws)
+        assert ghacs.stats._moments(ws, up, step) == want
+        # A tail of nothing is absorbed by every sum, and leaves the weights
+        # as they were.
+        assert ghacs.stats._moments(ws, up, step, (0.0, 0.0, 0.0)) == want
+        assert ws == kept
+        # S0 <= len(ws) for weights of at most 1, so a T_0 above an ulp of
+        # that is refused before a weight is read.
+        least = math.nextafter(len(ws) * 2.0 ** -51, math.inf)
+        t0 = data.draw(st.floats(min_value=least, max_value=1e300))
+        assert ghacs.stats._moments(Unread(ws), up, step, (t0, 0.0, 0.0)) is None
+
+
 def walked(abs_z, params, policy):
     """The sums of the walk over its window, as ``weight_distribution`` takes them."""
     return next(ghacs.stats._walks(abs_z, params, (policy,)))[1]
@@ -721,7 +755,7 @@ class TestWeightDistribution:
     def test_zero_amplitude(self):
         wd = weight_distribution(0.0, K15, ADAPTIVE)
         assert wd.support_bound == 0
-        assert wd.weights() == [1.0]
+        assert (wd.zero_rows, wd.rows()) == (0, [1.0])
         assert wd.weight(5) == 0.0
 
     def test_harmonic_is_poisson(self):
@@ -734,7 +768,7 @@ class TestWeightDistribution:
     def test_normalized_when_converged(self):
         for z in (0.5, 2.5, 7.5):
             wd = weight_distribution(z, K15, ADAPTIVE)
-            assert math.fsum(wd.weights()) == pytest.approx(1.0, abs=1e-10)
+            assert math.fsum(wd.rows()) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("policy", [ADAPTIVE, TruncationPolicy.fixed(40),
                                         TruncationPolicy.adaptive(hard_cap=20)])
@@ -745,21 +779,21 @@ class TestWeightDistribution:
 
     def test_every_weight_in_unit_interval(self):
         wd = weight_distribution(5.0, K15, ADAPTIVE)
-        assert all(0.0 <= w <= 1.0 for w in wd.weights())
+        assert all(0.0 <= w <= 1.0 for w in wd.rows())
 
     def test_matches_oracle(self):
         wd = weight_distribution(2.5, K15, TruncationPolicy.fixed(100))
         expected = direct_weights(2.5, 1.5, 2.0, 100)
-        for got, want in zip(wd.weights(), expected):
-            assert got == pytest.approx(want, abs=1e-12)
+        for n, want in zip(range(wd.support_bound + 1), expected):
+            assert wd.weight(n) == pytest.approx(want, abs=1e-12)
 
     def test_moments_consistent_with_stats(self):
         z = 2.5
         wd = weight_distribution(z, K15, ADAPTIVE)
         st_ = state_stats(z, K15, ADAPTIVE)
-        weights = wd.weights()
-        mean = math.fsum(n * w for n, w in enumerate(weights))
-        second = math.fsum(n * n * w for n, w in enumerate(weights))
+        rows = wd.rows()
+        mean = math.fsum(n * w for n, w in enumerate(rows, wd.zero_rows))
+        second = math.fsum(n * n * w for n, w in enumerate(rows, wd.zero_rows))
         assert mean == pytest.approx(st_.mean, rel=1e-10)
         assert second - mean ** 2 == pytest.approx(st_.variance, rel=1e-8)
 
@@ -780,15 +814,14 @@ class TestWeightDistribution:
         assume(start_of(z, params, policy) <= 3 * 10 ** 5)
         wd = weight_distribution(z, params, policy)
         assume(wd.support_bound <= 3 * 10 ** 5)
-        weights, zeros = wd.weights(), wd.zero_rows
+        rows, zeros = wd.rows(), wd.zero_rows
+        weights = reference_weights(z, params, policy)
         event("zero prefix" if weights[0] == 0.0 else "no zero prefix")
-        assert list(map(float.hex, weights)) == list(map(float.hex, reference_weights(
-            z, params, policy)))
         assert not any(weights[:zeros])
+        assert list(map(float.hex, rows)) == list(map(float.hex, weights[zeros:]))
         # fsum rounds the exact sum: the footer's order, and the zero rows
         # it leaves out, cannot change it.
-        assert math.fsum(itertools.islice(reversed(weights), len(weights) - zeros)) == math.fsum(
-            weights)
+        assert math.fsum(reversed(rows)) == math.fsum(weights)
 
     def test_zero_rows_are_the_walks_lowest_row(self):
         # At k = 0.5, |z| = 10 the walk down stops in the block of factors
@@ -796,10 +829,10 @@ class TestWeightDistribution:
         # that does not is 83209.
         wd = weight_distribution(10.0, PotentialParams(k=0.5), ADAPTIVE)
         assert wd.zero_rows == 83200
-        weights = wd.weights()
-        assert not any(weights[:83209])
-        assert weights[83209] > 0.0
         # Only the rows from zero_rows on are stored.
-        assert wd.rows() == weights[83200:] and len(wd.rows()) == wd.support_bound + 1 - 83200
-        assert [wd.weight(n) for n in (0, 83199, 83209, wd.support_bound)] == [
-            weights[n] for n in (0, 83199, 83209, wd.support_bound)]
+        rows = wd.rows()
+        assert len(rows) == wd.support_bound + 1 - 83200
+        assert not any(rows[:9])
+        assert rows[9] > 0.0
+        assert [wd.weight(n) for n in (0, 83199, 83200, 83209, wd.support_bound)] == [
+            0.0, 0.0, rows[0], rows[9], rows[-1]]
