@@ -16,12 +16,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii
 
 from . import stats as engine
 from .core import PotentialParams
@@ -125,9 +123,12 @@ def _emit(fmt, out, inputs, header, rows, cells, footers=None):
     footers = footers or {}
     comments = [f"# {key}={value}" for key, value in inputs.items()]
     if fmt == "json":
+        from json.encoder import encode_basestring_ascii
+
         head, tail = _json_frame(inputs, footers.get("json", {}))
         template = _json_item(header, ["%s"] * len(header))
-        items = ",\n".join([template % tuple(map(_json_value, row)) for row in rows])
+        value = functools.partial(_json_value, encode=encode_basestring_ascii)
+        items = ",\n".join([template % tuple(map(value, row)) for row in rows])
         listed = f"[\n{items}\n  ]" if items else "[]"
         lines = [f'{head}\n  "rows": {listed}{tail}']
     elif fmt == "csv":
@@ -197,8 +198,10 @@ def _json_frame(inputs, extra):
     indent=2, allow_nan=False) before and after its empty list of rows.
 
     The payload is cut where that list stands: the only top-level key
-    "rows", two spaces in.
+    "rows", two spaces in.  Only json output loads the json package.
     """
+    import json
+
     text = json.dumps({"inputs": inputs, "rows": [], **extra}, indent=2, allow_nan=False)
     return text.split('\n  "rows": []', 1)
 
@@ -207,18 +210,21 @@ def _json_item(header, values):
     """A json row, laid out as json.dumps(..., indent=2) lays out a row of the
     list: ``header``'s names, encoded once, as its keys and the text
     ``values`` as their values, with every "%" in the names doubled."""
+    from json.encoder import encode_basestring_ascii
+
     keys = (encode_basestring_ascii(h).replace("%", "%%") for h in header)
     return "    {\n" + ",\n".join(f"      {key}: {value}" for key, value in zip(keys, values)) + "\n    }"
 
 
-def _json_value(value) -> str:
-    """``value`` as json.dumps(..., allow_nan=False) encodes a str, None, bool, int or float."""
+def _json_value(value, encode) -> str:
+    """``value`` as json.dumps(..., allow_nan=False) encodes a str, None, bool, int or
+    float; ``encode`` is json's encoder of a str, imported by the caller once per output."""
     if isinstance(value, float):
         if math.isfinite(value):
             return float.__repr__(value)
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return encode(value)
     if value is None:
         return "null"
     if value is True or value is False:
@@ -353,20 +359,22 @@ def sweep(args) -> int:
     onsets = {c: collapse_onset(report, c) for c in cut}
 
     header = ["z", "cutoff", "mandel_q", "status"]
+    # An unconverged row's Q is a truncated window's, not the series': it
+    # prints none, an empty csv cell, json null or "-" in the table.
+    no_q = "" if args.fmt == "csv" else None
     rows, cells = [], [header]
     for row in report.rows:
         labelled = [("adaptive", row.adaptive_stats)]
         labelled += [(str(n_max), row.fixed_stats[n_max]) for n_max in cut]
         for label, st in labelled:
             if label == "adaptive" and row.flagged:
-                status = "unconverged"
-            elif st.mandel_q is None:
-                status = "undefined"
+                q, status = no_q, "unconverged"
             else:
-                status = "ok"
-            rows.append([row.abs_z, label, _q_value(st), status])
+                q, status = _q_value(st), "undefined" if st.mandel_q is None else "ok"
+            rows.append([row.abs_z, label, q, status])
             if args.fmt == "table":
-                cells.append([f"{row.abs_z:g}", label, _fmt3(st.mandel_q), status])
+                shown = "-" if status == "unconverged" else _fmt3(st.mandel_q)
+                cells.append([f"{row.abs_z:g}", label, shown, status])
 
     inputs = {"k": k, "gamma": gamma, **_policy_inputs(policy),
               "z_min": args.z_min, "z_max": args.z_max, "z_step": args.z_step,
@@ -445,54 +453,65 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(argv) -> argparse.ArgumentParser:
+    """The parser of ``argv``: every subcommand, with its options only where
+    its name is among the arguments, since no other can be reached.
+
+    Each option costs a formatter, which reads the terminal size: a call
+    adds at most 16 options, help options included, instead of 45.
+    """
     parser = _Parser(
         prog="ghacs", allow_abbrev=False,
         description="Photon-number statistics of coherent states for power-law potentials.")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    sub = {}
     for run in (stats, table, sweep, dist):
         doc = run.__doc__ or ""  # None under python -OO
-        p = sub[run] = commands.add_parser(run.__name__, help=doc.partition("\n")[0],
-                                           description=doc, allow_abbrev=False)
+        p = commands.add_parser(run.__name__, help=doc.partition("\n")[0],
+                                description=doc, allow_abbrev=False)
         p.set_defaults(run=run, parser=p)
-        p.add_argument("--k", type=float, required=True, metavar="FLOAT",
-                       help="Power-law exponent k (> 0).")
-        p.add_argument("--gamma", type=float, default=2.0, metavar="FLOAT",
-                       help="Spectral offset gamma (> 0); enters as gamma/4.  "
-                            "[default: %(default)s]")
-    for run in (stats, dist):
-        p = sub[run]
+        if run.__name__ in argv:
+            _add_options(p, run)
+    return parser
+
+
+def _add_options(p, run) -> None:
+    """The options of the subcommand ``run`` on its parser ``p``."""
+    p.add_argument("--k", type=float, required=True, metavar="FLOAT",
+                   help="Power-law exponent k (> 0).")
+    p.add_argument("--gamma", type=float, default=2.0, metavar="FLOAT",
+                   help="Spectral offset gamma (> 0); enters as gamma/4.  "
+                        "[default: %(default)s]")
+    if run in (stats, dist):
         p.add_argument("--z", type=float, required=True, metavar="FLOAT",
                        help="Coherent-state amplitude |z| (>= 0).")
         p.add_argument("--adaptive", action="store_true",
                        help="Tolerance-driven truncation (default).")
         p.add_argument("--fixed-nmax", type=int, metavar="INTEGER",
                        help="Truncate at a fixed n_max instead of adaptively.")
-    sub[table].add_argument("--z-list", required=True, metavar="TEXT",
-                            help="Comma-separated amplitudes, e.g. 2.5,5,7.5,10,12.5,15.")
-    sub[table].add_argument("--fixed-nmax", type=int, default=150, metavar="INTEGER",
-                            help="Cutoff for the fixed-truncation comparison columns.  "
-                                 "[default: %(default)s]")
-    for flag in ("--z-min", "--z-max", "--z-step"):
-        sub[sweep].add_argument(flag, type=float, required=True, metavar="FLOAT")
-    sub[sweep].add_argument("--cutoffs", default="", metavar="TEXT",
-                            help="Comma-separated fixed n_max values; empty for adaptive only.")
-    for p in sub.values():
-        # Unset, these stay None, so that stats and dist can refuse them
-        # beside --fixed-nmax; the policy's field defaults fill them in.
-        for flag, cast, text in (
-                ("--tail-tol", float, "Adaptive relative tail-term significance threshold."),
-                ("--quiet-run", int, "Consecutive insignificant terms required to stop."),
-                ("--hard-cap", int, "Adaptive safety bound on the number of terms evaluated.")):
-            field = _ADAPTIVE_FLAGS[flag]
-            p.add_argument(flag, dest=field, type=cast,
-                           metavar="FLOAT" if cast is float else "INTEGER",
-                           help=f"{text}  [default: {getattr(DEFAULT_POLICY, field)}]")
-        p.add_argument("--format", dest="fmt", choices=["csv", "json", "table"],
-                       default="table", help="[default: %(default)s]")
-        p.add_argument("--out", metavar="FILE", help="Write to a file instead of stdout.")
-    return parser
+    elif run is table:
+        p.add_argument("--z-list", required=True, metavar="TEXT",
+                       help="Comma-separated amplitudes, e.g. 2.5,5,7.5,10,12.5,15.")
+        p.add_argument("--fixed-nmax", type=int, default=150, metavar="INTEGER",
+                       help="Cutoff for the fixed-truncation comparison columns.  "
+                            "[default: %(default)s]")
+    else:
+        for flag in ("--z-min", "--z-max", "--z-step"):
+            p.add_argument(flag, type=float, required=True, metavar="FLOAT")
+        p.add_argument("--cutoffs", default="", metavar="TEXT",
+                       help="Comma-separated fixed n_max values; empty for adaptive only.")
+    # Unset, these stay None, so that stats and dist can refuse them
+    # beside --fixed-nmax; the policy's field defaults fill them in.
+    for flag, cast, text in (
+            ("--tail-tol", float, "Adaptive relative tail-term significance threshold."),
+            ("--quiet-run", int, "Consecutive insignificant terms required to stop."),
+            ("--hard-cap", int, "Adaptive safety bound on the number of terms evaluated.")):
+        field = _ADAPTIVE_FLAGS[flag]
+        p.add_argument(flag, dest=field, type=cast,
+                       metavar="FLOAT" if cast is float else "INTEGER",
+                       help=f"{text}  [default: {getattr(DEFAULT_POLICY, field)}]")
+    p.add_argument("--format", dest="fmt", choices=["csv", "json", "table"],
+                   default="table", help="[default: %(default)s]")
+    p.add_argument("--out", metavar="FILE", help="Write to a file instead of stdout.")
 
 
 def main(argv=None) -> int:
@@ -501,7 +520,8 @@ def main(argv=None) -> int:
     0 on success, 2 for a usage error (argparse's own, or a rejected input
     value) or a failed write, 3 for an unconverged run.
     """
-    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser(argv)
     try:
         args = parser.parse_args(argv)
         try:

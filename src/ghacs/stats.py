@@ -249,9 +249,9 @@ class WeightDistribution:
             while walk.lo > 0 and walk.window(walk.lo, walk.lo)[0] / mass != 0.0:
                 walk.extend_to((walk.lo - 1) // MAX_BLOCK * MAX_BLOCK)
             self._zero_rows = walk.lo
-            rows = walk.window(walk.lo, self.support_bound)
-            # Once the walk is dropped the rows hold its only values, and
-            # each slice of w_n is freed as its P_n takes its place.
+            # The walk's own lists become the rows, so its values are never
+            # copied, and each slice of w_n is freed as its P_n takes its place.
+            rows = walk.release(self.support_bound)
             self._walk = walk = None
             for i in range(0, len(rows), 4096):
                 rows[i:i + 4096] = map(operator.truediv, rows[i:i + 4096], itertools.repeat(mass))
@@ -272,11 +272,11 @@ class LogTermWalk:
     away from its neighbour nearer the anchor, w_n = w_{n-1} |z|^2 / factor_n,
     so a walk extended in steps, up or down, holds exactly the values of one
     extended at once, and every stopping rule and cutoff applied to it reads
-    the same numbers.  It is grown by ``extend_to`` and read only by index
-    range, through ``window``: the stopping rules, the reduction and the
-    distribution alike.  Each side grows through the aligned blocks of
-    factors (``core.factor_block``), one lookup per block, to the block's
-    edge or to the index asked for.  At |z| = 0 the series is the single
+    the same numbers.  It is grown by ``extend_to`` and read by index range,
+    through ``window`` and ``outward``, by the stopping rules and the
+    reduction; the distribution takes its lists whole (``release``).  Each
+    side grows through the aligned blocks of factors (``core.factor_block``),
+    one lookup per block, to the block's edge or to the index asked for.  At |z| = 0 the series is the single
     term n = 0 and the walk cannot be extended.  It holds values only;
     ``policy_sums`` decides which policies share it.
     """
@@ -318,6 +318,18 @@ class LogTermWalk:
         """
         a = self.anchor
         return self._up[:hi - a + 1] + self._down[:a - lo]
+
+    def release(self, hi: int) -> list[float]:
+        """w(lo), ..., w(hi), for hi at or above the anchor, in the walk's own
+        storage: the down side reversed in place, then the up side, cut at
+        hi, appended.  The walk holds nothing afterwards and cannot be read.
+        """
+        rows, up = self._down, self._up
+        self._down = self._up = None
+        rows.reverse()
+        del up[hi - self.anchor + 1:]
+        rows += up
+        return rows
 
     def extend_to(self, n: int) -> None:
         """Extend the span to include n, one aligned block of factors at a time."""
