@@ -114,23 +114,20 @@ def _emit(fmt, out, inputs, header, rows, cells, footers=None):
     """Write ``rows`` as csv, json or a pretty table, the inputs echoed first.
 
     The whole text is built, then written at once: these outputs run to a
-    few thousand rows at most.  Each csv or json row is one template.
-    ``cells`` is the table format's rows of strings, header row first; each
-    line is one template built from the column widths.  ``footers`` maps a
-    format to what follows the rows: csv comment lines, extra json keys,
-    table lines.
+    few thousand rows at most.  Each csv row is one template, and the json
+    one strict json.dumps (no NaN or Infinity tokens).  ``cells`` is the
+    table format's rows of strings, header row first; each line is one
+    template built from the column widths.  ``footers`` maps a format to
+    what follows the rows: csv comment lines, extra json keys, table lines.
     """
     footers = footers or {}
     comments = [f"# {key}={value}" for key, value in inputs.items()]
     if fmt == "json":
-        from json.encoder import encode_basestring_ascii
+        import json
 
-        head, tail = _json_frame(inputs, footers.get("json", {}))
-        template = _json_item(header, ["%s"] * len(header))
-        value = functools.partial(_json_value, encode=encode_basestring_ascii)
-        items = ",\n".join([template % tuple(map(value, row)) for row in rows])
-        listed = f"[\n{items}\n  ]" if items else "[]"
-        lines = [f'{head}\n  "rows": {listed}{tail}']
+        payload = {"inputs": inputs, "rows": [dict(zip(header, row)) for row in rows],
+                   **footers.get("json", {})}
+        lines = [json.dumps(payload, indent=2, allow_nan=False)]
     elif fmt == "csv":
         template = ",".join(["%s"] * len(header))
         lines = [*comments, ",".join(header), *map(template.__mod__, map(tuple, rows)),
@@ -204,34 +201,6 @@ def _json_frame(inputs, extra):
 
     text = json.dumps({"inputs": inputs, "rows": [], **extra}, indent=2, allow_nan=False)
     return text.split('\n  "rows": []', 1)
-
-
-def _json_item(header, values):
-    """A json row, laid out as json.dumps(..., indent=2) lays out a row of the
-    list: ``header``'s names, encoded once, as its keys and the text
-    ``values`` as their values, with every "%" in the names doubled."""
-    from json.encoder import encode_basestring_ascii
-
-    keys = (encode_basestring_ascii(h).replace("%", "%%") for h in header)
-    return "    {\n" + ",\n".join(f"      {key}: {value}" for key, value in zip(keys, values)) + "\n    }"
-
-
-def _json_value(value, encode) -> str:
-    """``value`` as json.dumps(..., allow_nan=False) encodes a str, None, bool, int or
-    float; ``encode`` is json's encoder of a str, imported by the caller once per output."""
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    if isinstance(value, str):
-        return encode(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _fmt3(x) -> str:
@@ -418,8 +387,9 @@ def dist(args) -> int:
         # Encoded, and a non-finite sum refused, before a byte is written.
         head, tail = _json_frame(inputs, {"weight_sum": total})
         head, tail = head + '\n  "rows": [\n', "\n  ]" + tail + "\n"
-        # The last row's comma is cut.
-        line, cut = _json_item(["n", "p_n"], ["#", slot]) + ",\n", 2
+        # Laid out as json.dumps(..., indent=2) lays out a row of the list;
+        # the last row's comma is cut.
+        line, cut = '    {\n      "n": #,\n      "p_n": %s\n    },\n', 2
     elif args.fmt == "csv":
         head, tail = comments + "n,p_n\n", f"# sum={total}\n"
         line = f"#,{slot}\n"

@@ -18,9 +18,10 @@ of the m = 2 sum (the slowest to converge) stay below the tolerance of its
 running value for a sustained run.  The policy's hard cap bounds every
 window.  One kernel (``_moments``) reduces the window, in walk order, to
 three exact sums, which give ln S0 and the first two moments about its
-largest term, so the variance is formed without cancellation.  A sweep's
-fixed cutoffs past the end of its adaptive walk share one reduction, to
-that end, where a tail bound certifies it (``_tail_bound``).
+largest term, so the variance is formed without cancellation.  Fixed
+cutoffs past the end of a walk, as the runs before them grew it, share
+one reduction, to that end, where a tail bound certifies it
+(``_tail_bound``).
 
 An adaptive run on a peak wider than ``_STRIDE_SIGMA`` terms, at a tail
 tolerance of at most ``_STRIDE_TOLERANCE``, is not walked
@@ -491,8 +492,8 @@ def _tail_bound(walk: LogTermWalk, m: int):
     A reduction of lo..m is certified where each of its three sums stays
     the same double with its T_p added (``_moments``): past the anchor every
     term is at least 0 and rounding to nearest is monotone, so each window
-    lo..c with c >= m has exactly those sums.  A sweep's fixed cutoffs past
-    the end of its adaptive walk take them (``_walk_sums``).
+    lo..c with c >= m has exactly those sums.  Fixed cutoffs past the end
+    of a walk take them (``_walk_sums``).
     """
     if m + 2 + walk.params.offset >= 2.0 ** 48 * walk.params.alpha:
         return None
@@ -562,19 +563,19 @@ def _absorbs(terms: list, total: float, bound: float) -> bool:
 
 
 def _walk_sums(walk: LogTermWalk, policy: TruncationPolicy, peak: int | None,
-               heads: dict, tails: dict | None) -> LogSeriesSums:
+               heads: dict, tails: dict) -> LogSeriesSums:
     """The sums of one policy over its walk, extending it only as far as the policy needs.
 
     The walk's anchor is the largest term of every window taken here, the
     invariant that the head rule and the reduction rely on.  (Where the
     peak is flat, past n of about 10^14, that holds to rounding: the walk's
     w and the peak index leave other terms up to a few 1e-15 above it.)
-    ``heads`` holds the head stops made at this amplitude, and ``tails``,
-    once an adaptive run has grown the peak's walk, one certified reduction
-    to its end per head (``_tail_bound``), or None where that failed: the
-    first fixed cutoff past the end tries it, and it serves every such
-    cutoff.  A fixed window wider than ``hard_cap`` raises ValueError
-    before the walk is extended.
+    ``heads`` holds the head stops made at this amplitude, and ``tails``
+    one certified reduction per head (``_tail_bound``), or None where that
+    failed: the first fixed cutoff past the end of the walk, however far
+    the runs before it grew it, tries a reduction to that end, and it
+    serves every such cutoff after.  A fixed window wider than
+    ``hard_cap`` raises ValueError before the walk is extended.
     """
     adaptive = policy.n_max is None
     if walk.abs_z == 0.0:
@@ -589,7 +590,7 @@ def _walk_sums(walk: LogTermWalk, policy: TruncationPolicy, peak: int | None,
         if not closed or n_max + 1 - lo > policy.hard_cap:
             raise ValueError(f"fixed cutoff n_max = {n_max} would sum more than "
                              f"hard_cap ({policy.hard_cap}) terms")
-        if tails is not None and n_max > walk.hi > walk.anchor:
+        if n_max > walk.hi > walk.anchor:
             if head not in tails:
                 tail = _tail_bound(walk, walk.hi)
                 tails[head] = tail and _reduce(walk, lo, walk.hi, False, None, tail)
@@ -630,12 +631,12 @@ def _strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolic
 
 
 def _walks(abs_z: float, params: PotentialParams, policies, stride: bool = False):
-    """(walk, sums) of each policy in turn; see ``policy_sums``.  With
-    ``stride``, a run that ``_strided_sums`` serves comes with no walk,
-    and a fixed one served by a certified reduction may end past its walk."""
+    """(walk, sums) of each policy in turn; see ``policy_sums``.  A fixed
+    cutoff served by a certified reduction may end past its walk.  With
+    ``stride``, a run that ``_strided_sums`` serves comes with no walk."""
     _check_amplitude(abs_z)
     peak = _peak_index(abs_z, params) if abs_z > 0.0 else 0
-    walks, heads, tails = {}, {}, None
+    walks, heads, tails = {}, {}, {}
     for policy in policies:
         sums = _strided_sums(abs_z, params, policy, peak) if stride else None
         if sums is not None:
@@ -645,8 +646,6 @@ def _walks(abs_z: float, params: PotentialParams, policies, stride: bool = False
         if start not in walks:
             walks[start] = LogTermWalk(abs_z, params, start)
         yield walks[start], _walk_sums(walks[start], policy, peak, heads, tails)
-        if tails is None and policy.n_max is None:
-            tails = {}  # an adaptive run has grown the walk (``_walk_sums``)
 
 
 def policy_sums(abs_z: float, params: PotentialParams, policies):
@@ -655,10 +654,10 @@ def policy_sums(abs_z: float, params: PotentialParams, policies):
     Each walk starts at the largest term of the range it sums, and serves
     every policy that starts there (the peak, for the adaptive rule and every
     cutoff above it), sharing a head stop between equal tolerances and caps.
-    A cutoff past the end of the adaptive walk may share a certified
-    reduction to that end (``_walk_sums``).  An adaptive run on a wide peak
-    reads a lattice of terms instead (``_strided_sums``): the whole series'
-    sums, with the window its walk would sum.
+    A cutoff past the end of the walk, as the runs before it grew it, may
+    share a certified reduction to that end (``_walk_sums``).  An adaptive
+    run on a wide peak reads a lattice of terms instead (``_strided_sums``):
+    the whole series' sums, with the window its walk would sum.
     """
     return (sums for _, sums in _walks(abs_z, params, policies, stride=True))
 

@@ -462,6 +462,17 @@ class TestAccumulateSums:
         for c, (_, sums) in zip(cutoffs, runs[1:]):
             assert sums == accumulate_sums(4.5, K15, TruncationPolicy.fixed(c))
 
+    def test_fixed_cutoffs_share_a_certificate_without_an_adaptive_run(self):
+        # The certificate needs only a walk past its peak, however it grew:
+        # the 300 cutoff takes the reduction to the end the 100 cutoff left,
+        # so the walk stops at 100, and each run has a standalone run's sums.
+        policies = [TruncationPolicy.fixed(100), TruncationPolicy.fixed(300)]
+        runs = list(ghacs.stats._walks(2.0, K15, policies))
+        walk = runs[0][0]
+        assert all(w is walk for w, _ in runs) and walk.hi == 100
+        for policy, (_, sums) in zip(policies, runs):
+            assert sums == accumulate_sums(2.0, K15, policy)
+
     def test_deep_tail_matches_frozen_oracle(self):
         sums = accumulate_sums(15.0, PotentialParams(k=0.5), ADAPTIVE)
         st_ = stats_from_sums(sums)
