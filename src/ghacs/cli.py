@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import os
 import re
@@ -160,17 +161,16 @@ def _block_lines(line, width, first):
     return lines, "".join(lines)
 
 
-def _row_blocks(zeros, rows, line, zero_line, width, cut):
-    """The text of rows 0 .. zeros + len(rows) - 1, a string per block of ``_BLOCK``.
+def _row_blocks(zeros, end, rows, line, zero_line, width, cut):
+    """The text of rows 0 .. end - 1, a string per block of ``_BLOCK``.
 
-    Row n is ``zero_line`` below ``zeros`` and ``line`` filled with
-    ``rows[n - zeros]`` from there, each with its index in place of "#",
-    left-justified to ``width``.  A block's template is its runs of those
-    two lines, cut from ``_block_lines``, with the block number put in; its
-    stored rows are one ``%`` over it, and ``zero_line`` holds no "%".
-    The last block loses its last ``cut`` characters.
+    Row n is ``zero_line`` below ``zeros`` and ``line`` filled with the next
+    of the iterator ``rows`` from there, each with its index in place of
+    "#", left-justified to ``width``.  A block's template is its runs of
+    those two lines, cut from ``_block_lines``, with the block number put
+    in; its rows from ``rows`` are one ``%`` over it, and ``zero_line``
+    holds no "%".  The last block loses its last ``cut`` characters.
     """
-    end = zeros + len(rows)
     for lo in range(0, end, _BLOCK):
         hi = min(lo + _BLOCK, end)
         mid = min(max(zeros, lo), hi)  # the first stored row in the block
@@ -186,7 +186,7 @@ def _row_blocks(zeros, rows, line, zero_line, width, cut):
                 template += whole
         text = template.replace("@", number)
         if mid < hi:
-            text %= tuple(rows[mid - zeros:hi - zeros])
+            text %= tuple(itertools.islice(rows, hi - mid))
         yield text[:len(text) - cut] if hi == end else text
 
 
@@ -372,12 +372,9 @@ def dist(args) -> int:
               f"more than hard_cap ({policy.hard_cap})", file=sys.stderr)
         return EXIT_UNCONVERGED
 
-    rows, zeros = wd.rows(), wd.zero_rows
-    # The rows below ``zeros`` are 0.0 and add nothing.  fsum rounds the
-    # exact sum, so the order changes only its speed.  From n = N down the
-    # head's rows come last, falling toward 0.0, and fold into a few
-    # partials; ascending, they keep about twenty alive.
-    total = math.fsum(reversed(rows))
+    # The rows below ``zeros`` are 0.0 and add nothing to the total; the
+    # rest are made again, a block of 1,000 at a time, as they are written.
+    zeros, total = wd.zero_rows, wd.total
     inputs = {"k": k, "gamma": gamma, "z": z, **_policy_inputs(policy)}
     comments = "".join(f"# {key}={value}\n" for key, value in inputs.items())
     # Each row is one line template, its index in "#" and its P_n in
@@ -401,7 +398,8 @@ def dist(args) -> int:
         line = f"#  {slot}\n"
     with _sink(args.out) as fh:
         fh.write(head)
-        for text in _row_blocks(zeros, rows, line, line.replace(slot, zero), width, cut):
+        for text in _row_blocks(zeros, wd.support_bound + 1, wd.rows(), line,
+                                line.replace(slot, zero), width, cut):
             fh.write(text)
         fh.write(tail)
     return 0

@@ -204,64 +204,107 @@ class StateStats(namedtuple("StateStats", "mean variance mandel_q normalization 
 class WeightDistribution:
     """P_n for n = 0 .. support_bound, normalized over the summed window.
 
-    sums are the sums of the walk, convergence record included.  The rows,
-    w_n / s with s the sum of the window's weights, are read off the walk
-    in one pass when first asked for, so that the sums and the support
-    bound can be checked before paying for them.  Below the window the walk
-    grows down only until a row underflows to 0.0: the terms rise up to the
-    walk's anchor, so every row beneath that one is 0.0 too.  Those rows
-    cost nothing and are not stored: ``zero_rows`` counts them, ``rows``
-    holds the rest, and a writer need look at no more.  At large |z| they
-    are most of the rows: 83,209 of the 105,820 at k = 0.5, |z| = 10.  Rows
-    below about 2.2e-308 are subnormal and keep fewer digits.
+    sums are the sums of the walk, convergence record included.  The rows
+    are w_n / s, with s the sum of the window's weights, and none is held:
+    ``rows`` makes them again on each call, from the walk's own lists and
+    from a descent below them.  The descent, taken once, when ``zero_rows``
+    or ``total`` is first read, so that the sums and the support bound can
+    be checked before paying for it, goes down from the walk's lowest row
+    one aligned block of factors at a time, by the walk's own recurrence
+    (``LogTermWalk.fall``), until a block's lowest row underflows to 0.0:
+    the terms rise up to the walk's anchor, so every row beneath that one
+    is 0.0 too.  It keeps the weight above each block, from which ``rows``
+    replays the block's weights, the same doubles, and sums every row as it
+    goes (``total``).  The rows beneath cost nothing: ``zero_rows`` counts
+    them, and a writer need look at no more.  At large |z| they are most of
+    the rows: 83,209 of the 105,820 at k = 0.5, |z| = 10.  Rows below about
+    2.2e-308 are subnormal and keep fewer digits.
     """
 
     def __init__(self, walk: LogTermWalk, sums: LogSeriesSums):
         self.sums = sums
         self.support_bound = sums.terms_used - 1
+        self._walk = walk
         # S0 / t_anchor, summed again rather than taken from log_s0 -
         # log_anchor, which would cancel digits at large ln S0.
-        self._mass = math.fsum(walk.outward(sums.first_index, self.support_bound))
-        self._walk = walk
-        self._rows = None
-        self._zero_rows = None
+        self._mass = math.fsum(self._window(sums.first_index))
+        self._tops = None  # the weight above each block below the walk, once walked
+        self._zero_rows = self._total = None
+
+    def _window(self, lo: int):
+        """w(anchor), ..., w(support_bound), then w(anchor - 1), ..., w(lo): the
+        walk's window from lo, in walk order, read in place off its lists."""
+        walk = self._walk
+        a = walk.anchor
+        return itertools.chain(itertools.islice(walk._up, self.support_bound - a + 1),
+                               itertools.islice(walk._down, a - lo))
+
+    def _below(self):
+        """The weights of each block below the walk, a list per block from
+        the highest down; it keeps the weight above each block (``_tops``)
+        and the lowest row reached (``_zero_rows``)."""
+        # Down to n = 0, or to the first block whose lowest row underflows.
+        # Below the anchor w_{n-1} = w_n factor_n / |z|^2, and factor_n <=
+        # |z|^2 up to the peak, so the rounded ratio is at most 1 and w never
+        # rises as n falls: every row beneath that one reads 0.0 too.
+        walk, mass = self._walk, self._mass
+        self._tops, self._zero_rows, w = [], walk.lo, walk.window(walk.lo, walk.lo)[0]
+        while self._zero_rows > 0 and w / mass != 0.0:
+            self._tops.append(w)
+            block = list(walk.fall(w, self._zero_rows, 0))
+            yield block
+            self._zero_rows -= len(block)
+            w = block[-1]
+
+    def _descend(self) -> None:
+        if self._tops is None:
+            # fsum rounds the exact sum, so the order changes only its
+            # speed: each side falls from about 1, the head's rows last,
+            # toward 0.0, and they fold into a few partials; ascending,
+            # they keep about twenty alive.
+            self._total = math.fsum(map(operator.truediv, itertools.chain(
+                self._window(self._walk.lo), itertools.chain.from_iterable(self._below())),
+                itertools.repeat(self._mass)))
 
     @property
     def zero_rows(self) -> int:
         """How many leading rows are exactly 0.0: P_n = 0.0 for every n below it.
 
-        It is the lowest row the walk reached when the rows were read, so
-        the rows from it on may begin with a few more 0.0 rows: 83,200 at
-        k = 0.5, |z| = 10, whose first nonzero row is 83,209.  Reads the
-        rows if they are not read yet.
+        It is the lowest row the descent reached, so the rows from it on
+        may begin with a few more 0.0 rows: 83,200 at k = 0.5, |z| = 10,
+        whose first nonzero row is 83,209.
         """
-        self.rows()
+        self._descend()
         return self._zero_rows
 
-    def rows(self) -> list[float]:
-        """P_n for n = zero_rows .. N, the rows stored; the same list on every call."""
-        if self._rows is None:
-            walk, mass = self._walk, self._mass
-            # Down to n = 0, or to the first block whose lowest row
-            # underflows.  Below the anchor w_{n-1} = w_n factor_n / |z|^2,
-            # and factor_n <= |z|^2 up to the peak, so the rounded ratio is
-            # at most 1 and w never rises as n falls: every row beneath
-            # that one reads 0.0 too.
-            while walk.lo > 0 and walk.window(walk.lo, walk.lo)[0] / mass != 0.0:
-                walk.extend_to((walk.lo - 1) // MAX_BLOCK * MAX_BLOCK)
-            self._zero_rows = walk.lo
-            # The walk's own lists become the rows, so its values are never
-            # copied, and each slice of w_n is freed as its P_n takes its place.
-            rows = walk.release(self.support_bound)
-            self._walk = walk = None
-            for i in range(0, len(rows), 4096):
-                rows[i:i + 4096] = map(operator.truediv, rows[i:i + 4096], itertools.repeat(mass))
-            self._rows = rows
-        return self._rows
+    @property
+    def total(self) -> float:
+        """The sum of the rows, exact and rounded once (``math.fsum``)."""
+        self._descend()
+        return self._total
+
+    def rows(self):
+        """An iterator over P_n for n = zero_rows .. support_bound, made again on each call.
+
+        Each block below the walk is replayed from the weight above it, and
+        the rest is read off the walk's lists; a block whose factors have
+        left the memo has them evaluated again, by the same kernel, to the
+        same doubles.
+        """
+        self._descend()
+        walk = self._walk
+        lo = walk.lo
+        below = (reversed(list(walk.fall(w, min(bottom + MAX_BLOCK, lo), bottom)))
+                 for bottom, w in zip(range(self._zero_rows, lo, MAX_BLOCK), reversed(self._tops)))
+        weights = itertools.chain(itertools.chain.from_iterable(below), reversed(walk._down),
+                                  itertools.islice(walk._up, self.support_bound - walk.anchor + 1))
+        return map(operator.truediv, weights, itertools.repeat(self._mass))
 
     def weight(self, n: int) -> float:
-        rows, zeros = self.rows(), self._zero_rows
-        return rows[n - zeros] if zeros <= n <= self.support_bound else 0.0
+        zeros = self.zero_rows
+        if zeros <= n <= self.support_bound:
+            return next(itertools.islice(self.rows(), n - zeros, None))
+        return 0.0
 
 
 class LogTermWalk:
@@ -275,11 +318,13 @@ class LogTermWalk:
     extended at once, and every stopping rule and cutoff applied to it reads
     the same numbers.  It is grown by ``extend_to`` and read by index range,
     through ``window`` and ``outward``, by the stopping rules and the
-    reduction; the distribution takes its lists whole (``release``).  Each
+    reduction; the distribution reads its lists in place, and below them
+    replays the downward recurrence (``fall``) without storing it.  Each
     side grows through the aligned blocks of factors (``core.factor_block``),
-    one lookup per block, to the block's edge or to the index asked for.  At |z| = 0 the series is the single
-    term n = 0 and the walk cannot be extended.  It holds values only;
-    ``policy_sums`` decides which policies share it.
+    one lookup per block, to the block's edge or to the index asked for.  At
+    |z| = 0 the series is the single term n = 0 and the walk cannot be
+    extended.  It holds values only; ``policy_sums`` decides which policies
+    share it.
     """
 
     def __init__(self, abs_z: float, params: PotentialParams, anchor: int = 0):
@@ -320,18 +365,6 @@ class LogTermWalk:
         a = self.anchor
         return self._up[:hi - a + 1] + self._down[:a - lo]
 
-    def release(self, hi: int) -> list[float]:
-        """w(lo), ..., w(hi), for hi at or above the anchor, in the walk's own
-        storage: the down side reversed in place, then the up side, cut at
-        hi, appended.  The walk holds nothing afterwards and cannot be read.
-        """
-        rows, up = self._down, self._up
-        self._down = self._up = None
-        rows.reverse()
-        del up[hi - self.anchor + 1:]
-        rows += up
-        return rows
-
     def extend_to(self, n: int) -> None:
         """Extend the span to include n, one aligned block of factors at a time."""
         if n < 0:
@@ -350,14 +383,23 @@ class LogTermWalk:
                 map(operator.truediv, itertools.repeat(z2), factors),
                 operator.mul, initial=self._up[-1]), 1, None))
         while self.lo > n:
-            # w(j - 1) = w(j) (factor_j / |z|^2), for j = lo, lo - 1, ...
-            # to the start of factor lo's block, or to n + 1.
-            b, i = divmod(self.lo - 1, MAX_BLOCK)
-            factors = factor_block(b, self.params)[max(n - b * MAX_BLOCK, 0):i + 1]
-            last = self._down[-1] if self._down else self._up[0]
-            self._down.extend(itertools.islice(itertools.accumulate(
-                map(operator.truediv, reversed(factors), itertools.repeat(z2)),
-                operator.mul, initial=last), 1, None))
+            self._down.extend(self.fall(self._down[-1] if self._down else self._up[0],
+                                        self.lo, n))
+
+    def fall(self, w: float, top: int, n: int):
+        """An iterator over w(top - 1), w(top - 2), ..., from w = w(top), to the
+        start of factor top's block or to w(n), whichever is higher.
+
+        w(j - 1) = w(j) (factor_j / |z|^2), for j = top, top - 1, ...: the
+        walk's downward recurrence, which ``extend_to`` grows the walk by
+        and the distribution replays below it.  From the same w it gives
+        the same doubles.
+        """
+        b, i = divmod(top - 1, MAX_BLOCK)
+        factors = factor_block(b, self.params)[max(n - b * MAX_BLOCK, 0):i + 1]
+        return itertools.islice(itertools.accumulate(
+            map(operator.truediv, reversed(factors), itertools.repeat(self.abs_z * self.abs_z)),
+            operator.mul, initial=w), 1, None)
 
 
 def _log_term(n: int, abs_z: float, params: PotentialParams) -> float:
@@ -698,8 +740,8 @@ def weight_distribution(abs_z: float, params: PotentialParams,
                         policy: TruncationPolicy) -> WeightDistribution:
     """Normalized P_n = t_n / S0 for n = 0 .. N.
 
-    The sums are taken here; the walk is extended down below the summed
-    window, toward n = 0, only when the rows are first read.
+    The sums are taken here; the descent below the walk, toward n = 0, is
+    taken only when ``zero_rows`` or ``total`` is first read.
     """
     return WeightDistribution(*next(_walks(abs_z, params, (policy,))))
 

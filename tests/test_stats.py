@@ -766,7 +766,7 @@ class TestWeightDistribution:
     def test_zero_amplitude(self):
         wd = weight_distribution(0.0, K15, ADAPTIVE)
         assert wd.support_bound == 0
-        assert (wd.zero_rows, wd.rows()) == (0, [1.0])
+        assert (wd.zero_rows, list(wd.rows()), wd.total) == (0, [1.0], 1.0)
         assert wd.weight(5) == 0.0
 
     def test_harmonic_is_poisson(self):
@@ -779,7 +779,7 @@ class TestWeightDistribution:
     def test_normalized_when_converged(self):
         for z in (0.5, 2.5, 7.5):
             wd = weight_distribution(z, K15, ADAPTIVE)
-            assert math.fsum(wd.rows()) == pytest.approx(1.0, abs=1e-10)
+            assert math.fsum(wd.rows()) == wd.total == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("policy", [ADAPTIVE, TruncationPolicy.fixed(40),
                                         TruncationPolicy.adaptive(hard_cap=20)])
@@ -802,9 +802,9 @@ class TestWeightDistribution:
         z = 2.5
         wd = weight_distribution(z, K15, ADAPTIVE)
         st_ = state_stats(z, K15, ADAPTIVE)
-        rows = wd.rows()
-        mean = math.fsum(n * w for n, w in enumerate(rows, wd.zero_rows))
-        second = math.fsum(n * n * w for n, w in enumerate(rows, wd.zero_rows))
+        # The rows are made again on each call to rows().
+        mean = math.fsum(n * w for n, w in enumerate(wd.rows(), wd.zero_rows))
+        second = math.fsum(n * n * w for n, w in enumerate(wd.rows(), wd.zero_rows))
         assert mean == pytest.approx(st_.mean, rel=1e-10)
         assert second - mean ** 2 == pytest.approx(st_.variance, rel=1e-8)
 
@@ -819,31 +819,51 @@ class TestWeightDistribution:
     @example(z=5.0, k=0.5, gamma=2.0, policy=TruncationPolicy.fixed(2000))
     @settings(max_examples=200, deadline=None)
     def test_rows_match_the_full_walk_bitwise(self, z, k, gamma, policy):
-        # The walk down stops at the first row that underflows, and the rows
+        # The descent stops at the first row that underflows, and the rows
         # beneath it are taken as 0.0 without their factors.
         params = PotentialParams(k=k, gamma=gamma)
         assume(start_of(z, params, policy) <= 3 * 10 ** 5)
         wd = weight_distribution(z, params, policy)
         assume(wd.support_bound <= 3 * 10 ** 5)
-        rows, zeros = wd.rows(), wd.zero_rows
+        rows, zeros = list(wd.rows()), wd.zero_rows
         weights = reference_weights(z, params, policy)
         event("zero prefix" if weights[0] == 0.0 else "no zero prefix")
         assert not any(weights[:zeros])
         assert list(map(float.hex, rows)) == list(map(float.hex, weights[zeros:]))
-        # fsum rounds the exact sum: the footer's order, and the zero rows
-        # it leaves out, cannot change it.
-        assert math.fsum(reversed(rows)) == math.fsum(weights)
+        # fsum rounds the exact sum: the order the descent adds the rows in,
+        # and the zero rows it leaves out, cannot change it.
+        assert wd.total == math.fsum(weights)
 
     def test_zero_rows_are_the_walks_lowest_row(self):
-        # At k = 0.5, |z| = 10 the walk down stops in the block of factors
+        # At k = 0.5, |z| = 10 the descent stops in the block of factors
         # 83201..83264, whose lowest row, 83200, underflows; the first row
         # that does not is 83209.
         wd = weight_distribution(10.0, PotentialParams(k=0.5), ADAPTIVE)
         assert wd.zero_rows == 83200
-        # Only the rows from zero_rows on are stored.
-        rows = wd.rows()
+        # Only the rows from zero_rows on are made.
+        rows = list(wd.rows())
         assert len(rows) == wd.support_bound + 1 - 83200
         assert not any(rows[:9])
         assert rows[9] > 0.0
         assert [wd.weight(n) for n in (0, 83199, 83200, 83209, wd.support_bound)] == [
             0.0, 0.0, rows[0], rows[9], rows[-1]]
+
+    @pytest.mark.parametrize("policy", [ADAPTIVE, TruncationPolicy.adaptive(hard_cap=1000)])
+    def test_replay_evaluates_evicted_factors_again_bitwise(self, policy):
+        # At k = 0.5, |z| = 10 the descent walks 215 blocks below the walk,
+        # more than the factor memo keeps.  With the memo emptied between
+        # the descent and the replay, every block is evaluated again, and
+        # every row is still the reference walk's double.  Under a hard cap
+        # of 1,000 the walk's lowest row lies inside a block of factors, so
+        # the descent's first block is a part of one.
+        params = PotentialParams(k=0.5)
+        wd = weight_distribution(10.0, params, policy)
+        zeros = wd.zero_rows
+        ghacs.core.factor_block.cache_clear()
+        weights = reference_weights(10.0, params, policy)
+        assert not any(weights[:zeros])
+        want = list(map(float.hex, weights[zeros:]))
+        assert list(map(float.hex, wd.rows())) == want
+        ghacs.core.factor_block.cache_clear()
+        assert list(map(float.hex, wd.rows())) == want
+        assert wd.total == math.fsum(weights)
