@@ -190,19 +190,6 @@ def _row_blocks(zeros, end, rows, line, zero_line, width, cut):
         yield text[:len(text) - cut] if hi == end else text
 
 
-def _json_frame(inputs, extra):
-    """The text of json.dumps({"inputs": inputs, "rows": [], **extra},
-    indent=2, allow_nan=False) before and after its empty list of rows.
-
-    The payload is cut where that list stands: the only top-level key
-    "rows", two spaces in.  Only json output loads the json package.
-    """
-    import json
-
-    text = json.dumps({"inputs": inputs, "rows": [], **extra}, indent=2, allow_nan=False)
-    return text.split('\n  "rows": []', 1)
-
-
 def _fmt3(x) -> str:
     return "undefined" if x is None else f"{x:.3f}"
 
@@ -256,15 +243,11 @@ def stats(args) -> int:
               "terms_used", "converged", "threshold"]
     row = [st.mean, st.variance, _q_value(st), st.normalization,
            st.sums.terms_used, st.sums.converged, st.sums.estimated_threshold]
-    _emit(args.fmt, args.out, inputs, header, [row], [
-        ["quantity", "value"],
-        ["mean", f"{st.mean:.2f}"],
-        ["variance", f"{st.variance:.2f}"],
-        ["mandel_q", _fmt3(st.mandel_q)],
-        ["normalization", f"{st.normalization:.6g}"],
-        ["terms_used", str(st.sums.terms_used)],
-        ["converged", str(st.sums.converged).lower()],
-        ["threshold", str(st.sums.estimated_threshold)]])
+    shown = [f"{st.mean:.2f}", f"{st.variance:.2f}", _fmt3(st.mandel_q),
+             f"{st.normalization:.6g}", str(st.sums.terms_used),
+             str(st.sums.converged).lower(), str(st.sums.estimated_threshold)]
+    _emit(args.fmt, args.out, inputs, header, [row],
+          [["quantity", "value"], *zip(header, shown)])
     return 0
 
 
@@ -309,7 +292,11 @@ def _z_grid(z_min, z_max, z_step) -> tuple[float, ...]:
         raise UsageError(f"z_step = {z_step} gives more than {_MAX_GRID_POINTS} grid points")
     steps = round(steps)
     grid = (round(z_min + i * z_step, 12) for i in range(steps + 1))
-    return tuple(z for z in grid if z <= z_max + 1e-12)
+    grid = tuple(z for z in grid if z <= z_max + 1e-12)
+    if len(set(grid)) < len(grid):  # rounding keeps the order, so only repeats
+        raise UsageError(f"--z-step {z_step} is finer than the grid resolves: each |z| "
+                         "is rounded to 12 decimals, and to the float spacing near --z-max")
+    return grid
 
 
 def sweep(args) -> int:
@@ -381,8 +368,12 @@ def dist(args) -> int:
     # ``slot``; the rows below ``zeros`` have ``zero`` there instead.
     slot, zero, width, cut = "%s", str(0.0), 0, 0
     if args.fmt == "json":
-        # Encoded, and a non-finite sum refused, before a byte is written.
-        head, tail = _json_frame(inputs, {"weight_sum": total})
+        import json
+
+        # Encoded, and a non-finite sum refused, before a byte is written;
+        # cut where the empty list of rows stands, two spaces in.
+        head, tail = json.dumps({"inputs": inputs, "rows": [], "weight_sum": total}, indent=2,
+                                allow_nan=False).split('\n  "rows": []', 1)
         head, tail = head + '\n  "rows": [\n', "\n  ]" + tail + "\n"
         # Laid out as json.dumps(..., indent=2) lays out a row of the list;
         # the last row's comma is cut.

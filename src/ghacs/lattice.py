@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 
-from .core import PotentialParams, log_g_delta
+from .core import _SERIES_RATIO, PotentialParams, log_g_delta
 from .stats import TruncationPolicy, _moments
 
 # The lattice stops on each side at the first weight below this (the anchor's
@@ -68,7 +68,7 @@ def strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolicy
     down, n, passed = [], peak, None
     while passed is None or down[-1] >= log_negligible:
         n -= h
-        if n < 1000 or (c / (n + c)) ** a > 0.75:
+        if n < 1000 or (c / (n + c)) ** a > _SERIES_RATIO:
             return None
         down.append(log_w(n))
         if passed is None and math.log(n + 1) + down[-1] < log_tol:

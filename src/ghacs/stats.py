@@ -205,20 +205,22 @@ class WeightDistribution:
     """P_n for n = 0 .. support_bound, normalized over the summed window.
 
     sums are the sums of the walk, convergence record included.  The rows
-    are w_n / s, with s the sum of the window's weights, and none is held:
-    ``rows`` makes them again on each call, from the walk's own lists and
-    from a descent below them.  The descent, taken once, when ``zero_rows``
-    or ``total`` is first read, so that the sums and the support bound can
-    be checked before paying for it, goes down from the walk's lowest row
-    one aligned block of factors at a time, by the walk's own recurrence
+    are w_n / s, with s the sum of the window's weights, read in walk order
+    (``LogTermWalk.outward``), and none is held: ``rows`` makes them again
+    on each call, from the walk's own lists, read in place, and from a
+    descent below them.  The descent, taken once, when ``zero_rows`` or
+    ``total`` is first read, so that the sums and the support bound can be
+    checked before paying for it, goes down from the walk's lowest row one
+    aligned block of factors at a time, by the walk's own recurrence
     (``LogTermWalk.fall``), until a block's lowest row underflows to 0.0:
     the terms rise up to the walk's anchor, so every row beneath that one
     is 0.0 too.  It keeps the weight above each block, from which ``rows``
-    replays the block's weights, the same doubles, and sums every row as it
-    goes (``total``).  The rows beneath cost nothing: ``zero_rows`` counts
-    them, and a writer need look at no more.  At large |z| they are most of
-    the rows: 83,209 of the 105,820 at k = 0.5, |z| = 10.  Rows below about
-    2.2e-308 are subnormal and keep fewer digits.
+    replays the block's weights, the same doubles.  The total sums the
+    walk's rows in walk order, then every row of the descent as it goes.
+    The rows beneath cost nothing: ``zero_rows`` counts them, and a writer
+    need look at no more.  At large |z| they are most of the rows: 83,209
+    of the 105,820 at k = 0.5, |z| = 10.  Rows below about 2.2e-308 are
+    subnormal and keep fewer digits.
     """
 
     def __init__(self, walk: LogTermWalk, sums: LogSeriesSums):
@@ -227,17 +229,9 @@ class WeightDistribution:
         self._walk = walk
         # S0 / t_anchor, summed again rather than taken from log_s0 -
         # log_anchor, which would cancel digits at large ln S0.
-        self._mass = math.fsum(self._window(sums.first_index))
+        self._mass = math.fsum(walk.outward(sums.first_index, self.support_bound))
         self._tops = None  # the weight above each block below the walk, once walked
         self._zero_rows = self._total = None
-
-    def _window(self, lo: int):
-        """w(anchor), ..., w(support_bound), then w(anchor - 1), ..., w(lo): the
-        walk's window from lo, in walk order, read in place off its lists."""
-        walk = self._walk
-        a = walk.anchor
-        return itertools.chain(itertools.islice(walk._up, self.support_bound - a + 1),
-                               itertools.islice(walk._down, a - lo))
 
     def _below(self):
         """The weights of each block below the walk, a list per block from
@@ -263,8 +257,8 @@ class WeightDistribution:
             # toward 0.0, and they fold into a few partials; ascending,
             # they keep about twenty alive.
             self._total = math.fsum(map(operator.truediv, itertools.chain(
-                self._window(self._walk.lo), itertools.chain.from_iterable(self._below())),
-                itertools.repeat(self._mass)))
+                self._walk.outward(self._walk.lo, self.support_bound),
+                itertools.chain.from_iterable(self._below())), itertools.repeat(self._mass)))
 
     @property
     def zero_rows(self) -> int:
@@ -301,6 +295,8 @@ class WeightDistribution:
         return map(operator.truediv, weights, itertools.repeat(self._mass))
 
     def weight(self, n: int) -> float:
+        """P_n, 0.0 outside zero_rows .. support_bound.  Each call replays the
+        rows from ``zero_rows`` up to n: to read many, iterate over ``rows()``."""
         zeros = self.zero_rows
         if zeros <= n <= self.support_bound:
             return next(itertools.islice(self.rows(), n - zeros, None))
@@ -317,13 +313,13 @@ class LogTermWalk:
     so a walk extended in steps, up or down, holds exactly the values of one
     extended at once, and every stopping rule and cutoff applied to it reads
     the same numbers.  It is grown by ``extend_to`` and read by index range,
-    through ``window`` and ``outward``, by the stopping rules and the
-    reduction; the distribution reads its lists in place, and below them
-    replays the downward recurrence (``fall``) without storing it.  Each
-    side grows through the aligned blocks of factors (``core.factor_block``),
-    one lookup per block, to the block's edge or to the index asked for.  At
-    |z| = 0 the series is the single term n = 0 and the walk cannot be
-    extended.  It holds values only; ``policy_sums`` decides which policies
+    through ``window`` and ``outward``, by the stopping rules, the reduction
+    and the distribution's sums; the distribution's rows read its lists in
+    place, and below them replay the downward recurrence (``fall``) without
+    storing it.  Each side grows through the aligned blocks of factors
+    (``core.factor_block``), one lookup per block, to the block's edge or to
+    the index asked for.  At |z| = 0 the series is the single term n = 0
+    and the walk cannot be extended.  It holds values only; ``policy_sums`` decides which policies
     share it.
     """
 

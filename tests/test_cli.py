@@ -298,6 +298,18 @@ def test_grid_of_exactly_the_budget():
     assert len(cli._z_grid(0.0, 999999.0, 1.0)) == 10 ** 6
 
 
+@pytest.mark.parametrize("z_min,z_max,z_step", [
+    ("1", "1.000000000002", "4e-13"),  # below the grid's 12-decimal rounding
+    ("1e6", "1.000000000001e6", "1e-11"),  # below the float spacing at 1e6
+])
+def test_step_the_grid_cannot_resolve_is_named(z_min, z_max, z_step):
+    result = invoke(["sweep", "--k", "1.5", "--z-min", z_min, "--z-max", z_max,
+                     "--z-step", z_step])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"--z-step {float(z_step)} is finer than the grid resolves" in result.stderr
+
+
 @pytest.mark.parametrize("args", each_command("1.5", "2", "1"), ids=lambda a: a[0])
 def test_out_into_a_missing_directory_is_usage_error(tmp_path, args):
     target = tmp_path / "missing" / "x.csv"

@@ -349,9 +349,11 @@ class TestAccumulateSums:
             ws = walk.window(lo, hi)
             assert sums.origin == walk.anchor
             assert max(ws) <= 1 + 1e-12
-            # The reduction reads the window in walk order, anchor first,
-            # and the kernel's offsets pair each weight with its n - anchor.
-            assert sorted(walk.outward(lo, hi)) == sorted(ws)
+            # The reduction, the distribution's mass and its total read the
+            # window in walk order: up from the anchor, then down below it;
+            # the kernel's offsets pair each weight with its n - anchor.
+            assert walk.outward(lo, hi) == (walk.window(walk.anchor, hi)
+                                            + walk.window(lo, walk.anchor - 1)[::-1])
             ds = [n - walk.anchor for n in range(lo, hi + 1)]
             assert ghacs.stats._moments(walk.outward(lo, hi), hi - walk.anchor + 1) == (
                 math.fsum(ws), math.fsum(w * d for w, d in zip(ws, ds)),
