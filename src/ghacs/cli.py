@@ -353,14 +353,14 @@ def dist(args) -> int:
     if not _converged(policy, wd.sums):
         return EXIT_UNCONVERGED
     # At large |z| the rows below the summed window far outnumber it, and
-    # most of them print 0.0: the hard cap bounds the rows printed too.
+    # they all print 0.0: the hard cap bounds the rows printed too.
     if wd.support_bound >= policy.hard_cap:
         print(f"error: the distribution has {wd.support_bound + 1} rows, "
               f"more than hard_cap ({policy.hard_cap})", file=sys.stderr)
         return EXIT_UNCONVERGED
 
-    # The rows below ``zeros`` are 0.0 and add nothing to the total; the
-    # rest are made again, a block of 1,000 at a time, as they are written.
+    # The rows below ``zeros``, the summed window's first index, are 0.0;
+    # the rest are read off the walk, a block of 1,000 at a time, as written.
     zeros, total = wd.zero_rows, wd.total
     inputs = {"k": k, "gamma": gamma, "z": z, **_policy_inputs(policy)}
     comments = "".join(f"# {key}={value}\n" for key, value in inputs.items())

@@ -202,100 +202,45 @@ class StateStats(namedtuple("StateStats", "mean variance mandel_q normalization 
 
 
 class WeightDistribution:
-    """P_n for n = 0 .. support_bound, normalized over the summed window.
+    """P_n for n = 0 .. support_bound: the distribution the sums describe.
 
-    sums are the sums of the walk, convergence record included.  The rows
-    are w_n / s, with s the sum of the window's weights, read in walk order
-    (``LogTermWalk.outward``), and none is held: ``rows`` makes them again
-    on each call, from the walk's own lists, read in place, and from a
-    descent below them.  The descent, taken once, when ``zero_rows`` or
-    ``total`` is first read, so that the sums and the support bound can be
-    checked before paying for it, goes down from the walk's lowest row one
-    aligned block of factors at a time, by the walk's own recurrence
-    (``LogTermWalk.fall``), until a block's lowest row underflows to 0.0:
-    the terms rise up to the walk's anchor, so every row beneath that one
-    is 0.0 too.  It keeps the weight above each block, from which ``rows``
-    replays the block's weights, the same doubles.  The total sums the
-    walk's rows in walk order, then every row of the descent as it goes.
-    The rows beneath cost nothing: ``zero_rows`` counts them, and a writer
-    need look at no more.  At large |z| they are most of the rows: 83,209
-    of the 105,820 at k = 0.5, |z| = 10.  Rows below about 2.2e-308 are
-    subnormal and keep fewer digits.
+    sums are the sums of the walk, convergence record included.  Row n is
+    w_n / s on the summed window, from ``zero_rows`` (the sums' first index)
+    to ``support_bound``, s the sum of the window's weights, and 0.0 below
+    it, where the head the sums leave out weighs less than the tail
+    tolerance of the largest term.  So the rows sum to 1 to rounding, and
+    their moments are ``state_stats``'; a smaller ``tail_tolerance`` brings
+    more of the head into the window.  No row is held: ``rows`` reads them
+    again on each call, from the walk's own lists, in place.  At large |z|
+    the rows below the window are most of them: 97,002 of the 105,820 at
+    k = 0.5, |z| = 10.  Rows below about 2.2e-308 are subnormal and keep
+    fewer digits.
     """
 
     def __init__(self, walk: LogTermWalk, sums: LogSeriesSums):
         self.sums = sums
+        self.zero_rows = sums.first_index
         self.support_bound = sums.terms_used - 1
         self._walk = walk
         # S0 / t_anchor, summed again rather than taken from log_s0 -
         # log_anchor, which would cancel digits at large ln S0.
-        self._mass = math.fsum(walk.outward(sums.first_index, self.support_bound))
-        self._tops = None  # the weight above each block below the walk, once walked
-        self._zero_rows = self._total = None
-
-    def _below(self):
-        """The weights of each block below the walk, a list per block from
-        the highest down; it keeps the weight above each block (``_tops``)
-        and the lowest row reached (``_zero_rows``)."""
-        # Down to n = 0, or to the first block whose lowest row underflows.
-        # Below the anchor w_{n-1} = w_n factor_n / |z|^2, and factor_n <=
-        # |z|^2 up to the peak, so the rounded ratio is at most 1 and w never
-        # rises as n falls: every row beneath that one reads 0.0 too.
-        walk, mass = self._walk, self._mass
-        self._tops, self._zero_rows, w = [], walk.lo, walk.window(walk.lo, walk.lo)[0]
-        while self._zero_rows > 0 and w / mass != 0.0:
-            self._tops.append(w)
-            block = list(walk.fall(w, self._zero_rows, 0))
-            yield block
-            self._zero_rows -= len(block)
-            w = block[-1]
-
-    def _descend(self) -> None:
-        if self._tops is None:
-            # fsum rounds the exact sum, so the order changes only its
-            # speed: each side falls from about 1, the head's rows last,
-            # toward 0.0, and they fold into a few partials; ascending,
-            # they keep about twenty alive.
-            self._total = math.fsum(map(operator.truediv, itertools.chain(
-                self._walk.outward(self._walk.lo, self.support_bound),
-                itertools.chain.from_iterable(self._below())), itertools.repeat(self._mass)))
-
-    @property
-    def zero_rows(self) -> int:
-        """How many leading rows are exactly 0.0: P_n = 0.0 for every n below it.
-
-        It is the lowest row the descent reached, so the rows from it on
-        may begin with a few more 0.0 rows: 83,200 at k = 0.5, |z| = 10,
-        whose first nonzero row is 83,209.
-        """
-        self._descend()
-        return self._zero_rows
+        self._mass = math.fsum(walk.outward(self.zero_rows, self.support_bound))
 
     @property
     def total(self) -> float:
         """The sum of the rows, exact and rounded once (``math.fsum``)."""
-        self._descend()
-        return self._total
+        return math.fsum(self.rows())
 
     def rows(self):
-        """An iterator over P_n for n = zero_rows .. support_bound, made again on each call.
-
-        Each block below the walk is replayed from the weight above it, and
-        the rest is read off the walk's lists; a block whose factors have
-        left the memo has them evaluated again, by the same kernel, to the
-        same doubles.
-        """
-        self._descend()
+        """An iterator over P_n for n = zero_rows .. support_bound, made again on each call."""
         walk = self._walk
-        lo = walk.lo
-        below = (reversed(list(walk.fall(w, min(bottom + MAX_BLOCK, lo), bottom)))
-                 for bottom, w in zip(range(self._zero_rows, lo, MAX_BLOCK), reversed(self._tops)))
-        weights = itertools.chain(itertools.chain.from_iterable(below), reversed(walk._down),
-                                  itertools.islice(walk._up, self.support_bound - walk.anchor + 1))
-        return map(operator.truediv, weights, itertools.repeat(self._mass))
+        # The walk may reach below the window, to the edge of a block of factors.
+        down = itertools.islice(reversed(walk._down), self.zero_rows - walk.lo, None)
+        up = itertools.islice(walk._up, self.support_bound - walk.anchor + 1)
+        return map(operator.truediv, itertools.chain(down, up), itertools.repeat(self._mass))
 
     def weight(self, n: int) -> float:
-        """P_n, 0.0 outside zero_rows .. support_bound.  Each call replays the
+        """P_n, 0.0 outside zero_rows .. support_bound.  Each call reads the
         rows from ``zero_rows`` up to n: to read many, iterate over ``rows()``."""
         zeros = self.zero_rows
         if zeros <= n <= self.support_bound:
@@ -315,12 +260,11 @@ class LogTermWalk:
     the same numbers.  It is grown by ``extend_to`` and read by index range,
     through ``window`` and ``outward``, by the stopping rules, the reduction
     and the distribution's sums; the distribution's rows read its lists in
-    place, and below them replay the downward recurrence (``fall``) without
-    storing it.  Each side grows through the aligned blocks of factors
+    place.  Each side grows through the aligned blocks of factors
     (``core.factor_block``), one lookup per block, to the block's edge or to
     the index asked for.  At |z| = 0 the series is the single term n = 0
-    and the walk cannot be extended.  It holds values only; ``policy_sums`` decides which policies
-    share it.
+    and the walk cannot be extended.  It holds values only; ``policy_sums``
+    decides which policies share it.
     """
 
     def __init__(self, abs_z: float, params: PotentialParams, anchor: int = 0):
@@ -379,23 +323,14 @@ class LogTermWalk:
                 map(operator.truediv, itertools.repeat(z2), factors),
                 operator.mul, initial=self._up[-1]), 1, None))
         while self.lo > n:
-            self._down.extend(self.fall(self._down[-1] if self._down else self._up[0],
-                                        self.lo, n))
-
-    def fall(self, w: float, top: int, n: int):
-        """An iterator over w(top - 1), w(top - 2), ..., from w = w(top), to the
-        start of factor top's block or to w(n), whichever is higher.
-
-        w(j - 1) = w(j) (factor_j / |z|^2), for j = top, top - 1, ...: the
-        walk's downward recurrence, which ``extend_to`` grows the walk by
-        and the distribution replays below it.  From the same w it gives
-        the same doubles.
-        """
-        b, i = divmod(top - 1, MAX_BLOCK)
-        factors = factor_block(b, self.params)[max(n - b * MAX_BLOCK, 0):i + 1]
-        return itertools.islice(itertools.accumulate(
-            map(operator.truediv, reversed(factors), itertools.repeat(self.abs_z * self.abs_z)),
-            operator.mul, initial=w), 1, None)
+            # w(j - 1) = w(j) (factor_j / |z|^2), for j = lo, lo - 1, ...
+            # to the start of factor lo's block, or to n + 1.
+            b, i = divmod(self.lo - 1, MAX_BLOCK)
+            factors = factor_block(b, self.params)[max(n - b * MAX_BLOCK, 0):i + 1]
+            last = self._down[-1] if self._down else self._up[0]
+            self._down.extend(itertools.islice(itertools.accumulate(
+                map(operator.truediv, reversed(factors), itertools.repeat(z2)),
+                operator.mul, initial=last), 1, None))
 
 
 def _log_term(n: int, abs_z: float, params: PotentialParams) -> float:
@@ -734,10 +669,8 @@ def stats_from_sums(sums: LogSeriesSums) -> StateStats:
 
 def weight_distribution(abs_z: float, params: PotentialParams,
                         policy: TruncationPolicy) -> WeightDistribution:
-    """Normalized P_n = t_n / S0 for n = 0 .. N.
-
-    The sums are taken here; the descent below the walk, toward n = 0, is
-    taken only when ``zero_rows`` or ``total`` is first read.
-    """
+    """Normalized P_n = t_n / S0 for n = 0 .. N, S0 the sum over the summed
+    window and P_n 0.0 below it: the distribution whose moments
+    ``state_stats`` gives."""
     return WeightDistribution(*next(_walks(abs_z, params, (policy,))))
 

@@ -1,6 +1,8 @@
 import argparse
 import contextlib
+import gc
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -54,10 +56,15 @@ def invoke(args):
 
 
 def traced_peak(args):
-    """invoke(args) and the peak of the memory it allocated, in bytes, by tracemalloc."""
+    """invoke(args) and the peak of the memory it allocated, in bytes, by tracemalloc.
+
+    The garbage of earlier runs is collected first, so that the peak does
+    not move with when the cyclic collector runs.
+    """
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
+        gc.collect()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         result = invoke(args)
@@ -86,6 +93,15 @@ def parse_csv(output):
     return inputs, header, rows, footer
 
 
+# Malformed or empty lists, each refused with its message.
+LIST_REFUSALS = {
+    ("table", "--k", "1.5", "--z-list", "2.5,x"): "error: could not parse --z-list value '2.5,x'",
+    ("sweep", "--k", "1.5", "--z-min", "0", "--z-max", "1", "--z-step", "0.5", "--cutoffs", "5,"):
+        "error: could not parse --cutoffs value '5,'",
+    ("table", "--k", "1.5", "--z-list", ""): "error: --z-list must contain at least one amplitude",
+}
+
+
 @pytest.mark.parametrize("args", [
     ["stats", "--k", "1.5", "--z", "1", "--fixed-nmax", "0"],
     ["stats", "--k", "1.5", "--z", "1", "--hard-cap", "3"],
@@ -111,12 +127,15 @@ def parse_csv(output):
     ["stats", "--k", "1.5", "--z", "5", "--fixed-nmax", "5", "--hard-cap", "3", "--tail-tol", "0.5"],
     ["stats", "--k", "1.5", "--z", "5", "--fixed-nmax", "1000000", "--hard-cap", "2000000"],
     ["dist", "--k", "1.5", "--z", "1", "--fixed-nmax", "50", "--quiet-run", "20"],
+    *map(list, LIST_REFUSALS),
 ])
 def test_rejected_input_value_is_usage_error(args):
     result = invoke(args)
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+    if tuple(args) in LIST_REFUSALS:
+        assert LIST_REFUSALS[tuple(args)] in result.stderr
 
 
 @pytest.mark.parametrize("command", ["stats", "dist"])
@@ -203,6 +222,19 @@ def test_click_style_entry_point_returns_the_exit_code(capsys):
     assert run(["stats", "--k", "1.5", "--z", "1e300", "--hard-cap", "50"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "hard_cap" in captured.err
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # bench/tracing.py wraps names in ghacs.stats, ghacs.lab and ghacs.cli
+    # that the package itself may not call, and bench/run.py --trace 1 calls
+    # ghacs.cli.main.main: a name deleted from under them fails here.
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    tracing = importlib.import_module("tracing")
+    monkeypatch.setitem(sys.modules, "tracing", tracing)  # unloaded again after the test
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert invoke(["dist", "--k", "1.5", "--z", "2.5"]).exit_code == 0
+    assert tracer.passes and callable(cli.main.main)
 
 
 @pytest.mark.parametrize("args", [
@@ -703,32 +735,30 @@ class TestDistCommand:
         result = invoke(["dist", "--k", "1.5", "--z", "3", "--format", "csv"])
         assert result.exit_code == 0
         _, _, rows, _ = parse_csv(result.output)
-        # Walked out from the peak, down to n = 0, since no row underflows
-        # here: each factor index once, every row's among them (the last
-        # block may reach past the rows).
+        # Walked out from the peak, down to n = 0, where the summed window
+        # starts here: each factor index once, every row's among them (the
+        # last block may reach past the rows).
         assert len(covered) == len(set(covered))
         assert set(range(1, len(rows))) <= set(covered)
 
     def test_zero_prefix_reads_no_factor_below_its_block(self, factor_reads):
-        # At k = 0.5, |z| = 10 the rows below n = 83209 underflow to 0.0.  The
-        # descent below the walk stops in the block of factors that gives
-        # the first of them, P_83208 (factors 83201..83264), and reads none
-        # below it.
+        # At k = 0.5, |z| = 10 the summed window starts at n = 97002, and the
+        # rows below it print 0.0.  The head rule's walk stops in the block
+        # of factors that holds its first index (factors 96961..97024), and
+        # nothing reads a factor below it.
         covered = factor_reads.indices
         result = invoke(["dist", "--k", "0.5", "--z", "10", "--format", "csv"])
         assert result.exit_code == 0
         _, _, rows, _ = parse_csv(result.output)
         assert len(rows) == 105820
-        assert [n for n, p in rows[:83209]] == list(map(str, range(83209)))
-        assert {p for n, p in rows[:83209]} == {"0.0"}
-        assert float(rows[83209][1]) > 0.0
-        # The walk, down to n = 96,960, reads each of its factors once; the
-        # descent below it, and then the replay of the descent's blocks as
-        # their rows are written, each read factors 83201..96960 once.
+        assert [n for n, p in rows[:97002]] == list(map(str, range(97002)))
+        assert {p for n, p in rows[:97002]} == {"0.0"}
+        assert float(rows[97002][1]) > 0.0
+        # The walk reads each of its factors once, and the rows read the
+        # walk's lists.
         counts = Counter(covered)
-        assert min(counts) == 83208 // MAX_BLOCK * MAX_BLOCK + 1 == 83201
-        assert {j for j, c in counts.items() if c != 1} == set(range(83201, 96961))
-        assert set(counts.values()) == {1, 2}
+        assert min(counts) == 97002 // MAX_BLOCK * MAX_BLOCK + 1 == 96961
+        assert set(counts.values()) == {1}
 
     @pytest.mark.parametrize("z,cap", [("100", "50"), ("20", "1000000")])
     def test_rows_beyond_hard_cap_exit_unconverged(self, z, cap):
@@ -769,11 +799,11 @@ class TestDistCommand:
         assert not target.exists()
 
     def test_streamed_csv_peak_memory(self, tmp_path):
-        # Writing the rows as they are formatted, the 105,821-row csv never
+        # Writing the rows a block at a time, the 105,821-row csv never
         # exists as a list of rows, a list of lines or one string; the
         # writer that built all three peaked at 28.8 MB in this test.  Here
         # and below, a first run caches the factor blocks, so that the traced
-        # one pays for itself only (1.00 MB here, and 1.22 MB uncached).
+        # one pays for itself only.
         args = ["dist", "--k", "0.5", "--z", "10", "--format", "csv",
                 "--out", str(tmp_path / "dist.csv")]
         assert invoke(args).exit_code == 0
@@ -782,9 +812,9 @@ class TestDistCommand:
         assert peak <= 0.6 * 28.8e6
 
     def test_streamed_json_peak_memory(self, tmp_path):
-        # The json rows are encoded a chunk at a time and held to the csv
-        # writer's bound; encoded whole, with the payload dict and its rows,
-        # the same distribution peaked near 87 MB in this test.
+        # The json rows are written from the same block templates as the
+        # csv's and held to its bound; encoded whole, with the payload dict
+        # and its rows, the same distribution peaked near 87 MB in this test.
         target = tmp_path / "dist.json"
         args = ["dist", "--k", "0.5", "--z", "10", "--format", "json", "--out", str(target)]
         assert invoke(args).exit_code == 0
@@ -794,28 +824,31 @@ class TestDistCommand:
         assert peak <= 0.6 * 28.8e6
 
     @pytest.mark.parametrize("fmt,digest", [
-        ("csv", "729da96b0bc1fbca519b8a6725984658b930d2c9f47349d11c65cb5720cc4d33"),
-        ("json", "d3037e31c1e0e45b3ddb8d5278c7ed8221d8ec3ed7480126a7a5d663740523b7"),
+        ("csv", "7ad78295a7fd46b14f98b22ce8d43a7fd4af6f73f19357c96893baa52052be1a"),
+        ("json", "74fdd6ff3731555a3323c90118f07b4c1e0c8644c6cb8f6957359137a6eaac64"),
         ("table", "f6aa26e345821347bb83fa51ae5bb56b73a4a2525d8d32281ee75ca1a4f31b7e")])
     def test_zero_rows_print_as_every_row_formatted(self, fmt, digest):
-        # The sha256 of the stdout from when each of the 105,820 rows, the
-        # 83,209 that print 0.0 among them, was formatted on its own.
+        # The sha256 of the stdout from when each of the 105,820 rows was
+        # formatted on its own, with the 97,002 below the summed window
+        # printing 0.0 and the footer the fsum of the rows printed.
         result = invoke(["dist", "--k", "0.5", "--z", "10", "--format", fmt])
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("args,fmt,digest", [
-        # 896 rows never walked and 17 more that print 0.0, inside block 0;
-        # rows through n = 3,278.
-        ("1.5 30", "csv", "0cddcc346f66fc38f4ddced0c7a73a3724337e1601e56cf6250a3959df89bccd"),
-        ("1.5 30", "json", "c6e953bf491fcb1d302e0fe1df5de7210ca262117177ae24dea71f7c5a237716"),
+        # 2,276 rows below the summed window, across blocks 0 to 2; rows
+        # through n = 3,278.
+        ("1.5 30", "csv", "f397d125d3f06c0f56c206edac6223b6ce337dbdea10c848a29f0abfb2fb99db"),
+        ("1.5 30", "json", "124260a83f4ef8c048ad7e859d14cadd14421321602c1205180aee692f28e8cd"),
         ("1.5 30", "table", "a8ad5afd426b33fae9df67ec68ac23049199dcd513b597ac2d82e149d67eed09"),
-        # No zero rows; rows through n = 1,607, across 999 -> 1,000.
-        ("0.5 4", "csv", "2fc11c4337f37a88f3c3b033df175d69e6ac560b50d668a6b237e76d95509478"),
-        ("0.5 4", "json", "a58b998311783eaa2d46ad46cd7ebbc0a6260e547549e63ec5c5b7c6168400f3"),
+        # 698 rows below the window; rows through n = 1,607, across 999 -> 1,000.
+        ("0.5 4", "csv", "49c12ea33196868af9349bb44b8ce979f4ad26673dcb8c99125d62c9bba02bb0"),
+        ("0.5 4", "json", "7db90dfb930a3f6c89e03ba85ae75858e0797f18beac20e9d8c65909f953cf7b"),
         ("0.5 4", "table", "8460948c007925d86c8327bfb08100ae0afc7029db7679cdd9595646aaa3844c")])
     def test_rows_print_as_every_row_formatted(self, args, fmt, digest):
-        # The sha256 of the stdout from when each row was formatted on its own.
+        # The sha256 of the stdout from when each row was formatted on its
+        # own, with the rows below the summed window printing 0.0 and the
+        # footer the fsum of the rows printed.
         k, z = args.split()
         result = invoke(["dist", "--k", k, "--z", z, "--format", fmt])
         assert result.exit_code == 0
@@ -857,11 +890,12 @@ class TestDistCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "table"])
     def test_zero_prefix_costs_no_memory_of_its_own(self, tmp_path, fmt):
-        # The 83,209 rows that underflow share one 0.0 and are never walked:
-        # the csv run peaked at 2.3 MB, and at 5.3 MB when the walk went down
-        # to n = 0 and held a float per row.  The table's column widths are
-        # taken in a pass of their own, so its cells are not held either:
-        # holding them, it peaked at 22.6 MB.
+        # The 97,002 rows below the summed window share one 0.0 and are never
+        # walked: both runs peak near 0.74 MB, at the reduction's w d list,
+        # and the csv one peaked at 5.3 MB when the walk went down to n = 0
+        # and held a float per row.  The table's lines come from the same
+        # block templates, so its cells are not held: holding them, it
+        # peaked at 22.6 MB.
         args = ["dist", "--k", "0.5", "--z", "10", "--format", fmt,
                 "--out", str(tmp_path / "dist.txt")]
         assert invoke(args).exit_code == 0
@@ -870,9 +904,9 @@ class TestDistCommand:
         assert peak <= 3.5e6
 
     def test_zero_rows_are_not_stored(self, tmp_path):
-        # 713,344 of the 776,288 rows at |z| = 15 are never walked: the run
-        # peaked at 9.9 MB while they were kept as a list of 0.0, and at
-        # 3.4 MB without it.
+        # 751,963 of the 776,288 rows at |z| = 15 lie below the summed window
+        # and are never walked: the run peaked at 9.9 MB while the rows that
+        # underflow were kept as a list of 0.0, and peaks at 1.85 MB now.
         args = ["dist", "--k", "0.5", "--z", "15", "--format", "csv",
                 "--out", str(tmp_path / "dist.csv")]
         assert invoke(args).exit_code == 0
@@ -881,12 +915,11 @@ class TestDistCommand:
         assert peak <= 5e6
 
     def test_rows_are_not_held(self, tmp_path):
-        # No row is held: each is made again from the walk, or replayed from
-        # the weight above its block of factors below the walk, as its block
-        # of 1,000 rows is written.  Holding the 22,620 rows from n = 83,200
+        # No row is held: each is read again off the walk's lists as its
+        # block of 1,000 rows is written.  Holding the rows from n = 83,200
         # on, the walk's own lists divided in place, the run peaked at
-        # 1.00 MB here, and at 0.72 MB without them.  A first run caches the
-        # factor blocks, so that the traced one pays for its rows only.
+        # 1.00 MB here; it peaks at 0.73 MB without them.  A first run caches
+        # the factor blocks, so that the traced one pays for its rows only.
         args = ["dist", "--k", "0.5", "--z", "10", "--format", "csv",
                 "--out", str(tmp_path / "dist.csv")]
         assert invoke(args).exit_code == 0

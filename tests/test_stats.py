@@ -134,9 +134,8 @@ def reference_window(abs_z, params, policy):
 
 
 def reference_weights(abs_z, params, policy):
-    """P_0 .. P_N off a walk extended all the way down to n = 0, as read
-    before the distribution's walk stopped at the first row that
-    underflows."""
+    """w_n / s for n = 0 .. N, s the sum over the summed window, off a walk
+    extended all the way down to n = 0."""
     walk, sums = next(ghacs.stats._walks(abs_z, params, (policy,)))
     mass = math.fsum(walk.window(sums.first_index, sums.terms_used - 1))
     walk.extend_to(0)
@@ -425,6 +424,16 @@ class TestAccumulateSums:
         for bound, tail in zip(bounds, (w, wd, wd2)):
             assert math.fsum(tail) <= bound
 
+    def test_tail_bound_refuses_where_the_ratio_may_not_fall(self):
+        # No bound below the peak, where the ratio at m + 1 is above 1, nor
+        # where m + 2 + c reaches 2^48 alpha, past which the factors are not
+        # shown never to fall; the ratio there is far below 1.
+        peak = ghacs.stats._peak_index(4.5, K15)
+        assert ghacs.stats._tail_bound(LogTermWalk(4.5, K15, peak - 5), peak - 5) is None
+        edge = math.ceil(2.0 ** 48 * K15.alpha - 2 - K15.offset)
+        assert ghacs.stats._tail_bound(LogTermWalk(4.5, K15, edge - 1), edge - 1) is not None
+        assert ghacs.stats._tail_bound(LogTermWalk(4.5, K15, edge), edge) is None
+
     @given(k=st.floats(min_value=0.8, max_value=10.0), z=st.floats(min_value=1e-3, max_value=30.0))
     @settings(max_examples=40, deadline=None)
     def test_early_refusal_only_where_s0_cannot_absorb(self, k, z):
@@ -675,6 +684,22 @@ class TestStridedSums:
         assert ghacs.stats._strided_sums(15.0, params, policy, 765785) is None
         assert accumulate_sums(15.0, params, policy) == walked(15.0, params, policy)
 
+    def test_window_one_term_past_the_hard_cap_walks(self):
+        # At k = 0.5, |z| = 15 the window 751963..776287 holds 24,325 terms.
+        # A cap one term short fits the head but not the quiet run's end:
+        # the lattice leaves the run to the walk, which stops at the cap,
+        # unconverged.  One term more, and the lattice serves it.
+        params = PotentialParams(k=0.5)
+        peak = ghacs.stats._peak_index(15.0, params)
+        short = TruncationPolicy.adaptive(hard_cap=24324)
+        assert ghacs.stats._strided_sums(15.0, params, short, peak) is None
+        sums = accumulate_sums(15.0, params, short)
+        assert sums == walked(15.0, params, short)
+        assert window_of(sums) == (751963, 776287, None, False)
+        fits = TruncationPolicy.adaptive(hard_cap=24325)
+        assert window_of(ghacs.stats._strided_sums(15.0, params, fits, peak)) == (
+            751963, 776288, 776278, True)
+
     def test_threshold_the_walk_might_not_share_walks(self):
         # Against the whole S2 the threshold is 778172033, two terms before
         # the walk's.
@@ -839,14 +864,20 @@ class TestWeightDistribution:
             assert wd.weight(n) == pytest.approx(want, abs=1e-12)
 
     def test_moments_consistent_with_stats(self):
-        z = 2.5
-        wd = weight_distribution(z, K15, ADAPTIVE)
-        st_ = state_stats(z, K15, ADAPTIVE)
-        # The rows are made again on each call to rows().
-        mean = math.fsum(n * w for n, w in enumerate(wd.rows(), wd.zero_rows))
-        second = math.fsum(n * n * w for n, w in enumerate(wd.rows(), wd.zero_rows))
-        assert mean == pytest.approx(st_.mean, rel=1e-10)
-        assert second - mean ** 2 == pytest.approx(st_.variance, rel=1e-8)
+        # The rows are the distribution the sums describe, at any tolerance:
+        # they sum to 1, and their moments are stats'.  With the head below
+        # the window printed, they summed to 1.0000546 at 1e-3 and 1.0119 at
+        # 0.9.
+        for z, tail_tolerance in ((2.5, 1e-16), (3.0, 1e-3), (3.0, 0.9)):
+            policy = TruncationPolicy.adaptive(tail_tolerance=tail_tolerance)
+            wd = weight_distribution(z, K15, policy)
+            st_ = state_stats(z, K15, policy)
+            assert abs(wd.total - 1.0) <= 4 * math.ulp(1.0)
+            rows = list(enumerate(wd.rows(), wd.zero_rows))
+            mean = math.fsum(n * w for n, w in rows)
+            variance = math.fsum((n - mean) ** 2 * w for n, w in rows)
+            assert mean == pytest.approx(st_.mean, rel=1e-13, abs=0)
+            assert variance == pytest.approx(st_.variance, rel=1e-13, abs=0)
 
     @given(z=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=12.0)),
            k=st.floats(min_value=-1.0, max_value=2.0).map(lambda log_k: 10.0 ** log_k),
@@ -859,51 +890,29 @@ class TestWeightDistribution:
     @example(z=5.0, k=0.5, gamma=2.0, policy=TruncationPolicy.fixed(2000))
     @settings(max_examples=200, deadline=None)
     def test_rows_match_the_full_walk_bitwise(self, z, k, gamma, policy):
-        # The descent stops at the first row that underflows, and the rows
-        # beneath it are taken as 0.0 without their factors.
+        # The rows from the summed window's first index on are the full
+        # walk's doubles, and the rows below it are 0.0.
         params = PotentialParams(k=k, gamma=gamma)
         assume(start_of(z, params, policy) <= 3 * 10 ** 5)
         wd = weight_distribution(z, params, policy)
         assume(wd.support_bound <= 3 * 10 ** 5)
         rows, zeros = list(wd.rows()), wd.zero_rows
         weights = reference_weights(z, params, policy)
-        event("zero prefix" if weights[0] == 0.0 else "no zero prefix")
-        assert not any(weights[:zeros])
+        event("zero prefix" if zeros else "no zero prefix")
+        assert zeros == wd.sums.first_index
         assert list(map(float.hex, rows)) == list(map(float.hex, weights[zeros:]))
-        # fsum rounds the exact sum: the order the descent adds the rows in,
-        # and the zero rows it leaves out, cannot change it.
-        assert wd.total == math.fsum(weights)
+        assert [wd.weight(n) for n in (0, zeros - 1, wd.support_bound + 1)] == [
+            weights[0] if zeros == 0 else 0.0, 0.0, 0.0]
+        assert wd.total == math.fsum(rows)
 
     def test_zero_rows_are_the_walks_lowest_row(self):
-        # At k = 0.5, |z| = 10 the descent stops in the block of factors
-        # 83201..83264, whose lowest row, 83200, underflows; the first row
-        # that does not is 83209.
+        # At k = 0.5, |z| = 10 the summed window, and so the rows that are
+        # made, start at n = 97002; the walk's lowest row is 96960, at the
+        # edge of the head rule's last block of factors.
         wd = weight_distribution(10.0, PotentialParams(k=0.5), ADAPTIVE)
-        assert wd.zero_rows == 83200
-        # Only the rows from zero_rows on are made.
+        assert wd.zero_rows == wd.sums.first_index == 97002
         rows = list(wd.rows())
-        assert len(rows) == wd.support_bound + 1 - 83200
-        assert not any(rows[:9])
-        assert rows[9] > 0.0
-        assert [wd.weight(n) for n in (0, 83199, 83200, 83209, wd.support_bound)] == [
-            0.0, 0.0, rows[0], rows[9], rows[-1]]
-
-    @pytest.mark.parametrize("policy", [ADAPTIVE, TruncationPolicy.adaptive(hard_cap=1000)])
-    def test_replay_evaluates_evicted_factors_again_bitwise(self, policy):
-        # At k = 0.5, |z| = 10 the descent walks 215 blocks below the walk,
-        # more than the factor memo keeps.  With the memo emptied between
-        # the descent and the replay, every block is evaluated again, and
-        # every row is still the reference walk's double.  Under a hard cap
-        # of 1,000 the walk's lowest row lies inside a block of factors, so
-        # the descent's first block is a part of one.
-        params = PotentialParams(k=0.5)
-        wd = weight_distribution(10.0, params, policy)
-        zeros = wd.zero_rows
-        ghacs.core.factor_block.cache_clear()
-        weights = reference_weights(10.0, params, policy)
-        assert not any(weights[:zeros])
-        want = list(map(float.hex, weights[zeros:]))
-        assert list(map(float.hex, wd.rows())) == want
-        ghacs.core.factor_block.cache_clear()
-        assert list(map(float.hex, wd.rows())) == want
-        assert wd.total == math.fsum(weights)
+        assert len(rows) == wd.support_bound + 1 - 97002
+        assert rows[0] > 0.0
+        assert [wd.weight(n) for n in (0, 97001, 97002, wd.support_bound)] == [
+            0.0, 0.0, rows[0], rows[-1]]
