@@ -24,11 +24,11 @@ import sys
 
 from . import stats as engine
 from .core import PotentialParams
-from .lab import SweepSpec, collapse_onset, run_sweep, sweep_row
-from .stats import (DEFAULT_POLICY, LogSeriesSums, StateStats, TruncationPolicy,
-                    weight_distribution)
+from .lab import SweepSpec, sweep_row, sweep_rows
+from .stats import DEFAULT_POLICY, LogSeriesSums, TruncationPolicy, weight_distribution
 # Not called here, but the benchmark's tracer (bench/tracing.py) wraps
-# ghacs.cli.state_stats, so the name stays bound.
+# ghacs.cli.state_stats and ghacs.cli.run_sweep, so the names stay bound.
+from .lab import run_sweep  # noqa: F401
 from .stats import state_stats  # noqa: F401
 
 EXIT_UNCONVERGED = 3
@@ -111,35 +111,43 @@ def _sink(out: str | None):
         raise UsageError(f"cannot write {name}: {exc.strerror}") from None
 
 
-def _emit(fmt, out, inputs, header, rows, cells, footers=None):
+def _emit(fmt, out, inputs, header, rows, cells):
     """Write ``rows`` as csv, json or a pretty table, the inputs echoed first.
 
-    The whole text is built, then written at once: these outputs run to a
-    few thousand rows at most.  Each csv row is one template, and the json
-    one strict json.dumps (no NaN or Infinity tokens).  ``cells`` is the
-    table format's rows of strings, header row first; each line is one
-    template built from the column widths.  ``footers`` maps a format to
-    what follows the rows: csv comment lines, extra json keys, table lines.
+    The whole text is built, then written at once: stats prints one row
+    and table one per listed amplitude.  Each csv row is one template, and
+    the json one strict json.dumps (no NaN or Infinity tokens).  ``cells``
+    is the table format's rows of strings, header row first.
     """
-    footers = footers or {}
     comments = [f"# {key}={value}" for key, value in inputs.items()]
     if fmt == "json":
         import json
 
-        payload = {"inputs": inputs, "rows": [dict(zip(header, row)) for row in rows],
-                   **footers.get("json", {})}
+        payload = {"inputs": inputs, "rows": [dict(zip(header, row)) for row in rows]}
         lines = [json.dumps(payload, indent=2, allow_nan=False)]
     elif fmt == "csv":
         template = ",".join(["%s"] * len(header))
-        lines = [*comments, ",".join(header), *map(template.__mod__, map(tuple, rows)),
-                 *(f"# {c}" for c in footers.get("csv", ()))]
+        lines = [*comments, ",".join(header), *map(template.__mod__, map(tuple, rows))]
     else:
-        widths = [max(map(len, column)) for column in zip(*cells)]
-        template = "  ".join(f"%-{w}s" for w in widths)
-        lines = [*comments, *[(template % tuple(row)).rstrip() for row in cells],
-                 *footers.get("table", ())]
+        lines = [*comments, *_table_lines(cells)]
     with _sink(out) as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _table_lines(cells):
+    """A line per row of ``cells``, made as it is read, from one template of the column widths."""
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    template = "  ".join(f"%-{w}s" for w in widths)
+    return ((template % tuple(row)).rstrip() for row in cells)
+
+
+def _json_frame(payload) -> tuple[str, str]:
+    """The text of strict ``json.dumps(payload, indent=2)``, its ``"rows"``
+    list empty, cut where that list stands, before and after its rows."""
+    import json
+
+    head, tail = json.dumps(payload, indent=2, allow_nan=False).split('\n  "rows": []', 1)
+    return head + '\n  "rows": [\n', "\n  ]" + tail + "\n"
 
 
 # dist writes its rows in blocks of this many indices, a power of ten: past
@@ -194,8 +202,8 @@ def _fmt3(x) -> str:
     return "undefined" if x is None else f"{x:.3f}"
 
 
-def _q_value(stats: StateStats):
-    return "undefined" if stats.mandel_q is None else stats.mandel_q
+def _q_value(q):
+    return "undefined" if q is None else q
 
 
 def _converged(policy: TruncationPolicy, sums: LogSeriesSums) -> bool:
@@ -241,7 +249,7 @@ def stats(args) -> int:
     inputs = {"k": k, "gamma": gamma, "z": z, **_policy_inputs(policy)}
     header = ["mean", "variance", "mandel_q", "normalization",
               "terms_used", "converged", "threshold"]
-    row = [st.mean, st.variance, _q_value(st), st.normalization,
+    row = [st.mean, st.variance, _q_value(st.mandel_q), st.normalization,
            st.sums.terms_used, st.sums.converged, st.sums.estimated_threshold]
     shown = [f"{st.mean:.2f}", f"{st.variance:.2f}", _fmt3(st.mandel_q),
              f"{st.normalization:.6g}", str(st.sums.terms_used),
@@ -271,8 +279,8 @@ def table(args) -> int:
     header = ["z", "mean", "variance", "mandel_q",
               "mean_fixed", "variance_fixed", "mandel_q_fixed",
               "threshold", "n_max"]
-    rows = [[z, a.mean, a.variance, _q_value(a), f.mean, f.variance, _q_value(f),
-             a.sums.estimated_threshold, fixed_nmax] for z, a, f in pairs]
+    rows = [[z, a.mean, a.variance, _q_value(a.mandel_q), f.mean, f.variance,
+             _q_value(f.mandel_q), a.sums.estimated_threshold, fixed_nmax] for z, a, f in pairs]
     inputs = {"k": k, "gamma": gamma, **_policy_inputs(adaptive_policy),
               "fixed_nmax": fixed_nmax}
     _emit(args.fmt, args.out, inputs, header, rows, [header] + [
@@ -305,42 +313,61 @@ def sweep(args) -> int:
     After the rows, one footer per cutoff gives its collapse onset: the
     first |z| where its Q lies 0.5 below the adaptive Q (None if none).
     """
-    k, gamma = args.k, args.gamma
+    k, gamma, fmt = args.k, args.gamma, args.fmt
     grid = _z_grid(args.z_min, args.z_max, args.z_step)
     cut = _parse_list(args.cutoffs, int, "cutoffs")
+    header, labels = ["z", "cutoff", "mandel_q", "status"], ["adaptive", *map(str, cut)]
+    # An unconverged row's Q is a truncated window's, not the series': it
+    # prints none, an empty csv cell, json null or "-" in the table.
+    no_q, show = {"csv": ("", _q_value), "json": (None, _q_value), "table": ("-", _fmt3)}[fmt]
+    line = "%s,%s,%s,%s\n"
+    if fmt == "json":
+        import json
+
+        # Laid out as json.dumps(..., indent=2) lays out a row of the list.
+        line = ('    {\n      "z": %s,\n      "cutoff": "%s",\n      "mandel_q": %s,\n'
+                '      "status": "%s"\n    },\n')
+    # Each grid point is run, then kept only as its csv lines, its json rows
+    # (each ending in ",\n", which the last loses) or its table cells, whose
+    # widths need them all.  Nothing is written before the last point ran.
+    onsets, points = dict.fromkeys(cut), []
     with _usage_errors():
         spec = SweepSpec(k=k, gamma=gamma, z_grid=grid, cutoffs=cut)
         policy = _policy_from_flags(args)
-        report = run_sweep(spec, policy)
-    onsets = {c: collapse_onset(report, c) for c in cut}
-
-    header = ["z", "cutoff", "mandel_q", "status"]
-    # An unconverged row's Q is a truncated window's, not the series': it
-    # prints none, an empty csv cell, json null or "-" in the table.
-    no_q = "" if args.fmt == "csv" else None
-    rows, cells = [], [header]
-    for row in report.rows:
-        labelled = [("adaptive", row.adaptive_stats)]
-        labelled += [(str(n_max), row.fixed_stats[n_max]) for n_max in cut]
-        for label, st in labelled:
-            if label == "adaptive" and row.flagged:
-                q, status = no_q, "unconverged"
+        for row in sweep_rows(spec, policy):
+            onsets.update((c, row.abs_z) for c in cut if onsets[c] is None and row.collapsed(c))
+            z, records = f"{row.abs_z:g}" if fmt == "table" else row.abs_z, []
+            for label, st in zip(labels, (row.adaptive_stats, *map(row.fixed_stats.get, cut))):
+                flagged = label == "adaptive" and row.flagged
+                status = "unconverged" if flagged else "undefined" if st.mandel_q is None else "ok"
+                records.append((z, label, no_q if flagged else show(st.mandel_q), status))
+            if fmt == "json":  # each Q as strict json: null, "undefined" or a finite number
+                qs = json.dumps([r[2] for r in records], allow_nan=False)[1:-1].split(", ")
+                records = [(z, label, q, status) for (z, label, _, status), q in zip(records, qs)]
+            if fmt == "table":
+                points += records
             else:
-                q, status = _q_value(st), "undefined" if st.mandel_q is None else "ok"
-            rows.append([row.abs_z, label, q, status])
-            if args.fmt == "table":
-                shown = "-" if status == "unconverged" else _fmt3(st.mandel_q)
-                cells.append([f"{row.abs_z:g}", label, shown, status])
+                points.append("".join(map(line.__mod__, records)))
 
     inputs = {"k": k, "gamma": gamma, **_policy_inputs(policy),
               "z_min": args.z_min, "z_max": args.z_max, "z_step": args.z_step,
-              "cutoffs": ",".join(str(c) for c in cut)}
-    footers = {
-        "csv": [f"onset_{c}={z}" for c, z in onsets.items()],
-        "json": {"onsets": {str(c): z for c, z in onsets.items()}} if cut else {},
-        "table": [f"onset_{c}  {'None' if z is None else f'{z:g}'}" for c, z in onsets.items()],
-    }
-    _emit(args.fmt, args.out, inputs, header, rows, cells, footers)
+              "cutoffs": ",".join(labels[1:])}
+    comments = "".join(f"# {key}={value}\n" for key, value in inputs.items())
+    if fmt == "json":
+        head, tail = _json_frame({"inputs": inputs, "rows": [], **(
+            {"onsets": {str(c): z for c, z in onsets.items()}} if cut else {})})
+        points[-1] = points[-1][:-2]
+    elif fmt == "csv":
+        head = comments + ",".join(header) + "\n"
+        tail = "".join(f"# onset_{c}={z}\n" for c, z in onsets.items())
+    else:
+        head, points = comments, map("%s\n".__mod__, _table_lines([header, *points]))
+        tail = "".join(f"onset_{c}  {'None' if z is None else f'{z:g}'}\n"
+                       for c, z in onsets.items())
+    with _sink(args.out) as fh:
+        fh.write(head)
+        fh.writelines(points)
+        fh.write(tail)
     return 0
 
 
@@ -368,13 +395,7 @@ def dist(args) -> int:
     # ``slot``; the rows below ``zeros`` have ``zero`` there instead.
     slot, zero, width, cut = "%s", str(0.0), 0, 0
     if args.fmt == "json":
-        import json
-
-        # Encoded, and a non-finite sum refused, before a byte is written;
-        # cut where the empty list of rows stands, two spaces in.
-        head, tail = json.dumps({"inputs": inputs, "rows": [], "weight_sum": total}, indent=2,
-                                allow_nan=False).split('\n  "rows": []', 1)
-        head, tail = head + '\n  "rows": [\n', "\n  ]" + tail + "\n"
+        head, tail = _json_frame({"inputs": inputs, "rows": [], "weight_sum": total})
         # Laid out as json.dumps(..., indent=2) lays out a row of the list;
         # the last row's comma is cut.
         line, cut = '    {\n      "n": #,\n      "p_n": %s\n    },\n', 2

@@ -5,6 +5,8 @@ the moment sums of their dominant terms: the distribution piles up against
 the cutoff, the variance collapses and Mandel Q plunges spuriously toward
 -1.  This module estimates the threshold, runs cutoff families over a
 |z| grid and locates the onset of that collapse for each cutoff.
+``sweep_rows`` yields a grid's rows one at a time, so that a caller may
+drop each once used; ``run_sweep`` holds them all in a report.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "estimate_threshold",
     "run_sweep",
     "sweep_row",
+    "sweep_rows",
     "collapse_onset",
 ]
 
@@ -74,6 +77,11 @@ class SweepRow(namedtuple("SweepRow", "abs_z adaptive_stats fixed_stats")):
         """True when the adaptive reference did not converge; kept, not dropped."""
         return not self.adaptive_stats.sums.converged
 
+    def collapsed(self, n_max: int, drop: float = 0.5) -> bool:
+        """True when cutoff ``n_max``'s Q lies more than ``drop`` below a converged adaptive Q."""
+        q, q_fixed = self.adaptive_stats.mandel_q, self.fixed_stats[n_max].mandel_q
+        return None not in (q, q_fixed) and not self.flagged and q_fixed < q - drop
+
 
 class TruncationReport(namedtuple("TruncationReport", "spec rows")):
     """A sweep's spec and its rows, one per grid amplitude in grid order."""
@@ -120,35 +128,34 @@ def _sweep_row(abs_z: float, params: PotentialParams, policies: tuple[Truncation
     return SweepRow(abs_z=abs_z, adaptive_stats=adaptive, fixed_stats=dict(zip(cutoffs, fixed)))
 
 
-def run_sweep(spec: SweepSpec, policy_defaults: TruncationPolicy) -> TruncationReport:
-    """Adaptive reference plus every fixed cutoff, for each grid point.
+def sweep_rows(spec: SweepSpec, policy_defaults: TruncationPolicy):
+    """Adaptive reference plus every fixed cutoff, for each grid point: its
+    ``SweepRow``, yielded in grid order.
 
-    Rows are independent and emitted in grid order; a row whose adaptive
-    run fails to converge is flagged in place rather than aborting the
-    sweep.  Identical inputs produce an identical report.  The policies
-    are built once, for every row.
+    Rows are independent; a row whose adaptive run fails to converge is
+    flagged in place rather than aborting the sweep.  Identical inputs
+    produce identical rows.  The policies are built once, for every row.
     """
     params, cutoffs = spec.params, spec.cutoffs
     policies = (policy_defaults, *map(TruncationPolicy.fixed, cutoffs))
-    rows = tuple(_sweep_row(abs_z, params, policies, cutoffs) for abs_z in spec.z_grid)
-    return TruncationReport(spec=spec, rows=rows)
+    for abs_z in spec.z_grid:
+        yield _sweep_row(abs_z, params, policies, cutoffs)
+
+
+def run_sweep(spec: SweepSpec, policy_defaults: TruncationPolicy) -> TruncationReport:
+    """Every row of ``sweep_rows``, held in a report."""
+    return TruncationReport(spec=spec, rows=tuple(sweep_rows(spec, policy_defaults)))
 
 
 def collapse_onset(report: TruncationReport, n_max: int,
                    drop: float = 0.5) -> float | None:
     """Smallest grid |z| where the fixed-cutoff Q has peeled off the adaptive Q by more than ``drop``.
 
-    None when the cutoff tracks the adaptive reference over the whole grid.
+    None when the cutoff tracks the adaptive reference over the whole grid
+    (``SweepRow.collapsed`` is the test at each point).
     """
     if n_max not in report.spec.cutoffs:
         raise ValueError(f"n_max={n_max} is not one of the report cutoffs")
     if not (drop > 0 and math.isfinite(drop)):
         raise ValueError(f"drop must be a positive finite number, got {drop}")
-    for row in report.rows:
-        q_adaptive = row.adaptive_stats.mandel_q
-        q_fixed = row.fixed_stats[n_max].mandel_q
-        if q_adaptive is None or q_fixed is None or row.flagged:
-            continue
-        if q_fixed < q_adaptive - drop:
-            return row.abs_z
-    return None
+    return next((row.abs_z for row in report.rows if row.collapsed(n_max, drop)), None)

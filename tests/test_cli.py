@@ -23,7 +23,7 @@ import ghacs
 from ghacs import cli
 from ghacs.cli import main
 from ghacs.core import MAX_BLOCK
-from ghacs.lab import SweepSpec, collapse_onset, run_sweep
+from ghacs.lab import SweepSpec, collapse_onset, run_sweep, sweep_rows
 from ghacs.stats import TruncationPolicy
 
 
@@ -362,7 +362,7 @@ def test_out_naming_a_directory_is_refused_before_the_run(monkeypatch, tmp_path,
         raise AssertionError("the run started")
 
     monkeypatch.setattr(cli.engine, "accumulate_sums", unreachable)
-    for name in ("weight_distribution", "sweep_row", "run_sweep"):
+    for name in ("weight_distribution", "sweep_row", "sweep_rows", "run_sweep"):
         monkeypatch.setattr(cli, name, unreachable)
     result = invoke(args + ["--out", str(tmp_path / target)])
     assert result.exit_code == 2
@@ -521,8 +521,12 @@ class TestStatsCommand:
     def test_peak_past_2_52_exits_at_once(self):
         # At k = 0.1 the peak passes 2^52 from |z| near 5.5.  The walk starts
         # at the top of the default cap and ends a few terms below it;
-        # walked up from n = 0 to the cap, it peaked at 105.6 MB here.
-        result, peak = traced_peak(["stats", "--k", "0.1", "--z", "30"])
+        # walked up from n = 0 to the cap, it peaked at 105.6 MB here.  A
+        # first run caches the factor blocks, as in the other memory tests:
+        # the traced one peaks near 42 KB.
+        args = ["stats", "--k", "0.1", "--z", "30"]
+        invoke(args)
+        result, peak = traced_peak(args)
         assert result.exit_code == 3
         assert "hard_cap" in result.output
         assert peak <= 3.5e6
@@ -680,6 +684,78 @@ class TestSweepCommand:
         result = invoke(["sweep", "--k", "1.5", "--z-min", "5",
                                       "--z-max", "1", "--z-step", "0.5"])
         assert result.exit_code == 2
+
+    # |z| = 0 (Q undefined), then converged rows on which cutoffs 2 and 3
+    # collapse, then from |z| = 1.75 rows whose adaptive run stops at the
+    # hard cap of 20 terms, where cutoff 5's Q lies more than 0.5 below the
+    # truncated adaptive Q but no onset may be read.
+    MIXED = ["sweep", "--k", "1.5", "--z-min", "0", "--z-max", "3", "--z-step", "0.25",
+             "--cutoffs", "2,3,5", "--hard-cap", "20", "--quiet-run", "5", "--tail-tol", "1e-4"]
+
+    def test_onsets_are_collapse_onsets_of_the_report(self):
+        policy = TruncationPolicy.adaptive(hard_cap=20, quiet_run=5, tail_tolerance=1e-4)
+        spec = SweepSpec(k=1.5, gamma=2.0, z_grid=cli._z_grid(0.0, 3.0, 0.25), cutoffs=(2, 3, 5))
+        report = run_sweep(spec, policy)
+        first, *rest = report.rows
+        assert first.adaptive_stats.mandel_q is None
+        flagged = [row for row in rest if row.flagged]
+        assert flagged and all(row.fixed_stats[5].mandel_q < row.adaptive_stats.mandel_q - 0.5
+                               for row in flagged)
+        onsets = {c: collapse_onset(report, c) for c in spec.cutoffs}
+        assert onsets == {2: 1.25, 3: 1.5, 5: None}
+
+        _, _, rows, footer = parse_csv(invoke(self.MIXED + ["--format", "csv"]).stdout)
+        assert len(rows) == 13 * 4
+        assert footer == [f"onset_{c}={z}" for c, z in onsets.items()]
+        payload = json.loads(invoke(self.MIXED + ["--format", "json"]).stdout)
+        assert payload["onsets"] == {str(c): z for c, z in onsets.items()}
+        assert invoke(self.MIXED).stdout.splitlines()[-3:] == [
+            "onset_2  1.25", "onset_3  1.5", "onset_5  None"]
+
+    # |z| = 0.1 to 0.4 run; at |z| = 0.5, ln g needs more directly summed
+    # factors than k = 0.015 allows, and the sweep is refused.
+    REFUSED_LATE = ["sweep", "--k", "0.015", "--z-min", "0.1", "--z-max", "2", "--z-step", "0.1"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_refusal_after_the_first_point_prints_nothing(self, monkeypatch, tmp_path, fmt):
+        ran = []
+
+        def recorded(spec, policy):
+            for row in sweep_rows(spec, policy):
+                ran.append(row.abs_z)
+                yield row
+
+        monkeypatch.setattr(cli, "sweep_rows", recorded)
+        target = tmp_path / "sweep.txt"
+        for out in ([], ["--out", str(target)]):
+            result = invoke(self.REFUSED_LATE + ["--format", fmt] + out)
+            assert result.exit_code == 2
+            assert result.stdout == ""
+            assert "needs 1855869 directly summed factors" in result.stderr
+        assert not target.exists()
+        assert ran == [0.1, 0.2, 0.3, 0.4] * 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_reference_sweep_keeps_only_its_text(self, tmp_path, fmt):
+        # Holding its whole report and every row before writing, the sweep
+        # peaked at 621 KB in csv, 1,315 KB in json and 768 KB in table.
+        # Keeping each grid point's text only, it peaks at 155, 214 and
+        # 254 KB.  A first run caches the factor blocks.
+        args = REFERENCE_SWEEP.split() + ["--format", fmt, "--out", str(tmp_path / "sweep.txt")]
+        assert invoke(args).exit_code == 0
+        result, peak = traced_peak(args)
+        assert result.exit_code == 0
+        assert peak <= 0.5e6
+
+    def test_peak_does_not_grow_with_the_report(self, tmp_path):
+        # At ten times the reference grid, 1,500 points: 5.70 MB when the
+        # report and the rows were held, 0.66 MB now.
+        args = REFERENCE_SWEEP.replace("--z-step 0.1", "--z-step 0.01").split() + [
+            "--format", "csv", "--out", str(tmp_path / "sweep.csv")]
+        assert invoke(args).exit_code == 0
+        result, peak = traced_peak(args)
+        assert result.exit_code == 0
+        assert peak <= 2e6
 
 
 REFERENCE_SWEEP = "sweep --k 1.5 --z-min 0.1 --z-max 15 --z-step 0.1 --cutoffs 50,100,200,300"
@@ -1006,27 +1082,23 @@ class TestWriter:
            inputs=st.dictionaries(st.sampled_from(["k", "gamma", "z", "policy", "hard_cap"]),
                                   cell_values, min_size=1),
            width=st.integers(min_value=1, max_value=4),
-           cells=st.lists(cell_values, max_size=40),
-           csv_footer=st.lists(st.text(alphabet="abc_=0123456789.", max_size=12), max_size=3),
-           total=st.floats(allow_nan=False, allow_infinity=False))
+           cells=st.lists(cell_values, max_size=40))
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_streamed_output_equals_joined_text(self, tmp_path, capsys, fmt, inputs, width,
-                                                cells, csv_footer, total):
+                                                cells):
         header = [f"c{i}" for i in range(width)]
         rows = [cells[i:i + width] for i in range(0, len(cells) - width + 1, width)]
-        footers = {"csv": csv_footer, "json": {"weight_sum": total},
-                   "table": [f"sum  {total:.10f}"]}
 
         def pretty():
             return [header] + [[str(v) for v in row] for row in rows]
 
-        expected = joined_emit(fmt, inputs, header, rows, pretty, footers)
+        expected = joined_emit(fmt, inputs, header, rows, pretty)
         capsys.readouterr()
-        cli._emit(fmt, None, inputs, header, iter(rows), pretty(), footers)
+        cli._emit(fmt, None, inputs, header, iter(rows), pretty())
         assert capsys.readouterr().out == expected
         target = tmp_path / "out.txt"
-        cli._emit(fmt, str(target), inputs, header, iter(rows), pretty(), footers)
+        cli._emit(fmt, str(target), inputs, header, iter(rows), pretty())
         assert target.read_bytes() == expected.encode()
 
     @given(fmt=st.sampled_from(["csv", "json", "table"]),
@@ -1077,13 +1149,13 @@ class TestWriter:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["row", "footer"])
     def test_json_rejects_non_finite_numbers(self, capsys, value, where):
-        # Refused in a row cell or a json footer value alike, before a byte
-        # is written.
-        rows, footers = [[value]], None
-        if where == "footer":
-            rows, footers = [[1.0]], {"json": {"weight_sum": value}}
+        # Refused in a row cell of stats' or table's json, or in a value
+        # after the rows of dist's or sweep's, before a byte is written.
         with pytest.raises(ValueError):
-            cli._emit("json", None, {"z": 1.0}, ["q"], rows, None, footers)
+            if where == "row":
+                cli._emit("json", None, {"z": 1.0}, ["q"], [[value]], None)
+            else:
+                cli._json_frame({"inputs": {"z": 1.0}, "rows": [], "weight_sum": value})
         assert capsys.readouterr().out == ""
 
 

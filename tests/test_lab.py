@@ -12,7 +12,7 @@ import ghacs.stats
 from ghacs.cli import _z_grid, main
 from ghacs.core import MAX_BLOCK, PotentialParams
 from ghacs.lab import (SweepSpec, ThresholdEstimateError, collapse_onset,
-                       estimate_threshold, run_sweep, sweep_row)
+                       estimate_threshold, run_sweep, sweep_row, sweep_rows)
 from ghacs.stats import TruncationPolicy, state_stats
 
 K15 = PotentialParams(k=1.5, gamma=2.0)
@@ -122,6 +122,15 @@ class TestRunSweep:
         report = run_sweep(spec, TruncationPolicy.adaptive(hard_cap=20))
         assert len(report.rows) == 2
         assert report.rows[1].flagged
+
+    @pytest.mark.parametrize("policy", [
+        TruncationPolicy.adaptive(), TruncationPolicy.adaptive(hard_cap=20)])
+    def test_report_holds_the_rows_yielded(self, policy):
+        # |z| = 0, converged and (at a cap of 20 terms) unconverged rows.
+        spec = SweepSpec(k=1.5, gamma=2.0, z_grid=(0.0, 1.0, 2.5, 10.0), cutoffs=(3, 50, 150))
+        rows = sweep_rows(spec, policy)
+        assert iter(rows) is rows
+        assert run_sweep(spec, policy).rows == tuple(rows)
 
     def test_deterministic(self, table_report):
         spec = SweepSpec(k=1.5, gamma=2.0, z_grid=TABLE_GRID, cutoffs=(150,))
