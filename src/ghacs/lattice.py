@@ -16,10 +16,7 @@ window, cut by its quiet-run rule, leaves out 2.4e-12 of it at |z| = 15
 and 1.4e-11 at |z| = 30.  The window reported is still the walk's:
 its first index and its quiet-run threshold come from bisection with the
 closed form on the monotone flanks, and it ends quiet_run - 1 terms past
-the threshold.  The head test is the walk's; the quiet-run test is made
-against the whole S2, and a threshold that the walk, testing against its
-running sum, might not find quiet is left to the walk.  ``stats`` decides
-which runs come here, and imports this module only for them.
+the threshold.  ``stats`` imports this module only for the runs it sends.
 """
 
 from __future__ import annotations
@@ -31,8 +28,7 @@ from .core import _SERIES_RATIO, PotentialParams, log_g_delta
 from .stats import TruncationPolicy, _moments
 
 # The lattice stops on each side at the first weight below this (the anchor's
-# is 1): what it leaves out of the whole series is below 1e-17 of S0 and of
-# the variance.
+# is 1), and leaves out below 1e-17 of S0 and of the variance.
 _NEGLIGIBLE = 2.0 ** -60
 
 
@@ -41,11 +37,16 @@ def strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolicy
     """(moments, lo, hi, threshold): the ``_moments`` of the whole series
     about the peak, off the lattice of stride floor(sigma / 4) around it,
     with sigma^2 = var, and the window lo..hi and threshold of the adaptive
-    run's walk, which converges; None where the run stays on the walk: its
-    head stays open or reaches n = 0, its window would pass the hard cap,
-    its threshold lies too near the edge of the quiet-run rule to be surely
-    the walk's, or its lattice would reach below n = 1000, where
-    ``log_g_delta`` is not checked.
+    run's walk, which converges: the second of the six paths of ``stats``
+    (empty, lattice, certified, open-head, past-2^52, walk).  None passes
+    the run on, in the order tested here, where
+    - the lattice would reach below n = 1000, or where the correction series
+      of ``log_g_delta`` converges slowly, neither checked: to ``walk``;
+    - the head stays open within the hard cap: to ``open-head``;
+    - no quiet threshold is bracketed within the cap, past n^2 w_n's peak: to ``walk``;
+    - the window would pass the hard cap: to ``walk``, unconverged;
+    - the threshold, tested against the whole S2, may not be quiet against
+      the walk's running sum: to ``walk``.
     """
     a, c = params.alpha, params.offset
     h = int(math.sqrt(var) / 4.0)
@@ -117,8 +118,7 @@ def strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolicy
     # for the walk too.  Its running sum there is above S2 less lo^2 tol,
     # a bound on the head by the head rule, and less the tail's first term
     # over 1 - r, r the ratio of consecutive terms, which falls past the
-    # peak.  (At k = 0.5, tol = 1e-8 this leaves |z| = 60 to the walk: the
-    # threshold against S2 lies 2 terms early there.)
+    # peak.  (At k = 0.5, tol = 1e-8, |z| = 60 it lies 2 terms early.)
     lt2 = log_t2(threshold)
     fall = -math.expm1(log_t2(threshold + 1) - lt2)
     room = s2_whole - lo * lo * policy.tail_tolerance - math.exp(lt2) / fall if fall > 0.0 else 0.0

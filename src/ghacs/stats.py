@@ -5,33 +5,37 @@ All quantities derive from three raw sums over the same term stream,
     S_m = sum_n n^m t_n,   t_n = |z|^{2n} / g(n, k),   m = 0, 1, 2.
 
 The terms rise to one peak, near n* = (|z|^2 + c^alpha)^(1/alpha) - c with
-c = gamma/4, and fall after it, and at large |z| their mass sits in a few
-standard deviations around it: at k = 0.5, |z| = 15 about 24k terms around
-n* = 7.7e5.  So the walk (``LogTermWalk``) starts at the largest term of the
-summed range, with ln t of that anchor in closed form (``core.log_g``), and
-grows outward by aligned blocks of factors, keeping the weights
-w_n = t_n / t_anchor, about 1 at most, as products of term ratios.  A
-truncation policy is a stopping rule over those weights.  Downward it stops
-once the skipped head is provably below ``tail_tolerance`` of the largest
-term.  Upward it stops at a fixed cutoff n_max, or adaptively once the terms
-of the m = 2 sum (the slowest to converge) stay below the tolerance of its
-running value for a sustained run.  The policy's hard cap bounds every
-window.  One kernel (``_moments``) reduces the window, in walk order, to
-three exact sums, which give ln S0 and the first two moments about its
-largest term, so the variance is formed without cancellation.  Fixed
-cutoffs past the end of a walk, as the runs before them grew it, share
-one reduction, to that end, where a tail bound certifies it
-(``_tail_bound``).
+c = gamma/4, and fall after it; at large |z| their mass sits in a few
+standard deviations around it, about 24k terms around n* = 7.7e5 at
+k = 0.5, |z| = 15.  So the walk (``LogTermWalk``) keeps the weights
+w_n = t_n / t_anchor, about 1 at most, outward from the largest term of the
+summed range, the anchor.  A truncation policy is a stopping rule over them:
+a head rule below the anchor (``_stop_head``), a fixed cutoff n_max or a
+quiet run above it (``_stop_adaptive``), and a hard cap on every window.
+One kernel (``_moments``) reduces a window to three exact sums, which give
+ln S0 and the first two moments about its largest term, so the variance is
+formed without cancellation.
 
-An adaptive run on a peak wider than ``_STRIDE_SIGMA`` terms, at a tail
-tolerance of at most ``_STRIDE_TOLERANCE``, is not walked
-(``_strided_sums``, ``lattice``): it reads about a hundred terms a stride
-of sigma/4 apart, each in closed form (``core.log_g_delta``), whose
-trapezoid sums, taken by the same kernel, are the whole series' S0, S1
-and S2, and it returns those sums, with the walk's window found by
-bisection.  Its cost does not grow with the peak's width: about 2.5 ms
-from |z| = 8 to 50 for k = 0.5, where the walk takes 14 ms at |z| = 15
-and 320 ms at |z| = 50.
+A run, one policy at one amplitude, is summed by the first of these paths
+that serves it; each passes the others on, in this order (``_walks``):
+
+- ``empty``: |z| = 0, the single term n = 0.  Passes on |z| > 0.
+- ``lattice``: an adaptive run at a tolerance of at most
+  ``_STRIDE_TOLERANCE`` on a peak at least ``_STRIDE_SIGMA`` wide: the whole
+  series' sums off a lattice of terms, with the walk's window
+  (``lattice.strided_sums``).  Passes on the rest, and the runs it leaves.
+- ``certified``: a fixed cutoff past the end of its walk, as the runs before
+  it grew it: the sums to that end, certified by a tail bound (``_tail_bound``).
+  Passes on the rest.  A fixed window wider than the hard cap raises here.
+- ``open-head``: an adaptive run whose head reaches the hard cap before it
+  closes: it ends at the anchor, unconverged.  Passes on a closed head.
+- ``past-2^52``: an adaptive run whose peak lies beyond 2^52: its walk
+  starts at the top of its hard cap and ends there, unconverged.  Passes on
+  fixed cutoffs and peaks below 2^52.
+- ``walk``: every run left, walked to its cutoff, quiet run or hard cap.
+
+``policy_sums`` tries all six; ``weight_distribution``, whose rows are read
+off the walk, all but ``lattice``.
 """
 
 from __future__ import annotations
@@ -43,24 +47,12 @@ import sys
 from collections import namedtuple
 
 from .core import MAX_BLOCK, PotentialParams, factor_block, log_g
-# Not called here, but the benchmark's tracer (bench/tracing.py) wraps
-# ghacs.stats.log_g_increment and ghacs.stats.log_sum_exp, so the names stay
-# bound.
+# Not called here: the benchmark's tracer (bench/tracing.py) wraps these names.
 from .core import log_g_increment, log_sum_exp  # noqa: F401
 
-__all__ = [
-    "TruncationPolicy",
-    "DEFAULT_POLICY",
-    "LogSeriesSums",
-    "LogTermWalk",
-    "StateStats",
-    "WeightDistribution",
-    "VarianceConsistencyError",
-    "accumulate_sums",
-    "policy_sums",
-    "state_stats",
-    "weight_distribution",
-]
+__all__ = ["TruncationPolicy", "DEFAULT_POLICY", "LogSeriesSums", "LogTermWalk", "StateStats",
+           "WeightDistribution", "VarianceConsistencyError", "accumulate_sums", "policy_sums",
+           "state_stats", "weight_distribution"]
 
 # Rounding leaves the variance m2 - m1^2 within a few ulps of m2 of its true,
 # non-negative value; a deficit beyond this share of m2 is a logic error.
@@ -71,21 +63,9 @@ _VARIANCE_FLOOR = -1e-9
 # of its hard cap, or just below this index, where the terms still rise.
 _MAX_START = 2 ** 52
 
-# An adaptive run whose peak is at least this wide, sigma in terms, is summed
-# on a lattice a stride apart (``_strided_sums``) rather than walked: there
-# a pass costs about 2.6 ms on the walk and 2.2 ms on the lattice at k = 0.5
-# (2.6 and 1.4 ms at k = 1.5), on a 2-core Xeon; the walk's cost grows as
-# about 10 sigma us, and the lattice's does not grow.  The two meet near
-# sigma = 200 at k = 0.5 and below 150 at k = 1.5.
+# The ``lattice`` path serves a peak at least this wide, sigma in terms, at a
+# tail tolerance of at most the second: choices of cost, not bounds (README).
 _STRIDE_SIGMA = 250.0
-# ... and whose tail tolerance is at most this, a choice of cost and scope
-# rather than a bound on the window.  The lattice tests the quiet run against
-# the whole S2 and hands a threshold that the walk, testing against its
-# running sum, might not share back to the walk, which then costs a lattice
-# pass on top.  That band is about tol sigma^2 / x^2 terms wide, x the
-# threshold's distance from the peak in sigma: at k = 0.5 and 1e-8 it sends
-# back 4 of 40 runs near |z| = 30, 26 of 40 near 50 and all near 60; at 1e-6,
-# 35 of 40 near |z| = 20; at 1e-10 and below, none up to |z| = 60.
 _STRIDE_TOLERANCE = 1e-8
 
 # How far past the anchor a certified reduction serves, and the floor its
@@ -165,13 +145,10 @@ class LogSeriesSums(namedtuple("LogSeriesSums", "log_s0 origin m1 m2 terms_used 
     sum to less than the tail tolerance times the largest term.  converged
     is True only for adaptive runs whose quiet-run criterion fired before
     the hard cap; estimated_threshold is the first index of that quiet run.
-    The sums are the walk's over that window, or, for a wide peak, the
-    lattice's sums of the whole series (``lattice.strided_sums``), with the
-    walk's window as the record; those differ from the walk's by the tail
-    its quiet-run rule leaves out (2.4e-12 in Q at k = 0.5, |z| = 15), and
-    lie within about 1e-15 of the converged series.  A fixed window may
-    take a shorter window's sums, certified equal to its own
-    (``_tail_bound``).
+    The sums are the walk's over that window, or the ``lattice`` path's
+    sums of the whole series, about 1e-15 from the converged series, where
+    the walk's window leaves out 2.4e-12 of Q at k = 0.5, |z| = 15; or a
+    shorter window's, certified equal to its own (``certified``).
     """
 
     __slots__ = ()
@@ -263,8 +240,7 @@ class LogTermWalk:
     place.  Each side grows through the aligned blocks of factors
     (``core.factor_block``), one lookup per block, to the block's edge or to
     the index asked for.  At |z| = 0 the series is the single term n = 0
-    and the walk cannot be extended.  It holds values only; ``policy_sums``
-    decides which policies share it.
+    and the walk cannot be extended.  It holds values only.
     """
 
     def __init__(self, abs_z: float, params: PotentialParams, anchor: int = 0):
@@ -465,8 +441,8 @@ def _tail_bound(walk: LogTermWalk, m: int):
     A reduction of lo..m is certified where each of its three sums stays
     the same double with its T_p added (``_moments``): past the anchor every
     term is at least 0 and rounding to nearest is monotone, so each window
-    lo..c with c >= m has exactly those sums.  Fixed cutoffs past the end
-    of a walk take them (``_walk_sums``).
+    lo..c with c >= m has exactly those sums, which the ``certified`` path
+    gives the fixed cutoffs past the end of a walk.
     """
     if m + 2 + walk.params.offset >= 2.0 ** 48 * walk.params.alpha:
         return None
@@ -535,62 +511,55 @@ def _absorbs(terms: list, total: float, bound: float) -> bool:
     return same
 
 
-def _walk_sums(walk: LogTermWalk, policy: TruncationPolicy, peak: int | None,
-               heads: dict, tails: dict) -> LogSeriesSums:
-    """The sums of one policy over its walk, extending it only as far as the policy needs.
+class _Run:
+    """What the paths share at one amplitude: its peak, its walks by start,
+    head stops by (anchor, tolerance, cap), and certified reductions by head."""
 
-    The walk's anchor is the largest term of every window taken here, the
-    invariant that the head rule and the reduction rely on.  (Where the
-    peak is flat, past n of about 10^14, that holds to rounding: the walk's
-    w and the peak index leave other terms up to a few 1e-15 above it.)
-    ``heads`` holds the head stops made at this amplitude, and ``tails``
-    one certified reduction per head (``_tail_bound``), or None where that
-    failed: the first fixed cutoff past the end of the walk, however far
-    the runs before it grew it, tries a reduction to that end, and it
-    serves every such cutoff after.  A fixed window wider than
-    ``hard_cap`` raises ValueError before the walk is extended.
-    """
-    adaptive = policy.n_max is None
-    if walk.abs_z == 0.0:
-        # Only n = 0 survives: S0 = 1, S1 = S2 = 0.
-        return _reduce(walk, 0, 0, adaptive, 0 if adaptive else None)
-    head = (walk.anchor, policy.tail_tolerance, policy.hard_cap)
-    if head not in heads:
-        heads[head] = _stop_head(walk, policy.tail_tolerance, policy.hard_cap)
-    lo, closed = heads[head]
-    if not adaptive:
-        n_max = policy.n_max
-        if not closed or n_max + 1 - lo > policy.hard_cap:
+    def __init__(self, abs_z: float, params: PotentialParams):
+        _check_amplitude(abs_z)
+        self.abs_z, self.params = abs_z, params
+        self.peak = _peak_index(abs_z, params) if abs_z > 0.0 else 0
+        self.walks, self.heads, self.tails = {}, {}, {}
+
+    def walk(self, policy: TruncationPolicy) -> LogTermWalk:
+        """The walk from the largest term of the policy's range (``_start_index``)."""
+        start = _start_index(self.peak, policy)
+        if start not in self.walks:
+            self.walks[start] = LogTermWalk(self.abs_z, self.params, start)
+        return self.walks[start]
+
+    def head(self, policy: TruncationPolicy):
+        """(walk, first index of the window, whether the head closed); a fixed
+        window whose head stays open, or wider than ``hard_cap``, raises ValueError."""
+        walk, n_max, cap = self.walk(policy), policy.n_max, policy.hard_cap
+        key = walk.anchor, policy.tail_tolerance, cap
+        if key not in self.heads:
+            self.heads[key] = _stop_head(walk, *key[1:])
+        lo, closed = self.heads[key]
+        if n_max is not None and (not closed or n_max + 1 - lo > cap):
             raise ValueError(f"fixed cutoff n_max = {n_max} would sum more than "
-                             f"hard_cap ({policy.hard_cap}) terms")
-        if n_max > walk.hi > walk.anchor:
-            if head not in tails:
-                tail = _tail_bound(walk, walk.hi)
-                tails[head] = tail and _reduce(walk, lo, walk.hi, False, None, tail)
-            if tails[head] and n_max < walk.anchor + _TAIL_SPAN:
-                return tails[head]._replace(terms_used=n_max + 1)
-        walk.extend_to(n_max)
-        return _reduce(walk, lo, n_max, False, None)
-    if not closed or peak is None:
-        # An open head, or a peak beyond 2^52, whose walk starts as high
-        # as a window may reach: the run ends at the anchor, unconverged.
-        return _reduce(walk, lo, walk.anchor, False, None)
-    hi, converged, threshold = _stop_adaptive(walk, lo, policy)
-    return _reduce(walk, lo, hi, converged, threshold)
+                             f"hard_cap ({cap}) terms")
+        return walk, lo, closed
 
 
-def _strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolicy,
-                  peak: int | None) -> LogSeriesSums | None:
-    """The sums of an adaptive run read off a lattice of terms
-    (``lattice.strided_sums``), or None where the run stays on the walk.
+def _path(name: str):
+    """Name a summation path: ``_walks`` yields the name beside the runs it serves."""
+    return lambda path: setattr(path, "name", name) or path
 
-    The lattice serves a run whose peak is at least ``_STRIDE_SIGMA`` wide,
-    with sigma^-2 = alpha (n* + c)^(alpha - 1) / f_(n*) the curvature of
-    ln t there, at a tail tolerance of at most ``_STRIDE_TOLERANCE``, and
-    leaves it to the walk where its head stays open or reaches n = 0, where
-    its window would pass the hard cap, or where its threshold lies too
-    near the edge of the quiet-run rule to be surely the walk's.
-    """
+
+@_path("empty")
+def _empty(run: _Run, policy: TruncationPolicy) -> LogSeriesSums | None:
+    """|z| = 0, where only n = 0 survives: S0 = 1, S1 = S2 = 0."""
+    if run.abs_z != 0.0:
+        return None
+    adaptive = policy.n_max is None
+    return _reduce(run.walk(policy), 0, 0, adaptive, 0 if adaptive else None)
+
+
+@_path("lattice")
+def _lattice(run: _Run, policy: TruncationPolicy) -> LogSeriesSums | None:
+    """A wide adaptive peak, sigma^-2 = alpha (n* + c)^(alpha - 1) / f_(n*)."""
+    peak, params = run.peak, run.params
     if policy.n_max is not None or not peak or policy.tail_tolerance > _STRIDE_TOLERANCE:
         return None
     a, c = params.alpha, params.offset
@@ -599,57 +568,87 @@ def _strided_sums(abs_z: float, params: PotentialParams, policy: TruncationPolic
         return None
     # Imported here, so that only a process that sums a wide peak compiles it.
     from .lattice import strided_sums
-    found = strided_sums(abs_z, params, policy, peak, var)
-    return found and _record(_log_term(peak, abs_z, params), peak, True, *found)
+    found = strided_sums(run.abs_z, params, policy, peak, var)
+    return found and _record(_log_term(peak, run.abs_z, params), peak, True, *found)
 
 
-def _walks(abs_z: float, params: PotentialParams, policies, stride: bool = False):
-    """(walk, sums) of each policy in turn; see ``policy_sums``.  A fixed
-    cutoff served by a certified reduction may end past its walk.  With
-    ``stride``, a run that ``_strided_sums`` serves comes with no walk."""
-    _check_amplitude(abs_z)
-    peak = _peak_index(abs_z, params) if abs_z > 0.0 else 0
-    walks, heads, tails = {}, {}, {}
+@_path("certified")
+def _certified(run: _Run, policy: TruncationPolicy) -> LogSeriesSums | None:
+    """Tried by a head stop's first cutoff past its walk; its window ends past the walk."""
+    n_max = policy.n_max
+    if n_max is None:
+        return None
+    walk, lo, _ = run.head(policy)
+    if not n_max > walk.hi > walk.anchor:
+        return None
+    key = walk.anchor, policy.tail_tolerance, policy.hard_cap
+    if key not in run.tails:
+        tail = _tail_bound(walk, walk.hi)
+        run.tails[key] = tail and _reduce(walk, lo, walk.hi, False, None, tail)
+    if run.tails[key] and n_max < walk.anchor + _TAIL_SPAN:
+        return run.tails[key]._replace(terms_used=n_max + 1)
+    return None
+
+
+@_path("open-head")
+def _open_head(run: _Run, policy: TruncationPolicy) -> LogSeriesSums | None:
+    """An open head, adaptive (a fixed one raises in ``_Run.head``)."""
+    walk, lo, closed = run.head(policy)
+    return None if closed else _reduce(walk, lo, walk.anchor, False, None)
+
+
+@_path("past-2^52")
+def _past_2_52(run: _Run, policy: TruncationPolicy) -> LogSeriesSums | None:
+    """An adaptive peak beyond 2^52, whose walk starts as high as a window may reach."""
+    if run.peak is not None or policy.n_max is not None:
+        return None
+    walk, lo, _ = run.head(policy)
+    return _reduce(walk, lo, walk.anchor, False, None)
+
+
+@_path("walk")
+def _walk(run: _Run, policy: TruncationPolicy) -> LogSeriesSums:
+    """Every run, walked up to its cutoff, or to its quiet run or hard cap."""
+    walk, lo, _ = run.head(policy)
+    if policy.n_max is not None:
+        walk.extend_to(policy.n_max)
+        return _reduce(walk, lo, policy.n_max, False, None)
+    hi, converged, threshold = _stop_adaptive(walk, lo, policy)
+    return _reduce(walk, lo, hi, converged, threshold)
+
+
+def _walks(abs_z: float, params: PotentialParams, policies, paths):
+    """(path, walk, sums) of each policy in turn: the name of the first of
+    ``paths`` that serves it, the walk from its start if one was made, and its sums."""
+    run = _Run(abs_z, params)
     for policy in policies:
-        sums = _strided_sums(abs_z, params, policy, peak) if stride else None
-        if sums is not None:
-            yield None, sums
-            continue
-        start = _start_index(peak, policy)
-        if start not in walks:
-            walks[start] = LogTermWalk(abs_z, params, start)
-        yield walks[start], _walk_sums(walks[start], policy, peak, heads, tails)
+        for path in paths:
+            sums = path(run, policy)
+            if sums is not None:
+                break
+        yield path.name, run.walks.get(_start_index(run.peak, policy)), sums
 
 
 def policy_sums(abs_z: float, params: PotentialParams, policies):
-    """The sums of each truncation policy at one amplitude, in order, as they are asked for.
-
-    Each walk starts at the largest term of the range it sums, and serves
-    every policy that starts there (the peak, for the adaptive rule and every
-    cutoff above it), sharing a head stop between equal tolerances and caps.
-    A cutoff past the end of the walk, as the runs before it grew it, may
-    share a certified reduction to that end (``_walk_sums``).  An adaptive
-    run on a wide peak reads a lattice of terms instead (``_strided_sums``):
-    the whole series' sums, with the window its walk would sum.
-    """
-    return (sums for _, sums in _walks(abs_z, params, policies, stride=True))
+    """The sums of each truncation policy at one amplitude, in order, as they
+    are asked for, by the first of the six paths that serves each: one walk
+    and head stop serve every policy that starts there with equal tolerances
+    and caps (the peak, for the adaptive rule and every cutoff above it)."""
+    return (sums for _, _, sums in _walks(abs_z, params, policies, (
+        _empty, _lattice, _certified, _open_head, _past_2_52, _walk)))
 
 
 def accumulate_sums(abs_z: float, params: PotentialParams,
                     policy: TruncationPolicy) -> LogSeriesSums:
-    """The sums of one term walk under the truncation policy, started at its largest term.
-
-    An adaptive run that reaches hard_cap returns converged = False
-    explicitly rather than a silently questionable number.
-    """
+    """The sums of one truncation policy (``policy_sums``).  An adaptive run that reaches
+    hard_cap returns converged = False explicitly rather than a silently questionable number."""
     return next(policy_sums(abs_z, params, (policy,)))
 
 
 def state_stats(abs_z: float, params: PotentialParams,
                 policy: TruncationPolicy) -> StateStats:
     """Mean, variance, Mandel Q and normalization from the accumulated sums."""
-    sums = accumulate_sums(abs_z, params, policy)
-    return stats_from_sums(sums)
+    return stats_from_sums(accumulate_sums(abs_z, params, policy))
 
 
 def stats_from_sums(sums: LogSeriesSums) -> StateStats:
@@ -669,8 +668,9 @@ def stats_from_sums(sums: LogSeriesSums) -> StateStats:
 
 def weight_distribution(abs_z: float, params: PotentialParams,
                         policy: TruncationPolicy) -> WeightDistribution:
-    """Normalized P_n = t_n / S0 for n = 0 .. N, S0 the sum over the summed
-    window and P_n 0.0 below it: the distribution whose moments
-    ``state_stats`` gives."""
-    return WeightDistribution(*next(_walks(abs_z, params, (policy,))))
-
+    """Normalized P_n = t_n / S0 for n = 0 .. N, S0 the sum over the summed window
+    and P_n 0.0 below it: the distribution whose moments ``state_stats`` gives
+    wherever both walk, by ``policy_sums``' paths but ``lattice``."""
+    _, walk, sums = next(_walks(abs_z, params, (policy,), (
+        _empty, _certified, _open_head, _past_2_52, _walk)))
+    return WeightDistribution(walk, sums)

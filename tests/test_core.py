@@ -431,7 +431,8 @@ class TestLogTerm:
         # where that is a normal double: below 2.2e-308 a weight is subnormal
         # or 0.0 (at |z| near 1e-113, t_2 / t_0 already underflows).
         params = PotentialParams(k=k, gamma=gamma)
-        walk, sums = next(stats._walks(abs_z, params, (stats.DEFAULT_POLICY,)))
+        walked = (stats._empty, stats._certified, stats._open_head, stats._past_2_52, stats._walk)
+        _, walk, sums = next(stats._walks(abs_z, params, (stats.DEFAULT_POLICY,), walked))
         n = sums.first_index + round(u * (sums.terms_used - 1 - sums.first_index))
         expected = term_ratio(abs_z, k, gamma, walk.anchor, n, dps=40)
         assume(expected >= sys.float_info.min)

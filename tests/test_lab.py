@@ -249,6 +249,17 @@ class TestRunSweep:
         assert sum(w.hi - w.lo + 1 for w in walks_made) < 72636
 
 
+    def test_reference_sweep_serves_cutoffs_by_certified_reductions(self):
+        # 175 of the 600 fixed windows: 80 that try a certificate for their
+        # walk and 95 that share it.
+        policies = (TruncationPolicy.adaptive(), *map(TruncationPolicy.fixed, (50, 100, 200, 300)))
+        every_path = (ghacs.stats._empty, ghacs.stats._lattice, ghacs.stats._certified,
+                      ghacs.stats._open_head, ghacs.stats._past_2_52, ghacs.stats._walk)
+        paths = [path for z in _z_grid(0.1, 15.0, 0.1)
+                 for path, _, _ in ghacs.stats._walks(z, K15, policies, every_path)]
+        assert len(paths) == 750 and paths.count("certified") >= 150
+
+
 class TestSweepReuse:
     """One sweep evaluates each factor block, head stop and anchor once."""
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import operator
 import sys
@@ -7,6 +8,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import ghacs.core
+import ghacs.lattice
 import ghacs.stats
 from ghacs.core import MAX_BLOCK, PotentialParams, log_sum_exp
 from ghacs.lab import SweepSpec, run_sweep
@@ -18,6 +20,10 @@ from oracle import direct_log_sums, direct_stats, direct_weights
 
 K15 = PotentialParams(k=1.5, gamma=2.0)
 ADAPTIVE = TruncationPolicy.adaptive()
+# The summation paths of ``weight_distribution``, in order, and of ``policy_sums``.
+WALKED = (ghacs.stats._empty, ghacs.stats._certified, ghacs.stats._open_head,
+          ghacs.stats._past_2_52, ghacs.stats._walk)
+EVERY_PATH = (ghacs.stats._empty, ghacs.stats._lattice, *WALKED[1:])
 
 # 60-digit direct summation at z=5, k=1.5, gamma=2, n_max=200 (oracle.py).
 ORACLE_LOG_SUMS_Z5 = (38.377429848722890, 42.148685839618742, 45.946129665911731)
@@ -136,7 +142,7 @@ def reference_window(abs_z, params, policy):
 def reference_weights(abs_z, params, policy):
     """w_n / s for n = 0 .. N, s the sum over the summed window, off a walk
     extended all the way down to n = 0."""
-    walk, sums = next(ghacs.stats._walks(abs_z, params, (policy,)))
+    _, walk, sums = next(ghacs.stats._walks(abs_z, params, (policy,), WALKED))
     mass = math.fsum(walk.window(sums.first_index, sums.terms_used - 1))
     walk.extend_to(0)
     return [w / mass for w in walk.window(0, sums.terms_used - 1)]
@@ -343,7 +349,8 @@ class TestAccumulateSums:
         # A fixed window served by a certified reduction ends past its walk,
         # so each walk is extended to the end of each window once every
         # policy has run; extended in steps, it holds the same values.
-        for walk, sums in list(ghacs.stats._walks(z, PotentialParams(k=k, gamma=gamma), policies)):
+        for _, walk, sums in list(ghacs.stats._walks(z, PotentialParams(k=k, gamma=gamma),
+                                                     policies, WALKED)):
             lo, hi = sums.first_index, sums.terms_used - 1
             walk.extend_to(hi)
             ws = walk.window(lo, hi)
@@ -382,7 +389,7 @@ class TestAccumulateSums:
             policies.append(TruncationPolicy(n_max=peak - below, hard_cap=20000))
         for policy in policies:
             try:
-                walk, _ = next(ghacs.stats._walks(z, params, (policy,)))
+                _, walk, _ = next(ghacs.stats._walks(z, params, (policy,), WALKED))
             except ValueError:  # a fixed window wider than the cap
                 event("fixed head wider than the cap")
                 continue
@@ -440,7 +447,7 @@ class TestAccumulateSums:
         # _reduce refuses, before it sums, a T_0 above (m - lo + 1) 2^-51,
         # more than an ulp of S0, which S0 would not absorb; a T_0 that S0
         # absorbs goes on to the sums.
-        walk, sums = next(ghacs.stats._walks(z, PotentialParams(k=k), [ADAPTIVE]))
+        _, walk, sums = next(ghacs.stats._walks(z, PotentialParams(k=k), [ADAPTIVE], WALKED))
         lo, m = sums.first_index, walk.hi
         ws = walk.outward(lo, m)
         s0 = math.fsum(ws)
@@ -467,11 +474,13 @@ class TestAccumulateSums:
 
         monkeypatch.setattr(ghacs.stats, "_tail_bound", too_large)
         cutoffs = (50, 100, 200, 300)
-        runs = list(ghacs.stats._walks(4.5, K15, [ADAPTIVE, *map(TruncationPolicy.fixed, cutoffs)]))
-        walk = runs[0][0]
-        assert all(w is walk for w, _ in runs) and walk.hi == 300
+        runs = list(ghacs.stats._walks(4.5, K15, [ADAPTIVE, *map(TruncationPolicy.fixed, cutoffs)],
+                                       EVERY_PATH))
+        walk = runs[0][1]
+        assert all(w is walk for _, w, _ in runs) and walk.hi == 300
         assert len(bounds) == 1 and bounds[0] < 200
-        for c, (_, sums) in zip(cutoffs, runs[1:]):
+        assert [path for path, _, _ in runs] == ["walk"] * 5
+        for c, (_, _, sums) in zip(cutoffs, runs[1:]):
             assert sums == accumulate_sums(4.5, K15, TruncationPolicy.fixed(c))
 
     def test_fixed_cutoffs_share_a_certificate_without_an_adaptive_run(self):
@@ -479,10 +488,11 @@ class TestAccumulateSums:
         # the 300 cutoff takes the reduction to the end the 100 cutoff left,
         # so the walk stops at 100, and each run has a standalone run's sums.
         policies = [TruncationPolicy.fixed(100), TruncationPolicy.fixed(300)]
-        runs = list(ghacs.stats._walks(2.0, K15, policies))
-        walk = runs[0][0]
-        assert all(w is walk for w, _ in runs) and walk.hi == 100
-        for policy, (_, sums) in zip(policies, runs):
+        runs = list(ghacs.stats._walks(2.0, K15, policies, EVERY_PATH))
+        walk = runs[0][1]
+        assert all(w is walk for _, w, _ in runs) and walk.hi == 100
+        assert [path for path, _, _ in runs] == ["walk", "certified"]
+        for policy, (_, _, sums) in zip(policies, runs):
             assert sums == accumulate_sums(2.0, K15, policy)
 
     def test_deep_tail_matches_frozen_oracle(self):
@@ -618,7 +628,13 @@ class TestMoments:
 
 def walked(abs_z, params, policy):
     """The sums of the walk over its window, as ``weight_distribution`` takes them."""
-    return next(ghacs.stats._walks(abs_z, params, (policy,)))[1]
+    return next(ghacs.stats._walks(abs_z, params, (policy,), WALKED))[2]
+
+
+def served(abs_z, params, policy):
+    """(path, sums) of a run on ``policy_sums``' paths."""
+    path, _, sums = next(ghacs.stats._walks(abs_z, params, (policy,), EVERY_PATH))
+    return path, sums
 
 
 def window_of(sums):
@@ -641,6 +657,10 @@ class TestStridedSums:
     # Past 2^24 the factors' rounding drifts the walk (``whole_series``).
     @example(k=1.9636952112706627, gamma=1.0, log_sigma=3.6477298667048235, log_tol=-8.0,
              quiet_run=1)
+    # With gamma/4 = 0.025, j + c rounds by one value per binade of j
+    # (``whole_series``).
+    @example(k=0.4021648505546984, gamma=0.1, log_sigma=3.753135308468633, log_tol=-8.0,
+             quiet_run=1)
     @settings(max_examples=60, deadline=None)
     def test_lattice_matches_the_walk(self, k, gamma, log_sigma, log_tol, quiet_run):
         # The same window, threshold and convergence as the walk; Q within
@@ -648,9 +668,9 @@ class TestStridedSums:
         params = PotentialParams(k=k, gamma=gamma)
         z = amplitude_of_width(10.0 ** log_sigma, params)
         policy = TruncationPolicy.adaptive(tail_tolerance=10.0 ** log_tol, quiet_run=quiet_run)
-        sums = ghacs.stats._strided_sums(z, params, policy, ghacs.stats._peak_index(z, params))
-        event("walked" if sums is None else "strided")
-        assume(sums is not None)
+        path, sums = served(z, params, policy)
+        event(path)
+        assume(path == "lattice")
         assert_same_run(sums, walked(z, params, policy), z, params)
         assert accumulate_sums(z, params, policy) == sums
 
@@ -658,7 +678,7 @@ class TestStridedSums:
     def test_deep_tail_points(self, z):
         params = PotentialParams(k=0.5)
         sums = accumulate_sums(z, params, ADAPTIVE)
-        assert sums == ghacs.stats._strided_sums(z, params, ADAPTIVE, ghacs.stats._peak_index(z, params))
+        assert served(z, params, ADAPTIVE) == ("lattice", sums)
         assert_same_run(sums, walked(z, params, ADAPTIVE), z, params)
 
     def test_sweep_across_the_break_even(self):
@@ -666,9 +686,8 @@ class TestStridedSums:
         params, cutoffs = PotentialParams(k=0.5), (30000, 40000)
         spec = SweepSpec(k=0.5, gamma=2.0, z_grid=(7.0, 7.5, 8.0, 8.5), cutoffs=cutoffs)
         rows = run_sweep(spec, ADAPTIVE).rows
-        widths = [ghacs.stats._strided_sums(z, params, ADAPTIVE, ghacs.stats._peak_index(z, params))
-                  is not None for z in spec.z_grid]
-        assert widths == [False, False, True, True]
+        paths = [served(z, params, ADAPTIVE)[0] for z in spec.z_grid]
+        assert paths == ["walk", "walk", "lattice", "lattice"]
         for row in rows:
             assert row.adaptive_stats.sums == accumulate_sums(row.abs_z, params, ADAPTIVE)
             for c in cutoffs:
@@ -681,7 +700,7 @@ class TestStridedSums:
     def test_runs_that_stay_on_the_walk(self, policy):
         # Fixed cutoffs, loose tolerances and windows past the hard cap walk.
         params = PotentialParams(k=0.5)
-        assert ghacs.stats._strided_sums(15.0, params, policy, 765785) is None
+        assert served(15.0, params, policy) == ("walk", walked(15.0, params, policy))
         assert accumulate_sums(15.0, params, policy) == walked(15.0, params, policy)
 
     def test_window_one_term_past_the_hard_cap_walks(self):
@@ -690,22 +709,20 @@ class TestStridedSums:
         # the lattice leaves the run to the walk, which stops at the cap,
         # unconverged.  One term more, and the lattice serves it.
         params = PotentialParams(k=0.5)
-        peak = ghacs.stats._peak_index(15.0, params)
+        path, sums = served(15.0, params, TruncationPolicy.adaptive(hard_cap=24324))
+        assert path == "walk" and window_of(sums) == (751963, 776287, None, False)
         short = TruncationPolicy.adaptive(hard_cap=24324)
-        assert ghacs.stats._strided_sums(15.0, params, short, peak) is None
-        sums = accumulate_sums(15.0, params, short)
-        assert sums == walked(15.0, params, short)
-        assert window_of(sums) == (751963, 776287, None, False)
-        fits = TruncationPolicy.adaptive(hard_cap=24325)
-        assert window_of(ghacs.stats._strided_sums(15.0, params, fits, peak)) == (
-            751963, 776288, 776278, True)
+        assert sums == walked(15.0, params, short) == accumulate_sums(15.0, params, short)
+        path, sums = served(15.0, params, TruncationPolicy.adaptive(hard_cap=24325))
+        assert path == "lattice" and window_of(sums) == (751963, 776288, 776278, True)
 
     def test_threshold_the_walk_might_not_share_walks(self):
         # Against the whole S2 the threshold is 778172033, two terms before
         # the walk's.
         params, policy = PotentialParams(k=0.5), TruncationPolicy.adaptive(tail_tolerance=1e-8)
-        assert ghacs.stats._strided_sums(60.0, params, policy, ghacs.stats._peak_index(60.0, params)) is None
-        assert window_of(accumulate_sums(60.0, params, policy)) == (777620416, 778172045, 778172035, True)
+        path, sums = served(60.0, params, policy)
+        assert path == "walk" and sums == accumulate_sums(60.0, params, policy)
+        assert window_of(sums) == (777620416, 778172045, 778172035, True)
 
     @pytest.mark.parametrize("k,z,q", CONVERGED_Q)
     def test_q_of_the_whole_series(self, k, z, q):
@@ -720,20 +737,86 @@ class TestStridedSums:
         assert window_of(sums) == (312440002, 312937294, 312937284, True)
 
 
+def lattice_returns(call):
+    """(what ``call()`` gives, the lines at which ``lattice.strided_sums`` returned in it)."""
+    lines, code, previous = [], ghacs.lattice.strided_sums.__code__, sys.gettrace()
+
+    def in_frame(frame, event, arg):
+        if event == "return":
+            lines.append(frame.f_lineno)
+        return in_frame
+
+    sys.settrace(lambda frame, event, arg: in_frame if frame.f_code is code else None)
+    try:
+        return call(), lines
+    finally:
+        sys.settrace(previous)
+
+
+class TestSummationPaths:
+    @pytest.mark.parametrize("k,z,policy,path,converged", [
+        (1.5, 0.0, ADAPTIVE, "empty", True),
+        (1.5, 5.0, ADAPTIVE, "walk", True),
+        (1.5, 8.0, TruncationPolicy.adaptive(hard_cap=20), "open-head", False),
+        (0.1, 30.0, ADAPTIVE, "past-2^52", False),
+        (0.5, 15.0, TruncationPolicy.adaptive(hard_cap=24325), "lattice", True),
+        (0.5, 15.0, TruncationPolicy.adaptive(hard_cap=24324), "walk", False),
+        (1.5, 5.0, TruncationPolicy.fixed(100), "walk", False),
+    ])
+    def test_each_path_at_a_known_point(self, k, z, policy, path, converged):
+        params = PotentialParams(k=k)
+        got, sums = served(z, params, policy)
+        assert (got, sums.converged) == (path, converged)
+        assert sums == accumulate_sums(z, params, policy)
+
+    def test_every_refusal_of_the_lattice_passes_the_run_on(self):
+        # Each run below is refused at another ``return None`` of
+        # ``strided_sums``, and between them they reach every one.  An open
+        # head goes to ``open-head``; every other refusal goes to ``walk``.
+        runs = [
+            # The lattice would reach where log_g_delta's series converges slowly.
+            (0.03, 0.58, ADAPTIVE, "walk"),
+            # The head stays open within the cap.
+            (0.5, 15.0, TruncationPolicy.adaptive(hard_cap=10000), "open-head"),
+            # No term within the cap is quiet.
+            (0.5, 15.0, TruncationPolicy.adaptive(tail_tolerance=1e-300, hard_cap=80000), "walk"),
+            # The window passes the cap by one term.
+            (0.5, 15.0, TruncationPolicy.adaptive(hard_cap=24324), "walk"),
+            # The threshold lies where the walk might not find it quiet.
+            (0.5, 60.0, TruncationPolicy.adaptive(tail_tolerance=1e-8), "walk"),
+        ]
+        source, first = inspect.getsourcelines(ghacs.lattice.strided_sums)
+        refusals = [first + i for i, line in enumerate(source) if line.strip() == "return None"]
+        returned = []
+        for k, z, policy, path in runs:
+            params = PotentialParams(k=k)
+            (got, sums), lines = lattice_returns(lambda: served(z, params, policy))
+            assert got == path and sums == walked(z, params, policy)
+            returned += lines
+        assert returned == refusals
+
+
 def whole_series(abs_z, params):
     """(mean, Q) of the whole series, walked out from the peak to weights
-    below 2^-110 of it, each factor (j + c)^alpha - c^alpha carried with the
-    rounding error of its subtraction.  That error has one value wherever
-    (j + c)^alpha keeps its binade, so the walk's weights, which drop it,
-    drift by about half an ulp a term: at k = 1.96, |z| = 4096 the fixed
-    walk's Q is 1.8e-13 off a 40-digit sum, and this one's 9e-16."""
+    below 2^-110 of it, each factor (j + c)^alpha - c^alpha carried with two
+    rounding errors: its subtraction's, and the share x alpha delta / (j + c)
+    of x = (j + c)^alpha that comes from the rounding delta of j + c.  Each
+    has one value wherever its operands keep their binades, so the walk's
+    weights, which drop them, drift by about half an ulp a term: at k = 1.96,
+    |z| = 4096 the fixed walk's Q is 1.8e-13 off a 40-digit sum, and this
+    one's 9e-16; at k = 0.402, gamma = 0.1, n* = 1.08e7, where j + c rounds,
+    the subtraction's error alone leaves it 2.75e-13 off, and both 1.1e-15."""
     a, c = params.alpha, params.offset
     small, z2, peak = c ** a, abs_z * abs_z, ghacs.stats._peak_index(abs_z, params)
 
     def factor(j):
-        x = (j + c) ** a
+        # delta by TwoSum, since j < c can occur.
+        u = j + c
+        v = u - j
+        delta = (j - (u - v)) + (c - v)
+        x = u ** a
         f = x - small
-        return f, (x - f) - small
+        return f, (x - f) - small + x * a * delta / u
 
     ws, ds, w, j = [], [], 1.0, peak
     while w >= 2.0 ** -110:
