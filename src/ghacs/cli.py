@@ -111,43 +111,71 @@ def _sink(out: str | None):
         raise UsageError(f"cannot write {name}: {exc.strerror}") from None
 
 
-def _emit(fmt, out, inputs, header, rows, cells):
-    """Write ``rows`` as csv, json or a pretty table, the inputs echoed first.
-
-    The whole text is built, then written at once: stats prints one row
-    and table one per listed amplitude.  Each csv row is one template, and
-    the json one strict json.dumps (no NaN or Infinity tokens).  ``cells``
-    is the table format's rows of strings, header row first.
+def _emit(fmt, out, inputs, header, rows, footers):
+    """Write a command's output, the only writer: the inputs (``# key=value``
+    lines, or json's "inputs"), csv's header line, the text of ``rows``, each
+    string of whole rows parted from the last as ``_row_format`` parts rows,
+    and ``footers`` (more such lines, ``key  value`` in the table, or json's
+    entries after "rows").  A non-finite json value is refused first.
     """
-    comments = [f"# {key}={value}" for key, value in inputs.items()]
+    joint = _row_format(fmt, header)[1]
+    if fmt == "json":
+        head, tail = _json_frame({"inputs": inputs, "rows": [], **footers})
+    else:
+        head = "".join(map("# %s=%s\n".__mod__, inputs.items()))
+        head += ",".join(header) + "\n" if fmt == "csv" else ""
+        line = "# %s=%s\n" if fmt == "csv" else "%s  %s\n"
+        tail = "".join(map(line.__mod__, footers.items()))
+    with _sink(out) as fh:
+        fh.write(head)
+        parted = ""  # becomes the joint after the first row: only json's is not empty
+        for text in rows:
+            fh.write(parted + text)
+            parted = joint
+        # After json's last row, the indent of the "]" that closes the list.
+        fh.write("\n  " + tail if parted else tail)
+
+
+def _row_format(fmt, names):
+    """A row's ``%``-template, one ``%s`` per name, and the text between two
+    rows: a csv line and none, or a json object laid out as json.dumps(...,
+    indent=2) lays out an entry of the "rows" list and a comma."""
+    if fmt == "json":
+        fields = ",\n".join(f'      "{name}": %s' for name in names)
+        return "\n    {\n" + fields + "\n    }", ","
+    return ",".join(["%s"] * len(names)) + "\n", ""
+
+
+def _rows(fmt, header, rows):
+    """The strings of ``rows``' text, values in ``header``'s order: one, by
+    ``_row_format``, each json row's values encoded by one strict json.dumps
+    (no NaN or Infinity tokens), or a line per row of the table's cells."""
+    if fmt == "table":
+        return _table_lines(rows)
+    template, joint = _row_format(fmt, header)
     if fmt == "json":
         import json
 
-        payload = {"inputs": inputs, "rows": [dict(zip(header, row)) for row in rows]}
-        lines = [json.dumps(payload, indent=2, allow_nan=False)]
-    elif fmt == "csv":
-        template = ",".join(["%s"] * len(header))
-        lines = [*comments, ",".join(header), *map(template.__mod__, map(tuple, rows))]
-    else:
-        lines = [*comments, *_table_lines(cells)]
-    with _sink(out) as fh:
-        fh.write("\n".join(lines) + "\n")
+        # A value a line: json.dumps escapes every newline in a string.
+        rows = [json.dumps(row, allow_nan=False, separators=("\n", ":"))[1:-1].split("\n")
+                for row in rows]
+    return [joint.join(template % tuple(row) for row in rows)]
 
 
 def _table_lines(cells):
     """A line per row of ``cells``, made as it is read, from one template of the column widths."""
     widths = [max(map(len, column)) for column in zip(*cells)]
     template = "  ".join(f"%-{w}s" for w in widths)
-    return ((template % tuple(row)).rstrip() for row in cells)
+    return ((template % tuple(row)).rstrip() + "\n" for row in cells)
 
 
 def _json_frame(payload) -> tuple[str, str]:
     """The text of strict ``json.dumps(payload, indent=2)``, its ``"rows"``
-    list empty, cut where that list stands, before and after its rows."""
+    list empty, cut between that list's brackets."""
     import json
 
     head, tail = json.dumps(payload, indent=2, allow_nan=False).split('\n  "rows": []', 1)
-    return head + '\n  "rows": [\n', "\n  ]" + tail + "\n"
+    return head + '\n  "rows": [', "]" + tail + "\n"
 
 
 # dist writes its rows in blocks of this many indices, a power of ten: past
@@ -156,28 +184,28 @@ _BLOCK = 1000
 
 
 @functools.lru_cache(maxsize=16)
-def _block_lines(line, width, first):
-    """The ``_BLOCK`` lines of a block of rows, and their text joined:
-    ``line`` with its "#" replaced by each row's index text, left-justified
-    to ``width``.
+def _block_lines(line, width, first, joint):
+    """The ``_BLOCK`` lines of a block of rows, and their text, ``joint``
+    between two: ``line`` with its "#" replaced by each row's index text,
+    left-justified to ``width``.
 
     In block 0 (``first``) the text is the index j itself; in every later
     block it is "@" and j's three digits, "@" standing for the block number.
     """
     lines = tuple(line.replace("#", (str(j) if first else f"@{j:03d}").ljust(width))
                   for j in range(_BLOCK))
-    return lines, "".join(lines)
+    return lines, joint.join(lines)
 
 
-def _row_blocks(zeros, end, rows, line, zero_line, width, cut):
-    """The text of rows 0 .. end - 1, a string per block of ``_BLOCK``.
+def _row_blocks(zeros, end, rows, line, zero_line, width, joint):
+    """The text of rows 0 .. end - 1, ``joint`` between two, a string per block of ``_BLOCK``.
 
     Row n is ``zero_line`` below ``zeros`` and ``line`` filled with the next
     of the iterator ``rows`` from there, each with its index in place of
     "#", left-justified to ``width``.  A block's template is its runs of
     those two lines, cut from ``_block_lines``, with the block number put
     in; its rows from ``rows`` are one ``%`` over it, and ``zero_line``
-    holds no "%".  The last block loses its last ``cut`` characters.
+    holds no "%".
     """
     for lo in range(0, end, _BLOCK):
         hi = min(lo + _BLOCK, end)
@@ -185,17 +213,17 @@ def _row_blocks(zeros, end, rows, line, zero_line, width, cut):
         number = str(lo // _BLOCK) if lo else ""
         # Past block 0, "@" stands for the number's digits.
         key = (max(width + 1 - len(number), 0), False) if lo else (width, True)
-        template = ""
+        runs = []
         for run_line, start, stop in ((zero_line, lo, mid), (line, mid, hi)):
             if start < stop:
-                lines, whole = _block_lines(run_line, *key)
+                lines, whole = _block_lines(run_line, *key, joint)
                 if stop - start < _BLOCK:
-                    whole = "".join(lines[start - lo:stop - lo])
-                template += whole
-        text = template.replace("@", number)
+                    whole = joint.join(lines[start - lo:stop - lo])
+                runs.append(whole)
+        text = joint.join(runs).replace("@", number)
         if mid < hi:
             text %= tuple(itertools.islice(rows, hi - mid))
-        yield text[:len(text) - cut] if hi == end else text
+        yield text
 
 
 def _fmt3(x) -> str:
@@ -249,13 +277,14 @@ def stats(args) -> int:
     inputs = {"k": k, "gamma": gamma, "z": z, **_policy_inputs(policy)}
     header = ["mean", "variance", "mandel_q", "normalization",
               "terms_used", "converged", "threshold"]
-    row = [st.mean, st.variance, _q_value(st.mandel_q), st.normalization,
-           st.sums.terms_used, st.sums.converged, st.sums.estimated_threshold]
-    shown = [f"{st.mean:.2f}", f"{st.variance:.2f}", _fmt3(st.mandel_q),
-             f"{st.normalization:.6g}", str(st.sums.terms_used),
-             str(st.sums.converged).lower(), str(st.sums.estimated_threshold)]
-    _emit(args.fmt, args.out, inputs, header, [row],
-          [["quantity", "value"], *zip(header, shown)])
+    rows = [[st.mean, st.variance, _q_value(st.mandel_q), st.normalization,
+             st.sums.terms_used, st.sums.converged, st.sums.estimated_threshold]]
+    if args.fmt == "table":
+        rows = [["quantity", "value"], *zip(header, [
+            f"{st.mean:.2f}", f"{st.variance:.2f}", _fmt3(st.mandel_q),
+            f"{st.normalization:.6g}", str(st.sums.terms_used),
+            str(st.sums.converged).lower(), str(st.sums.estimated_threshold)])]
+    _emit(args.fmt, args.out, inputs, header, _rows(args.fmt, header, rows), {})
     return 0
 
 
@@ -281,12 +310,14 @@ def table(args) -> int:
               "threshold", "n_max"]
     rows = [[z, a.mean, a.variance, _q_value(a.mandel_q), f.mean, f.variance,
              _q_value(f.mandel_q), a.sums.estimated_threshold, fixed_nmax] for z, a, f in pairs]
+    if args.fmt == "table":
+        rows = [header] + [
+            [f"{z:g}", f"{a.mean:.2f}", f"{a.variance:.2f}", _fmt3(a.mandel_q),
+             f"{f.mean:.2f}", f"{f.variance:.2f}", _fmt3(f.mandel_q),
+             str(a.sums.estimated_threshold), str(fixed_nmax)] for z, a, f in pairs]
     inputs = {"k": k, "gamma": gamma, **_policy_inputs(adaptive_policy),
               "fixed_nmax": fixed_nmax}
-    _emit(args.fmt, args.out, inputs, header, rows, [header] + [
-        [f"{z:g}", f"{a.mean:.2f}", f"{a.variance:.2f}", _fmt3(a.mandel_q),
-         f"{f.mean:.2f}", f"{f.variance:.2f}", _fmt3(f.mandel_q),
-         str(a.sums.estimated_threshold), str(fixed_nmax)] for z, a, f in pairs])
+    _emit(args.fmt, args.out, inputs, header, _rows(args.fmt, header, rows), {})
     return 0
 
 
@@ -320,16 +351,9 @@ def sweep(args) -> int:
     # An unconverged row's Q is a truncated window's, not the series': it
     # prints none, an empty csv cell, json null or "-" in the table.
     no_q, show = {"csv": ("", _q_value), "json": (None, _q_value), "table": ("-", _fmt3)}[fmt]
-    line = "%s,%s,%s,%s\n"
-    if fmt == "json":
-        import json
-
-        # Laid out as json.dumps(..., indent=2) lays out a row of the list.
-        line = ('    {\n      "z": %s,\n      "cutoff": "%s",\n      "mandel_q": %s,\n'
-                '      "status": "%s"\n    },\n')
-    # Each grid point is run, then kept only as its csv lines, its json rows
-    # (each ending in ",\n", which the last loses) or its table cells, whose
-    # widths need them all.  Nothing is written before the last point ran.
+    # Each grid point is run, then kept only as the text of its rows, or
+    # as its table cells, whose widths need them all.  Nothing is written
+    # before the last point ran.
     onsets, points = dict.fromkeys(cut), []
     with _usage_errors():
         spec = SweepSpec(k=k, gamma=gamma, z_grid=grid, cutoffs=cut)
@@ -341,33 +365,18 @@ def sweep(args) -> int:
                 flagged = label == "adaptive" and row.flagged
                 status = "unconverged" if flagged else "undefined" if st.mandel_q is None else "ok"
                 records.append((z, label, no_q if flagged else show(st.mandel_q), status))
-            if fmt == "json":  # each Q as strict json: null, "undefined" or a finite number
-                qs = json.dumps([r[2] for r in records], allow_nan=False)[1:-1].split(", ")
-                records = [(z, label, q, status) for (z, label, _, status), q in zip(records, qs)]
-            if fmt == "table":
-                points += records
-            else:
-                points.append("".join(map(line.__mod__, records)))
+            points += records if fmt == "table" else _rows(fmt, header, records)
 
     inputs = {"k": k, "gamma": gamma, **_policy_inputs(policy),
               "z_min": args.z_min, "z_max": args.z_max, "z_step": args.z_step,
               "cutoffs": ",".join(labels[1:])}
-    comments = "".join(f"# {key}={value}\n" for key, value in inputs.items())
+    if fmt == "table":
+        points = _rows(fmt, header, [header, *points])
+    footers = {f"onset_{c}": z if fmt == "csv" or z is None else f"{z:g}"
+               for c, z in onsets.items()}
     if fmt == "json":
-        head, tail = _json_frame({"inputs": inputs, "rows": [], **(
-            {"onsets": {str(c): z for c, z in onsets.items()}} if cut else {})})
-        points[-1] = points[-1][:-2]
-    elif fmt == "csv":
-        head = comments + ",".join(header) + "\n"
-        tail = "".join(f"# onset_{c}={z}\n" for c, z in onsets.items())
-    else:
-        head, points = comments, map("%s\n".__mod__, _table_lines([header, *points]))
-        tail = "".join(f"onset_{c}  {'None' if z is None else f'{z:g}'}\n"
-                       for c, z in onsets.items())
-    with _sink(args.out) as fh:
-        fh.write(head)
-        fh.writelines(points)
-        fh.write(tail)
+        footers = {"onsets": {str(c): z for c, z in onsets.items()}} if cut else {}
+    _emit(fmt, args.out, inputs, header, points, footers)
     return 0
 
 
@@ -388,32 +397,23 @@ def dist(args) -> int:
 
     # The rows below ``zeros``, the summed window's first index, are 0.0;
     # the rest are read off the walk, a block of 1,000 at a time, as written.
-    zeros, total = wd.zero_rows, wd.total
+    fmt, zeros, total = args.fmt, wd.zero_rows, wd.total
     inputs = {"k": k, "gamma": gamma, "z": z, **_policy_inputs(policy)}
-    comments = "".join(f"# {key}={value}\n" for key, value in inputs.items())
     # Each row is one line template, its index in "#" and its P_n in
     # ``slot``; the rows below ``zeros`` have ``zero`` there instead.
-    slot, zero, width, cut = "%s", str(0.0), 0, 0
-    if args.fmt == "json":
-        head, tail = _json_frame({"inputs": inputs, "rows": [], "weight_sum": total})
-        # Laid out as json.dumps(..., indent=2) lays out a row of the list;
-        # the last row's comma is cut.
-        line, cut = '    {\n      "n": #,\n      "p_n": %s\n    },\n', 2
-    elif args.fmt == "csv":
-        head, tail = comments + "n,p_n\n", f"# sum={total}\n"
-        line = f"#,{slot}\n"
-    else:
+    header, slot, zero, width, heading = ["n", "p_n"], "%s", str(0.0), 0, []
+    line, joint = _row_format(fmt, header)
+    footers = {"weight_sum" if fmt == "json" else "sum": total}
+    if fmt == "table":
         # The widest index is the last.  P_n's column is the last one, and
         # a line ends where its text does, so its width never shows.
         slot, zero, width = "%.6f", f"{0.0:.6f}", len(str(wd.support_bound))
-        head, tail = comments + "n".ljust(width) + "  p_n\n", f"sum  {total:.10f}\n"
-        line = f"#  {slot}\n"
-    with _sink(args.out) as fh:
-        fh.write(head)
-        for text in _row_blocks(zeros, wd.support_bound + 1, wd.rows(), line,
-                                line.replace(slot, zero), width, cut):
-            fh.write(text)
-        fh.write(tail)
+        line, footers = "%s  %s\n", {"sum": f"{total:.10f}"}
+        heading = [line % ("n".ljust(width), "p_n")]
+    line %= ("#", slot)
+    blocks = _row_blocks(zeros, wd.support_bound + 1, wd.rows(), line,
+                         line.replace(slot, zero), width, joint)
+    _emit(fmt, args.out, inputs, header, itertools.chain(heading, blocks), footers)
     return 0
 
 

@@ -592,7 +592,9 @@ def _certified(run: _Run, policy: TruncationPolicy) -> LogSeriesSums | None:
 
 @_path("open-head")
 def _open_head(run: _Run, policy: TruncationPolicy) -> LogSeriesSums | None:
-    """An open head, adaptive (a fixed one raises in ``_Run.head``)."""
+    """An adaptive open head; ``certified`` read a fixed cutoff's head, and raised if open."""
+    if policy.n_max is not None:
+        return None
     walk, lo, closed = run.head(policy)
     return None if closed else _reduce(walk, lo, walk.anchor, False, None)
 

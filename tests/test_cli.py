@@ -1093,12 +1093,20 @@ class TestWriter:
         def pretty():
             return [header] + [[str(v) for v in row] for row in rows]
 
+        # The writer parts the strings of rows it is given: one string a row
+        # to stdout, all rows in one string to the file.  The table's widths
+        # need every row, so both ways it is a line a string, from all cells.
+        if fmt == "table":
+            apart, whole = cli._rows(fmt, header, pretty()), cli._rows(fmt, header, pretty())
+        else:
+            apart = [text for row in rows for text in cli._rows(fmt, header, [row])]
+            whole = cli._rows(fmt, header, rows) if rows else []
         expected = joined_emit(fmt, inputs, header, rows, pretty)
         capsys.readouterr()
-        cli._emit(fmt, None, inputs, header, iter(rows), pretty())
+        cli._emit(fmt, None, inputs, header, iter(apart), {})
         assert capsys.readouterr().out == expected
         target = tmp_path / "out.txt"
-        cli._emit(fmt, str(target), inputs, header, iter(rows), pretty())
+        cli._emit(fmt, str(target), inputs, header, iter(whole), {})
         assert target.read_bytes() == expected.encode()
 
     @given(fmt=st.sampled_from(["csv", "json", "table"]),
@@ -1149,14 +1157,23 @@ class TestWriter:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["row", "footer"])
     def test_json_rejects_non_finite_numbers(self, capsys, value, where):
-        # Refused in a row cell of stats' or table's json, or in a value
-        # after the rows of dist's or sweep's, before a byte is written.
+        # Refused in a row cell, as the rows' text is made, or in a footer,
+        # as the writer frames the rows, before a byte is written.
         with pytest.raises(ValueError):
-            if where == "row":
-                cli._emit("json", None, {"z": 1.0}, ["q"], [[value]], None)
-            else:
-                cli._json_frame({"inputs": {"z": 1.0}, "rows": [], "weight_sum": value})
+            cells, footers = ([[value]], {}) if where == "row" else ([[1.0]], {"sum": value})
+            cli._emit("json", None, {"z": 1.0}, ["q"], cli._rows("json", ["q"], cells), footers)
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("args", [
+        "stats --k 1.5 --z 0", "stats --k 1.5 --z 2.5", "table --k 1.5 --z-list 2.5,5",
+        "sweep --k 1.5 --z-min 0.1 --z-max 1 --z-step 0.1",
+        "sweep --k 1.5 --z-min 0.1 --z-max 1 --z-step 0.1 --cutoffs 5", "dist --k 1.5 --z 2"])
+    def test_json_is_laid_out_as_json_dumps(self, args):
+        # Every command's json, whatever writes its rows, is laid out as
+        # json.dumps(..., indent=2) lays out the payload it reads back to.
+        result = invoke(args.split() + ["--format", "json"])
+        assert result.exit_code == 0
+        assert result.stdout == json.dumps(json.loads(result.stdout), indent=2) + "\n"
 
 
 def _reject_constant(name):
